@@ -8,6 +8,8 @@ and generated ids.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .timeseries import DatedSeries
 
 FORMAT_COMMENT = "<!-- erp-lab chart format 1 -->"
@@ -36,8 +38,9 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    first = series.dates[0]
-    span_days = (series.dates[-1] - first).days or 1
+    offsets = (series.days - series.days[0]).astype(np.int64)
+    span_days = int(offsets[-1]) or 1
+    xs = (_MARGIN_LEFT + plot_w * offsets / span_days).tolist()
     vmin = float(series.values.min())
     vmax = float(series.values.max())
     if vmin == vmax:
@@ -45,9 +48,6 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
     else:
         pad = (vmax - vmin) * 0.05
     lo, hi = vmin - pad, vmax + pad
-
-    def x_at(d) -> float:
-        return _MARGIN_LEFT + plot_w * (d - first).days / span_days
 
     def y_at(v: float) -> float:
         return _MARGIN_TOP + plot_h * (hi - v) / (hi - lo)
@@ -91,7 +91,7 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
     tick_indexes = sorted({round(i * (n - 1) / 4) for i in range(5)})
     for idx in tick_indexes:
         d = series.dates[idx]
-        x = x_at(d)
+        x = xs[idx]
         out.append(
             f'<line x1="{_coord(x)}" y1="{_coord(axis_bottom)}" '
             f'x2="{_coord(x)}" y2="{_coord(axis_bottom + 4)}" stroke="black" stroke-width="1"/>'
@@ -110,8 +110,7 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
         )
 
     points = " ".join(
-        f"{_coord(x_at(d))},{_coord(y_at(float(v)))}"
-        for d, v in zip(series.dates, series.values)
+        f"{_coord(x)},{_coord(y_at(v))}" for x, v in zip(xs, series.values.tolist())
     )
     out.append(
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>'

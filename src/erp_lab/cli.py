@@ -20,7 +20,7 @@ from pathlib import Path
 from .averaging import AveragingMethod
 from .capm import fit_market_model, risk_decomposition, simulate_diversification
 from .charts import write_line_chart
-from .errors import ErpLabError, NumericalError
+from .errors import DataError, ErpLabError, NumericalError
 from .historical import erp_report
 from .implied import implied_erp_series
 from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series
@@ -28,6 +28,7 @@ from .timeseries import (
     DatedSeries,
     ReturnSeries,
     align,
+    align_many,
     ema,
     infer_period,
     simple_returns,
@@ -37,7 +38,6 @@ from .timeseries import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
-
 _CAUGHT = (ErpLabError, OSError, ValueError)
 
 
@@ -58,17 +58,20 @@ def _fail(exc: BaseException) -> int:
 
 @contextmanager
 def _stage(name: str):
-    """Re-raise pipeline errors with the failing stage named."""
+    """Re-raise pipeline errors with the failing stage named, as a
+    NumericalError or DataError: not every exception type can be rebuilt
+    from one message (``UnicodeDecodeError`` cannot)."""
     try:
         yield
     except _CAUGHT as exc:
-        raise type(exc)(f"{name}: {exc}") from exc
+        kind = NumericalError if isinstance(exc, NumericalError) else DataError
+        raise kind(f"{name}: {exc}") from exc
 
 
 def _to_returns(series: DatedSeries, kind: str) -> ReturnSeries:
     if kind == "levels":
         return simple_returns(series)
-    return ReturnSeries(series.dates, series.values, infer_period(series.dates))
+    return ReturnSeries(series.days, series.values, infer_period(series.days))
 
 
 # -- commands -----------------------------------------------------------------
@@ -86,24 +89,16 @@ def run_implied(prices_spec: SeriesFileSpec, eps_spec: SeriesFileSpec,
         with _stage("parsing yields"):
             yields = parse_series(yields_spec)
         with _stage("interpolating eps to the price calendar"):
-            eps_daily = step_interpolate(eps_sparse, prices.dates)
+            eps_daily = step_interpolate(eps_sparse, prices.days)
         with _stage("smoothing eps"):
             eps_smooth = ema(eps_daily, ema_period)
         with _stage("computing the premium"):
             erp = implied_erp_series(prices, eps_smooth, yields)
         with _stage("writing output"):
-            price_at = dict(zip(prices.dates, prices.values))
-            eps_at = dict(zip(eps_smooth.dates, eps_smooth.values))
-            yield_at = dict(zip(yields.dates, yields.values))
+            dates, columns = align_many([prices, eps_smooth, yields, erp])
             lines = ["date,price,eps_smoothed,yield,erp"]
-            for d, v in zip(erp.dates, erp.values):
-                lines.append(",".join([
-                    d.isoformat(),
-                    format_cell(price_at[d]),
-                    format_cell(eps_at[d]),
-                    format_cell(yield_at[d]),
-                    format_cell(v),
-                ]))
+            for d, *row in zip(dates, *columns):
+                lines.append(",".join([d.isoformat(), *map(format_cell, row)]))
             with open(output, "w", encoding="utf-8", newline="") as fh:
                 fh.write("\n".join(lines) + "\n")
             svg = svg_path or str(Path(output).with_suffix(".svg"))
@@ -198,9 +193,9 @@ def _add_series_flags(sub, prefix: str) -> None:
                      help="multiplier applied to values (0.01 for percent quotes)")
 
 
-def _spec_from(args, prefix: str) -> SeriesFileSpec:
+def _spec_from(args, prefix: str, path: str) -> SeriesFileSpec:
     return SeriesFileSpec(
-        path=getattr(args, prefix),
+        path=path,
         date_column=getattr(args, f"{prefix}_date_column"),
         value_column=getattr(args, f"{prefix}_value_column"),
         date_format=getattr(args, f"{prefix}_date_format"),
@@ -211,9 +206,12 @@ def _spec_from(args, prefix: str) -> SeriesFileSpec:
 def _parse_window(text: str) -> tuple[int, int]:
     start, _, end = text.partition("-")
     try:
-        return int(start), int(end)
+        window = int(start), int(end)
     except ValueError:
         raise argparse.ArgumentTypeError(f"window must look like 1928-2008, got {text!r}")
+    if window[0] > window[1]:
+        raise argparse.ArgumentTypeError(f"window {text!r} starts after it ends")
+    return window
 
 
 def _parse_riskfree(text: str) -> tuple[str, str]:
@@ -223,12 +221,21 @@ def _parse_riskfree(text: str) -> tuple[str, str]:
     return label, path
 
 
+class _Repeatable(argparse.Action):
+    """Repeatable flag whose first command-line use replaces a config list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        items = getattr(namespace, self.dest)
+        if items is self.default:
+            items = []
+        setattr(namespace, self.dest, [*items, values])
+
+
 def build_parser() -> tuple[_Parser, list]:
     parser = _Parser(prog="erp-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="key=value file pre-filling flags "
                         "(default: $ERP_LAB_CONFIG); explicit flags win")
     commands = parser.add_subparsers(dest="command", required=True)
-    subs = []
 
     implied = commands.add_parser(
         "implied", help="daily implied-premium pipeline from prices, EPS, and yields")
@@ -239,7 +246,6 @@ def build_parser() -> tuple[_Parser, list]:
     implied.add_argument("--output", required=True, help="output CSV path")
     implied.add_argument("--svg", help="output SVG path (default: output with .svg)")
     implied.set_defaults(func=_cmd_implied)
-    subs.append(implied)
 
     historical = commands.add_parser(
         "historical", help="windowed historical premium report")
@@ -247,7 +253,7 @@ def build_parser() -> tuple[_Parser, list]:
     historical.add_argument("--equity-kind", choices=("returns", "levels"),
                             default="returns",
                             help="whether the equity file holds returns or price levels")
-    historical.add_argument("--riskfree", action="append", required=True,
+    historical.add_argument("--riskfree", action=_Repeatable, required=True,
                             type=_parse_riskfree, metavar="LABEL=PATH",
                             help="riskfree instrument file; repeatable")
     historical.add_argument("--riskfree-date-column", default="date")
@@ -256,15 +262,14 @@ def build_parser() -> tuple[_Parser, list]:
     historical.add_argument("--riskfree-scale", type=float, default=1.0)
     historical.add_argument("--riskfree-kind", choices=("returns", "levels"),
                             default="returns")
-    historical.add_argument("--window", action="append", required=True,
+    historical.add_argument("--window", action=_Repeatable, required=True,
                             type=_parse_window, metavar="START-END",
                             help="inclusive year window, e.g. 1928-2008; repeatable")
-    historical.add_argument("--method", action="append", required=True,
+    historical.add_argument("--method", action=_Repeatable, required=True,
                             type=AveragingMethod.from_string, metavar="METHOD",
                             help="arithmetic | geometric | blume:N | exp:DECAY; repeatable")
     historical.add_argument("--output", required=True, help="output CSV path")
     historical.set_defaults(func=_cmd_historical)
-    subs.append(historical)
 
     capm = commands.add_parser("capm", help="market-model regression of asset on market")
     _add_series_flags(capm, "asset")
@@ -272,7 +277,6 @@ def build_parser() -> tuple[_Parser, list]:
     capm.add_argument("--kind", choices=("returns", "levels"), default="returns",
                       help="whether both files hold returns or price levels")
     capm.set_defaults(func=_cmd_capm)
-    subs.append(capm)
 
     simulate = commands.add_parser(
         "simulate", help="diversification experiment for an equal-weight portfolio")
@@ -283,16 +287,15 @@ def build_parser() -> tuple[_Parser, list]:
     simulate.add_argument("--n-periods", type=int, default=10000)
     simulate.add_argument("--seed", type=int, default=0)
     simulate.set_defaults(func=_cmd_simulate)
-    subs.append(simulate)
 
-    return parser, subs
+    return parser, list(commands.choices.values())
 
 
 def _cmd_implied(args) -> int:
     return run_implied(
-        _spec_from(args, "prices"),
-        _spec_from(args, "eps"),
-        _spec_from(args, "yields"),
+        _spec_from(args, "prices", args.prices),
+        _spec_from(args, "eps", args.eps),
+        _spec_from(args, "yields", args.yields),
         args.ema_period,
         args.output,
         svg_path=args.svg,
@@ -300,18 +303,10 @@ def _cmd_implied(args) -> int:
 
 
 def _cmd_historical(args) -> int:
-    riskfree_specs = [
-        (label, SeriesFileSpec(
-            path=path,
-            date_column=args.riskfree_date_column,
-            value_column=args.riskfree_value_column,
-            date_format=args.riskfree_date_format,
-            value_scale=args.riskfree_scale,
-        ))
-        for label, path in args.riskfree
-    ]
+    riskfree_specs = [(label, _spec_from(args, "riskfree", path))
+                      for label, path in args.riskfree]
     return run_historical(
-        _spec_from(args, "equity"),
+        _spec_from(args, "equity", args.equity),
         riskfree_specs,
         args.window,
         args.method,
@@ -322,8 +317,8 @@ def _cmd_historical(args) -> int:
 
 
 def _cmd_capm(args) -> int:
-    return run_capm(_spec_from(args, "asset"), _spec_from(args, "market"),
-                    values=args.kind)
+    return run_capm(_spec_from(args, "asset", args.asset),
+                    _spec_from(args, "market", args.market), values=args.kind)
 
 
 def _cmd_simulate(args) -> int:
@@ -331,8 +326,9 @@ def _cmd_simulate(args) -> int:
                         args.n_periods, args.seed)
 
 
-def _load_config(path: str) -> dict[str, str]:
-    config: dict[str, str] = {}
+def _load_config(path: str) -> dict[str, tuple[str, str]]:
+    """Map each flag name to ``(where, value)``; ``where`` names file, line and key."""
+    config: dict[str, tuple[str, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -341,22 +337,32 @@ def _load_config(path: str) -> dict[str, str]:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path} line {lineno}: expected key=value, got {line!r}")
-            config[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip()
+            config[key.replace("-", "_")] = (f"{path} line {lineno}: {key}", value.strip())
     return config
 
 
-def _apply_config(sub, config: dict[str, str]) -> None:
-    for action in sub._actions:
-        if action.dest not in config:
-            continue
-        raw = config[action.dest]
-        if isinstance(action, argparse._AppendAction):
-            items = [p for p in (s.strip() for s in raw.split(",")) if p]
-            value = [action.type(p) if action.type else p for p in items]
-        else:
-            value = action.type(raw) if action.type else raw
-        sub.set_defaults(**{action.dest: value})
-        action.required = False
+def _apply_config(subs: list, config: dict[str, tuple[str, str]]) -> None:
+    known = set()
+    for sub in subs:
+        for action in sub._actions:
+            known.add(action.dest)
+            if action.dest not in config:
+                continue
+            where, raw = config[action.dest]
+            convert = action.type or str
+            try:
+                if isinstance(action, _Repeatable):
+                    value = [convert(p) for p in (s.strip() for s in raw.split(",")) if p]
+                else:
+                    value = convert(raw)
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            sub.set_defaults(**{action.dest: value})
+            action.required = False
+    for dest, (where, _) in config.items():
+        if dest not in known:
+            raise ValueError(f"{where}: not a flag of any subcommand")
 
 
 def main(argv=None) -> int:
@@ -368,9 +374,7 @@ def main(argv=None) -> int:
         config_path = known.config or os.environ.get("ERP_LAB_CONFIG")
         parser, subs = build_parser()
         if config_path:
-            config = _load_config(config_path)
-            for sub in subs:
-                _apply_config(sub, config)
+            _apply_config(subs, _load_config(config_path))
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"erp-lab: {exc}", file=sys.stderr)

@@ -1,15 +1,15 @@
 """Dated series containers and the transformations the daily pipeline needs.
 
 A :class:`DatedSeries` is the universal carrier for prices, earnings,
-yields, and premia: calendar dates paired with float values.  Dates are
-plain ``datetime.date`` objects; no business-day or holiday logic is
-applied anywhere, and series combine by exact date intersection.
+yields, and premia: calendar dates paired with float values.  Each series
+holds its calendar as a ``datetime64[D]`` array (``days``), also exposed
+as a tuple of ``datetime.date`` (``dates``).  No business-day or holiday
+logic is applied anywhere, and series combine by exact date intersection.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, Sequence
 
@@ -25,21 +25,21 @@ from .errors import (
 
 PERIOD_LABELS = ("daily", "quarterly", "annual")
 
-
-def _freeze_values(obj, values) -> None:
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    object.__setattr__(obj, "values", arr)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
-def _check_dates(dates: tuple) -> None:
-    if len(dates) == 0:
-        raise ValueError("series must contain at least one observation")
-    for i in range(1, len(dates)):
-        if not dates[i] > dates[i - 1]:
-            raise ValueError(
-                f"dates must be strictly increasing: {dates[i - 1]} !< {dates[i]}"
-            )
+def _as_days(dates) -> np.ndarray:
+    """``dates`` (a ``datetime64`` array or ``date`` iterable) as a fresh
+    read-only ``datetime64[D]`` array.  Dates go through their ordinals:
+    numpy's own conversion of ``date`` objects is about twenty times slower.
+    """
+    if isinstance(dates, np.ndarray) and dates.dtype.kind == "M":
+        days = dates.astype("datetime64[D]")
+    else:
+        ordinals = np.fromiter((d.toordinal() for d in dates), np.int64)
+        days = (ordinals - _EPOCH_ORDINAL).view("datetime64[D]")
+    days.flags.writeable = False
+    return days
 
 
 @dataclass(frozen=True)
@@ -47,20 +47,31 @@ class DatedSeries:
     """Ordered (date, value) observations with strictly increasing dates.
 
     Invariants enforced at construction: non-empty, dates strictly
-    increasing (hence no duplicates), all values finite.  The value array
-    is read-only after construction.
+    increasing (hence no duplicates), all values finite.  ``dates`` may be
+    given as any sequence of ``date`` or as a ``datetime64`` array; the
+    value array and ``days`` are read-only after construction.
     """
 
     dates: tuple[date, ...]
     values: np.ndarray
+    days: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        _freeze_values(self, self.values)
-        _check_dates(self.dates)
-        if len(self.dates) != len(self.values):
+        days = _as_days(self.dates)
+        object.__setattr__(self, "days", days)
+        object.__setattr__(self, "dates", tuple(days.tolist()))
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if len(days) == 0:
+            raise ValueError("series must contain at least one observation")
+        bad = np.flatnonzero(np.diff(days) <= np.timedelta64(0, "D"))
+        if bad.size:
+            a, b = self.dates[bad[0]], self.dates[bad[0] + 1]
+            raise ValueError(f"dates must be strictly increasing: {a} !< {b}")
+        if len(days) != len(values):
             raise ValueError("dates and values must have equal length")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite (no NaN or infinity)")
 
     @classmethod
@@ -72,43 +83,32 @@ class DatedSeries:
         return [(d, float(v)) for d, v in zip(self.dates, self.values)]
 
     def __len__(self) -> int:
-        return len(self.dates)
+        return len(self.days)
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
+class ReturnSeries(DatedSeries):
     """Per-period simple returns, tagged with the period length.
 
     Each return must exceed -1 (prices are positive); ``period`` is one of
     ``daily``, ``quarterly``, ``annual``.
     """
 
-    dates: tuple[date, ...]
-    values: np.ndarray
     period: str
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        _freeze_values(self, self.values)
-        _check_dates(self.dates)
-        if len(self.dates) != len(self.values):
-            raise ValueError("dates and values must have equal length")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("returns must be finite")
+        super().__post_init__()
         if np.any(self.values <= -1.0):
             raise ValueError("simple returns must be > -1")
         if self.period not in PERIOD_LABELS:
             raise ValueError(f"period must be one of {PERIOD_LABELS}, got {self.period!r}")
 
-    def __len__(self) -> int:
-        return len(self.dates)
 
-
-def infer_period(dates: Sequence[date]) -> str:
+def infer_period(dates: Sequence[date] | np.ndarray) -> str:
     """Classify a date grid as daily, quarterly, or annual by median spacing."""
-    if len(dates) < 2:
+    gaps = np.diff(_as_days(dates)).astype(np.int64)
+    if len(gaps) == 0:
         return "daily"
-    gaps = [(dates[i] - dates[i - 1]).days for i in range(1, len(dates))]
     median = float(np.median(gaps))
     if median >= 300:
         return "annual"
@@ -117,48 +117,34 @@ def infer_period(dates: Sequence[date]) -> str:
     return "daily"
 
 
-def align(a, b) -> tuple[tuple[date, ...], np.ndarray, np.ndarray]:
-    """Pair two series over their common dates.
+def align(a: DatedSeries, b: DatedSeries) -> tuple[tuple[date, ...], np.ndarray, np.ndarray]:
+    """Pair two series over their common dates: ``align_many([a, b])``
+    unpacked to ``(dates, a_values, b_values)``."""
+    dates, (a_vals, b_vals) = align_many([a, b])
+    return dates, a_vals, b_vals
+
+
+def align_many(series: Sequence[DatedSeries]) -> tuple[tuple[date, ...], list[np.ndarray]]:
+    """Intersect any number of series on their common dates.
 
     Accepts any mix of :class:`DatedSeries` and :class:`ReturnSeries`.
-    Returns ``(dates, a_values, b_values)`` restricted to dates present in
-    both inputs, in ascending order.
+    Returns the common dates and one value array per input series, all in
+    the same ascending order.
 
     Raises
     ------
     EmptyIntersectionError
-        If the two series share no dates.
-    """
-    b_index = {d: i for i, d in enumerate(b.dates)}
-    common = [(d, i, b_index[d]) for i, d in enumerate(a.dates) if d in b_index]
-    if not common:
-        raise EmptyIntersectionError("series share no common dates")
-    dates = tuple(d for d, _, _ in common)
-    a_vals = a.values[[i for _, i, _ in common]]
-    b_vals = b.values[[j for _, _, j in common]]
-    return dates, a_vals, b_vals
-
-
-def align_many(series: Sequence) -> tuple[tuple[date, ...], list[np.ndarray]]:
-    """Intersect any number of series on their common dates.
-
-    Returns the common dates and one value array per input series, all in
-    the same ascending order.  Raises :class:`EmptyIntersectionError` when
-    the intersection is empty.
+        If the series share no dates.
     """
     if not series:
         raise InvalidParametersError("align_many needs at least one series")
-    common = set(series[0].dates)
+    common = series[0].days
     for s in series[1:]:
-        common &= set(s.dates)
-    if not common:
+        common = np.intersect1d(common, s.days, assume_unique=True)
+    if len(common) == 0:
         raise EmptyIntersectionError("series share no common dates")
-    dates = tuple(sorted(common))
-    columns = []
-    for s in series:
-        index = {d: i for i, d in enumerate(s.dates)}
-        columns.append(s.values[[index[d] for d in dates]])
-    return dates, columns
+    columns = [s.values[np.searchsorted(s.days, common)] for s in series]
+    return tuple(common.tolist()), columns
 
 
 def simple_returns(prices: DatedSeries, period: str | None = None) -> ReturnSeries:
@@ -174,7 +160,7 @@ def simple_returns(prices: DatedSeries, period: str | None = None) -> ReturnSeri
         bad = prices.dates[int(np.argmax(prices.values <= 0.0))]
         raise NonPositivePriceError(f"non-positive price at {bad}")
     rets = prices.values[1:] / prices.values[:-1] - 1.0
-    return ReturnSeries(prices.dates[1:], rets, period or infer_period(prices.dates))
+    return ReturnSeries(prices.days[1:], rets, period or infer_period(prices.days))
 
 
 def ema(series: DatedSeries, period_days: int) -> DatedSeries:
@@ -197,32 +183,31 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
     for i in range(1, len(out)):
         acc = acc + alpha * (series.values[i] - acc)
         out[i] = acc
-    return DatedSeries(series.dates, out)
+    return DatedSeries(series.days, out)
 
 
-def step_interpolate(sparse: DatedSeries, calendar: Sequence[date]) -> DatedSeries:
+def step_interpolate(sparse: DatedSeries,
+                     calendar: Sequence[date] | np.ndarray) -> DatedSeries:
     """Carry sparse observations forward onto a finer calendar.
 
     Each calendar date takes the most recent sparse value at or before it
-    (last observation carried forward).  The calendar must be non-empty,
-    strictly increasing, and start no earlier than the first sparse date.
+    (last observation carried forward).  The calendar (a sequence of
+    ``date`` or a ``datetime64`` array) must be non-empty, strictly
+    increasing, and start no earlier than the first sparse date.
 
     Raises
     ------
     CalendarPrecedesDataError
         If a calendar date precedes every sparse observation.
     """
-    calendar = tuple(calendar)
-    if not calendar:
+    days = _as_days(calendar)
+    if len(days) == 0:
         raise InvalidParametersError("calendar must be non-empty")
-    for i in range(1, len(calendar)):
-        if not calendar[i] > calendar[i - 1]:
-            raise InvalidParametersError("calendar must be strictly increasing")
-    if calendar[0] < sparse.dates[0]:
+    if np.any(np.diff(days) <= np.timedelta64(0, "D")):
+        raise InvalidParametersError("calendar must be strictly increasing")
+    if days[0] < sparse.days[0]:
         raise CalendarPrecedesDataError(
-            f"calendar starts {calendar[0]}, before first observation {sparse.dates[0]}"
+            f"calendar starts {days[0]}, before first observation {sparse.dates[0]}"
         )
-    out = np.empty(len(calendar))
-    for i, d in enumerate(calendar):
-        out[i] = sparse.values[bisect_right(sparse.dates, d) - 1]
-    return DatedSeries(calendar, out)
+    latest = np.searchsorted(sparse.days, days, side="right") - 1
+    return DatedSeries(days, sparse.values[latest])

@@ -92,6 +92,29 @@ class TestImplied:
         assert code == EXIT_INPUT
         assert "interpolating" in capsys.readouterr().err
 
+    def test_undecodable_prices_file_is_one_line_error(self, implied_files, tmp_path, capsys):
+        _, eps, yields = implied_files
+        prices = tmp_path / "binary.csv"
+        prices.write_bytes(b"date,close\n2009-01-02,1000\xff\n")
+        code = main(implied_argv(str(prices), eps, yields, str(tmp_path / "erp.csv")))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("erp-lab: parsing prices:")
+
+
+def historical_argv(annual_paths, output, *extra):
+    return [
+        "historical",
+        "--equity", str(annual_paths["equity"]),
+        "--equity-value-column", "return",
+        "--riskfree", f"tbills={annual_paths['tbills']}",
+        "--riskfree-value-column", "return",
+        "--output", output,
+        *extra,
+    ]
+
 
 class TestHistorical:
     def test_bundled_grid_row(self, annual_paths, tmp_path):
@@ -167,6 +190,14 @@ class TestHistorical:
         ])
         assert code == EXIT_INPUT
         assert "erp-lab" in capsys.readouterr().err
+
+    def test_reversed_window_is_usage_error(self, annual_paths, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        code = main(historical_argv(annual_paths, str(out),
+                                    "--window", "2010-1990", "--method", "arithmetic"))
+        assert code == EXIT_INPUT
+        assert "2010-1990" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCapm:
@@ -260,6 +291,37 @@ class TestConfig:
         lines = open(out).read().splitlines()
         assert lines[0] == "window,tbills arithmetic,tbills geometric"
         assert [line.split(",")[0] for line in lines[1:]] == ["2000-2004", "2000-2009"]
+
+    def test_explicit_repeatable_flag_replaces_config_list(self, annual_paths, tmp_path):
+        cfg = write(tmp_path, "cfg", "window = 2000-2004\nmethod = arithmetic\n")
+        out = str(tmp_path / "report.csv")
+        code = main(["--config", cfg] +
+                    historical_argv(annual_paths, out, "--window", "2000-2009"))
+        assert code == EXIT_OK
+        lines = open(out).read().splitlines()
+        assert lines[0] == "window,tbills arithmetic"
+        assert [line.split(",")[0] for line in lines[1:]] == ["2000-2009"]
+
+    def test_unknown_config_key(self, implied_files, tmp_path, capsys):
+        prices, eps, yields = implied_files
+        cfg = write(tmp_path, "cfg", "# typo below\nema-perod = 3\n")
+        out = tmp_path / "x.csv"
+        code = main(["--config", cfg] + implied_argv(prices, eps, yields, str(out)))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{cfg} line 2" in err
+        assert "ema-perod" in err
+        assert not out.exists()
+
+    def test_reversed_window_in_config(self, annual_paths, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg", "window = 2010-1990\n")
+        code = main(["--config", cfg] +
+                    historical_argv(annual_paths, str(tmp_path / "report.csv"),
+                                    "--method", "arithmetic"))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{cfg} line 1" in err
+        assert "Traceback" not in err
 
     def test_malformed_config_line(self, implied_files, tmp_path, capsys):
         prices, eps, yields = implied_files

@@ -1,0 +1,25 @@
+"""Smoke test: every demo script runs to completion.
+
+The demos are the only callers of the public API outside the library and
+its tests.  Each runs in process (``runpy``), so scipy and numpy are
+imported once, with a temporary working directory for the files some
+demos write.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

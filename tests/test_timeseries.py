@@ -1,5 +1,6 @@
 """Tests for dated series containers, alignment, returns, EMA, and step fill."""
 
+from bisect import bisect_right
 from datetime import date, timedelta
 
 import numpy as np
@@ -28,6 +29,45 @@ from erp_lab.timeseries import (
 
 def days(n, start=date(2020, 1, 1), step=1):
     return tuple(start + timedelta(days=i * step) for i in range(n))
+
+
+# -- plain-Python references for the vectorised calendar code -----------------
+
+def reference_align_many(series):
+    """Set intersection plus per-series dict lookup; None when empty."""
+    common = set(series[0].dates)
+    for s in series[1:]:
+        common &= set(s.dates)
+    if not common:
+        return None
+    dates = tuple(sorted(common))
+    return dates, [[dict(zip(s.dates, s.values))[d] for d in dates] for s in series]
+
+
+def reference_step(sparse, calendar):
+    return [sparse.values[bisect_right(sparse.dates, d) - 1] for d in calendar]
+
+
+def reference_order_error(dates):
+    for i in range(1, len(dates)):
+        if not dates[i] > dates[i - 1]:
+            return f"dates must be strictly increasing: {dates[i - 1]} !< {dates[i]}"
+    return None
+
+
+# Calendars are short runs of days near one base, so that random series
+# overlap often; the bases reach both ends of the date range and 1970.
+BASES = (date(1, 1, 1), date(1969, 12, 20), date(2020, 1, 1), date(9999, 12, 1))
+OFFSETS = st.sets(st.integers(0, 30), min_size=1, max_size=20)
+
+
+def calendar_on(base, offsets):
+    return [base + timedelta(days=k) for k in sorted(offsets)]
+
+
+def series_on(base, offsets, shift=0.0):
+    dates = calendar_on(base, offsets)
+    return DatedSeries(dates, np.arange(len(dates)) + shift)
 
 
 class TestDatedSeries:
@@ -240,3 +280,55 @@ class TestStepInterpolate:
         by_date = dict(zip(out.dates, out.values))
         for d, v in sparse.as_pairs():
             assert by_date[d] == v
+
+
+class TestCalendarAgainstReference:
+    @given(base=st.sampled_from(BASES), offsets=OFFSETS)
+    @settings(max_examples=100, deadline=None)
+    def test_dates_round_trip(self, base, offsets):
+        dates = calendar_on(base, offsets)
+        s = DatedSeries(dates, np.zeros(len(dates)))
+        assert s.dates == tuple(dates)
+        assert len(s) == len(dates)
+
+    @given(base=st.sampled_from(BASES),
+           offsets=st.lists(st.integers(0, 30), min_size=2, max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_order_error_names_first_bad_pair(self, base, offsets):
+        dates = [base + timedelta(days=k) for k in offsets]
+        expected = reference_order_error(dates)
+        if expected is None:
+            assert DatedSeries(dates, np.zeros(len(dates))).dates == tuple(dates)
+        else:
+            with pytest.raises(ValueError) as info:
+                DatedSeries(dates, np.zeros(len(dates)))
+            assert str(info.value) == expected
+
+    @given(base=st.sampled_from(BASES),
+           offsets=st.lists(OFFSETS, min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_align_many_matches_reference(self, base, offsets):
+        series = [series_on(base, o, shift=100.0 * i) for i, o in enumerate(offsets)]
+        expected = reference_align_many(series)
+        if expected is None:
+            with pytest.raises(EmptyIntersectionError):
+                align_many(series)
+            return
+        dates, columns = align_many(series)
+        assert dates == expected[0]
+        assert len(columns) == len(series)
+        for got, want in zip(columns, expected[1]):
+            np.testing.assert_array_equal(got, want)
+
+    @given(base=st.sampled_from(BASES), sparse=OFFSETS, calendar=OFFSETS)
+    @settings(max_examples=150, deadline=None)
+    def test_step_interpolate_matches_reference(self, base, sparse, calendar):
+        sparse = series_on(base, sparse)
+        calendar = calendar_on(base, calendar)
+        if calendar[0] < sparse.dates[0]:
+            with pytest.raises(CalendarPrecedesDataError):
+                step_interpolate(sparse, calendar)
+            return
+        out = step_interpolate(sparse, calendar)
+        assert out.dates == tuple(calendar)
+        np.testing.assert_array_equal(out.values, reference_step(sparse, calendar))
