@@ -351,14 +351,17 @@ def _apply_config(subs: list, config: dict[str, tuple[str, str]]) -> None:
                 continue
             where, raw = config[action.dest]
             convert = action.type or str
+            repeatable = isinstance(action, _Repeatable)
+            parts = [p for p in (s.strip() for s in raw.split(",")) if p] if repeatable else [raw]
             try:
-                if isinstance(action, _Repeatable):
-                    value = [convert(p) for p in (s.strip() for s in raw.split(",")) if p]
-                else:
-                    value = convert(raw)
+                values = [convert(p) for p in parts]
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise ValueError(f"{where}: {exc}") from exc
-            sub.set_defaults(**{action.dest: value})
+            for value in values:
+                if action.choices is not None and value not in action.choices:
+                    choices = ", ".join(map(repr, action.choices))
+                    raise ValueError(f"{where}: invalid choice {value!r} (choose from {choices})")
+            sub.set_defaults(**{action.dest: values if repeatable else values[0]})
             action.required = False
     for dest, (where, _) in config.items():
         if dest not in known:

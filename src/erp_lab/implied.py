@@ -16,10 +16,10 @@ Models, cheapest first:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import (
     InvalidInputsError,
@@ -27,13 +27,27 @@ from .errors import (
     NonPositiveEpsError,
     NonPositivePriceError,
     NoRootInBracketError,
+    NumericalError,
     RateBelowMinusOneError,
 )
 from .timeseries import DatedSeries, align_many
 
 BISECTION_XTOL = 1e-10
+BISECTION_RTOL = 4 * np.finfo(float).eps
 BISECTION_MAXITER = 200
 RATE_CEILING = 10.0
+
+
+def _require_finite(error: type[Exception], **values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
+
+
+def _require_not_nan(k: float, gap: float) -> float:
+    if math.isnan(gap):
+        raise NumericalError(f"two-stage price is NaN at k={k}; bisection cannot continue")
+    return gap
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,8 @@ class GordonInputs:
     required_k: float
 
     def __post_init__(self):
+        _require_finite(ValueError, dividend_now=self.dividend_now,
+                        growth=self.growth, required_k=self.required_k)
         if self.dividend_now <= 0:
             raise ValueError("dividend_now must be positive")
 
@@ -92,6 +108,9 @@ class TwoStageInputs:
     long_growth: float
 
     def __post_init__(self):
+        _require_finite(ValueError, dividend_now=self.dividend_now,
+                        short_growth=self.short_growth, short_years=self.short_years,
+                        long_growth=self.long_growth)
         if self.dividend_now <= 0:
             raise ValueError("dividend_now must be positive")
         if self.short_years < 0:
@@ -128,6 +147,7 @@ def gordon_implied_k(price: float, dividend_now: float, growth: float) -> float:
     dividend yield plus the growth rate.  Round-trips exactly with
     :func:`gordon_price`.
     """
+    _require_finite(InvalidInputsError, price=price, dividend_now=dividend_now, growth=growth)
     if price <= 0:
         raise NonPositivePriceError("price must be positive")
     if dividend_now <= 0:
@@ -142,6 +162,7 @@ def earnings_implied_k(price: float, eps: float) -> float:
     required return itself, the payout ratio cancels out of the pricing
     identity and the inverse PE ratio is the market's required return.
     """
+    _require_finite(InvalidInputsError, price=price, eps=eps)
     if price <= 0:
         raise NonPositivePriceError("price must be positive")
     if eps <= 0:
@@ -171,10 +192,13 @@ def two_stage_implied_k(price: float, inputs: TwoStageInputs) -> float:
 
     The price is strictly decreasing in k above the long-run growth rate,
     so the root is unique when bracketed.  Solved by bisection on
-    ``(long_growth + 1e-9, 10.0]`` to 1e-10 absolute tolerance on k;
-    prices outside what that bracket can produce raise
-    :class:`NoRootInBracketError`.
+    ``(long_growth + 1e-9, 10.0]`` until the step falls below
+    ``1e-10 + 4*eps*|k|``; prices outside what that bracket can produce
+    raise :class:`NoRootInBracketError`, and a price that evaluates to
+    NaN, or no convergence within 200 halvings, raises
+    :class:`NumericalError`.
     """
+    _require_finite(InvalidInputsError, price=price)
     if price <= 0:
         raise NonPositivePriceError("price must be positive")
     lo = inputs.long_growth + 1e-9
@@ -194,7 +218,20 @@ def two_stage_implied_k(price: float, inputs: TwoStageInputs) -> float:
         raise NoRootInBracketError("price too high for any admissible required return")
     if gap_hi > 0.0:
         raise NoRootInBracketError("price too low for any required return below the ceiling")
-    return float(bisect(gap, lo, hi, xtol=BISECTION_XTOL, maxiter=BISECTION_MAXITER))
+    for k, value in ((lo, gap_lo), (hi, gap_hi)):
+        _require_not_nan(k, value)
+    # Halve the step from lo, move lo while the gap keeps gap_lo's sign, and
+    # stop on an exact root or a step within tolerance of the midpoint.
+    step = hi - lo
+    for _ in range(BISECTION_MAXITER):
+        step *= 0.5
+        mid = lo + step
+        gap_mid = _require_not_nan(mid, gap(mid))
+        if gap_mid * gap_lo >= 0.0:
+            lo = mid
+        if gap_mid == 0.0 or abs(step) < BISECTION_XTOL + BISECTION_RTOL * abs(mid):
+            return mid
+    raise NumericalError(f"bisection did not converge in {BISECTION_MAXITER} steps; last k={lo}")
 
 
 def implied_erp_series(prices: DatedSeries, eps_daily: DatedSeries,
@@ -215,9 +252,10 @@ def implied_erp_series(prices: DatedSeries, eps_daily: DatedSeries,
         Reported with the offending date.
     """
     dates, (p, e, y) = align_many([prices, eps_daily, yields])
-    for d, price, eps in zip(dates, p, e):
-        if price <= 0:
-            raise NonPositivePriceError(f"non-positive price at {d}")
-        if eps <= 0:
-            raise NonPositiveEpsError(f"non-positive eps at {d}")
+    bad = (p <= 0) | (e <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if p[i] <= 0:
+            raise NonPositivePriceError(f"non-positive price at {dates[i]}")
+        raise NonPositiveEpsError(f"non-positive eps at {dates[i]}")
     return DatedSeries(dates, e / p - y)

@@ -328,6 +328,17 @@ class TestConfig:
         assert f"{cfg} line 1" in err
         assert "Traceback" not in err
 
+    def test_config_value_outside_choices(self, annual_paths, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg", "equity-kind = foo\n")
+        out = tmp_path / "report.csv"
+        code = main(["--config", cfg] +
+                    historical_argv(annual_paths, str(out), "--method", "arithmetic"))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{cfg} line 1" in err
+        assert "equity-kind" in err
+        assert not out.exists()
+
     def test_malformed_config_line(self, implied_files, tmp_path, capsys):
         prices, eps, yields = implied_files
         cfg = write(tmp_path, "cfg", "ema-period 3\n")

@@ -1,9 +1,9 @@
 """Smoke test: every demo script runs to completion.
 
 The demos are the only callers of the public API outside the library and
-its tests.  Each runs in process (``runpy``), so scipy and numpy are
-imported once, with a temporary working directory for the files some
-demos write.
+its tests.  Each runs in process (``runpy``), so numpy is imported
+once, with a temporary working directory for the files some demos
+write.
 """
 
 import runpy

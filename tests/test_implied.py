@@ -1,10 +1,19 @@
 """Tests for DCF pricing, implied required returns, and the premium series."""
 
+import math
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import erp_lab
+from erp_lab import implied
 from erp_lab.errors import (
     EmptyIntersectionError,
     InvalidInputsError,
@@ -12,6 +21,7 @@ from erp_lab.errors import (
     NonPositiveEpsError,
     NonPositivePriceError,
     NoRootInBracketError,
+    NumericalError,
     RateBelowMinusOneError,
 )
 from erp_lab.implied import (
@@ -262,6 +272,74 @@ class TestTwoStageImpliedK:
             two_stage_implied_k(30.0, TwoStageInputs(1.0, 0.10, 5, 10.0))
 
 
+    @pytest.mark.parametrize("nan_at", [lambda k: k == 10.0, lambda k: 4.0 < k < 6.0],
+                             ids=["ceiling", "midpoint"])
+    def test_nan_price_is_numerical_error(self, monkeypatch, nan_at):
+        price_at = implied.two_stage_price
+        monkeypatch.setattr(implied, "two_stage_price",
+                            lambda inputs, k: math.nan if nan_at(k) else price_at(inputs, k))
+        with pytest.raises(NumericalError, match="NaN at k="):
+            two_stage_implied_k(30.0, TwoStageInputs(1.0, 0.10, 5, 0.03))
+
+    def test_no_convergence_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(implied, "BISECTION_MAXITER", 3)
+        with pytest.raises(NumericalError, match="did not converge in 3 steps"):
+            two_stage_implied_k(30.0, TwoStageInputs(1.0, 0.10, 5, 0.03))
+
+    def test_solves_without_scipy(self):
+        """A fresh interpreter that cannot import scipy imports the package
+        and the CLI and solves the two-stage model."""
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "import erp_lab, erp_lab.cli\n"
+                "from erp_lab import TwoStageInputs, two_stage_implied_k\n"
+                "print(repr(two_stage_implied_k(30.0, TwoStageInputs(1.0, 0.10, 5, 0.03))))\n")
+        src = str(Path(erp_lab.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr
+        expected = two_stage_implied_k(30.0, TwoStageInputs(1.0, 0.10, 5, 0.03))
+        assert float(result.stdout) == expected
+
+
+NON_FINITE_CALLS = {
+    "GordonInputs.dividend_now": (lambda x: GordonInputs(x, 0.04, 0.09), ValueError),
+    "GordonInputs.growth": (lambda x: GordonInputs(2.0, x, 0.09), ValueError),
+    "GordonInputs.required_k": (lambda x: GordonInputs(2.0, 0.04, x), ValueError),
+    "TwoStageInputs.dividend_now": (lambda x: TwoStageInputs(x, 0.10, 5, 0.03), ValueError),
+    "TwoStageInputs.short_growth": (lambda x: TwoStageInputs(1.0, x, 5, 0.03), ValueError),
+    "TwoStageInputs.short_years": (lambda x: TwoStageInputs(1.0, 0.10, x, 0.03), ValueError),
+    "TwoStageInputs.long_growth": (lambda x: TwoStageInputs(1.0, 0.10, 5, x), ValueError),
+    "gordon_implied_k.price": (lambda x: gordon_implied_k(x, 2.0, 0.04), InvalidInputsError),
+    "gordon_implied_k.dividend_now": (lambda x: gordon_implied_k(41.6, x, 0.04),
+                                      InvalidInputsError),
+    "gordon_implied_k.growth": (lambda x: gordon_implied_k(41.6, 2.0, x), InvalidInputsError),
+    "earnings_implied_k.price": (lambda x: earnings_implied_k(x, 45.0), InvalidInputsError),
+    "earnings_implied_k.eps": (lambda x: earnings_implied_k(900.0, x), InvalidInputsError),
+    "two_stage_implied_k.price": (
+        lambda x: two_stage_implied_k(x, TwoStageInputs(1.0, 0.10, 5, 0.03)),
+        InvalidInputsError),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("target", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_rejected(target, value):
+    call, error = NON_FINITE_CALLS[target]
+    with pytest.raises(error, match="must be finite"):
+        call(value)
+
+
+def first_bad_row(dates, p, e):
+    """The per-row positivity check, as a plain loop."""
+    for d, price, eps in zip(dates, p, e):
+        if price <= 0:
+            return NonPositivePriceError, f"non-positive price at {d}"
+        if eps <= 0:
+            return NonPositiveEpsError, f"non-positive eps at {d}"
+    return None
+
+
 class TestImpliedErpSeries:
     def test_constant_inputs(self):
         prices = dated([1000.0] * 4)
@@ -315,3 +393,28 @@ class TestImpliedErpSeries:
         eps = DatedSeries(dated([1.0, 1.0]).dates, np.array([50.0, 0.0]))
         with pytest.raises(NonPositiveEpsError, match="2020-01-02"):
             implied_erp_series(dated([1000.0, 1000.0]), eps, dated([0.04, 0.04]))
+
+    def test_earliest_bad_date_is_reported(self):
+        days = dated([0.0] * 6).dates
+        yields = DatedSeries(days[1:], np.full(5, 0.04))  # day 0 is not common
+        prices = DatedSeries(days, np.array([-1.0, 1000.0, 1000.0, -5.0, 1000.0, -5.0]))
+        eps = DatedSeries(days, np.array([50.0, 50.0, 0.0, 50.0, -1.0, 50.0]))
+        with pytest.raises(NonPositiveEpsError, match="at 2020-01-03$"):
+            implied_erp_series(prices, eps, yields)
+        eps = DatedSeries(days, np.array([50.0, 50.0, 50.0, 0.0, -1.0, 50.0]))
+        with pytest.raises(NonPositivePriceError, match="at 2020-01-04$"):
+            implied_erp_series(prices, eps, yields)
+
+    @given(p=st.lists(st.sampled_from([-1.0, 0.0, 1000.0, 1000.0]), min_size=1, max_size=12),
+           e=st.lists(st.sampled_from([-1.0, 0.0, 50.0, 50.0]), min_size=12, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_positivity_check_matches_row_loop(self, p, e):
+        prices, eps = dated(p), dated(e[:len(p)])
+        expected = first_bad_row(prices.dates, prices.values, eps.values)
+        if expected is None:
+            implied_erp_series(prices, eps, dated([0.04] * len(p)))
+            return
+        error, message = expected
+        with pytest.raises(error) as info:
+            implied_erp_series(prices, eps, dated([0.04] * len(p)))
+        assert str(info.value) == message
