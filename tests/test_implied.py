@@ -271,7 +271,6 @@ class TestTwoStageImpliedK:
         with pytest.raises(InvalidInputsError):
             two_stage_implied_k(30.0, TwoStageInputs(1.0, 0.10, 5, 10.0))
 
-
     @pytest.mark.parametrize("nan_at", [lambda k: k == 10.0, lambda k: 4.0 < k < 6.0],
                              ids=["ceiling", "midpoint"])
     def test_nan_price_is_numerical_error(self, monkeypatch, nan_at):
@@ -405,16 +404,18 @@ class TestImpliedErpSeries:
         with pytest.raises(NonPositivePriceError, match="at 2020-01-04$"):
             implied_erp_series(prices, eps, yields)
 
-    @given(p=st.lists(st.sampled_from([-1.0, 0.0, 1000.0, 1000.0]), min_size=1, max_size=12),
-           e=st.lists(st.sampled_from([-1.0, 0.0, 50.0, 50.0]), min_size=12, max_size=12))
+    @given(rows=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1000.0, 1000.0]),
+                                   st.sampled_from([-1.0, 0.0, 50.0, 50.0])),
+                         min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
-    def test_positivity_check_matches_row_loop(self, p, e):
-        prices, eps = dated(p), dated(e[:len(p)])
+    def test_positivity_check_matches_row_loop(self, rows):
+        prices, eps = dated([p for p, _ in rows]), dated([e for _, e in rows])
+        yields = dated([0.04] * len(rows))
         expected = first_bad_row(prices.dates, prices.values, eps.values)
         if expected is None:
-            implied_erp_series(prices, eps, dated([0.04] * len(p)))
+            implied_erp_series(prices, eps, yields)
             return
         error, message = expected
         with pytest.raises(error) as info:
-            implied_erp_series(prices, eps, dated([0.04] * len(p)))
+            implied_erp_series(prices, eps, yields)
         assert str(info.value) == message
