@@ -90,7 +90,7 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
     n = len(series)
     tick_indexes = sorted({round(i * (n - 1) / 4) for i in range(5)})
     for idx in tick_indexes:
-        d = series.dates[idx]
+        d = series.days[idx]
         x = xs[idx]
         out.append(
             f'<line x1="{_coord(x)}" y1="{_coord(axis_bottom)}" '
@@ -98,7 +98,7 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
         )
         out.append(
             f'<text x="{_coord(x)}" y="{_coord(axis_bottom + 18)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{d.isoformat()}</text>'
+            f'font-family="sans-serif" font-size="11">{d}</text>'
         )
 
     if lo < 0.0 < hi:

@@ -17,6 +17,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from .averaging import AveragingMethod
 from .capm import fit_market_model, risk_decomposition, simulate_diversification
 from .charts import write_line_chart
@@ -38,7 +40,7 @@ from .timeseries import (
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
-_CAUGHT = (ErpLabError, OSError, ValueError)
+_CAUGHT = (ErpLabError, OSError, ValueError, FloatingPointError)
 
 
 class _UsageError(Exception):
@@ -60,12 +62,16 @@ def _fail(exc: BaseException) -> int:
 def _stage(name: str):
     """Re-raise pipeline errors with the failing stage named, as a
     NumericalError or DataError: not every exception type can be rebuilt
-    from one message (``UnicodeDecodeError`` cannot)."""
+    from one message (``UnicodeDecodeError`` cannot).  numpy's float
+    overflow, invalid and divide errors raise inside a stage, so that an
+    extreme input fails as a NumericalError instead of printing a warning
+    and writing ``inf`` or ``nan``."""
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except _CAUGHT as exc:
-        kind = NumericalError if isinstance(exc, NumericalError) else DataError
-        raise kind(f"{name}: {exc}") from exc
+        numerical = isinstance(exc, (NumericalError, FloatingPointError))
+        raise (NumericalError if numerical else DataError)(f"{name}: {exc}") from exc
 
 
 def _to_returns(series: DatedSeries, kind: str) -> ReturnSeries:
@@ -379,12 +385,12 @@ def main(argv=None) -> int:
         if config_path:
             _apply_config(subs, _load_config(config_path))
         args = parser.parse_args(argv)
+        return args.func(args)
     except _UsageError as exc:
         print(f"erp-lab: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _CAUGHT as exc:
         return _fail(exc)
-    return args.func(args)
 
 
 if __name__ == "__main__":

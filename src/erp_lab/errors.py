@@ -111,6 +111,11 @@ class DuplicateDateError(SeriesParseError):
     """The same date appears on more than one row."""
 
 
+class MalformedCsvError(SeriesParseError):
+    """The csv module rejects the file, e.g. a field over its size limit
+    (message carries the line number)."""
+
+
 # -- numerical errors ---------------------------------------------------------
 
 class DegenerateRegressorError(NumericalError):

@@ -115,6 +115,10 @@ class TwoStageInputs:
             raise ValueError("dividend_now must be positive")
         if self.short_years < 0:
             raise ValueError("short_years must be >= 0")
+        if self.short_years != int(self.short_years):
+            raise ValueError(f"short_years must be a whole number, got {self.short_years}")
+        if self.long_growth <= -1:
+            raise ValueError(f"long_growth must exceed -1, got {self.long_growth}")
 
 
 def dcf_price(schedule: CashflowSchedule, rate: float) -> float:
@@ -175,7 +179,8 @@ def two_stage_price(inputs: TwoStageInputs, k: float) -> float:
 
     The first ``short_years`` dividends grow at ``short_growth``; from
     then on growth is ``long_growth`` forever, valued as a terminal
-    constant-growth stream discounted back.  Requires ``k > long_growth``.
+    constant-growth stream discounted back.  Requires ``k > long_growth``;
+    a price beyond float range raises :class:`NumericalError`.
     """
     d, gs, n, gl = (inputs.dividend_now, inputs.short_growth,
                     inputs.short_years, inputs.long_growth)
@@ -183,8 +188,12 @@ def two_stage_price(inputs: TwoStageInputs, k: float) -> float:
         raise NonConvergentError(f"terminal stream diverges for k={k} <= g={gl}")
     ratio = (1.0 + gs) / (1.0 + k)
     head = d * np.sum(ratio ** np.arange(1, n + 1)) if n else 0.0
-    terminal = d * (1.0 + gs) ** n * (1.0 + gl) / (k - gl)
-    return float(head + terminal / (1.0 + k) ** n)
+    try:
+        terminal = d * (1.0 + gs) ** n * (1.0 + gl) / (k - gl)
+        return float(head + terminal / (1.0 + k) ** n)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # (1 + g)**n overflows, or (1 + k)**n underflows to zero
+        raise NumericalError(f"two-stage price is out of float range at k={k}") from exc
 
 
 def two_stage_implied_k(price: float, inputs: TwoStageInputs) -> float:

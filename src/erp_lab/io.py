@@ -19,6 +19,7 @@ from .errors import (
     BadValueError,
     DuplicateDateError,
     EmptyInputError,
+    MalformedCsvError,
     MissingColumnError,
 )
 from .timeseries import DatedSeries
@@ -43,7 +44,7 @@ class SeriesFileSpec:
 
     def __post_init__(self):
         if self.value_scale <= 0:
-            raise ValueError("value_scale must be positive")
+            raise ValueError(f"{self.path}: value_scale must be positive, got {self.value_scale}")
 
 
 def parse_series(spec: SeriesFileSpec) -> DatedSeries:
@@ -56,36 +57,42 @@ def parse_series(spec: SeriesFileSpec) -> DatedSeries:
     Raises
     ------
     FileNotFoundError, MissingColumnError, BadDateError, BadValueError,
-    DuplicateDateError, EmptyInputError
+    DuplicateDateError, EmptyInputError, MalformedCsvError
     """
     observations: dict = {}
     with open(spec.path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for column in (spec.date_column, spec.value_column):
-            if column not in header:
-                raise MissingColumnError(
-                    f"{spec.path}: column {column!r} not in header {header}"
-                )
-        for row in reader:
-            line = reader.line_num
-            raw_date = (row.get(spec.date_column) or "").strip()
-            try:
-                day = datetime.strptime(raw_date, spec.date_format).date()
-            except ValueError as exc:
-                raise BadDateError(f"{spec.path} line {line}: bad date {raw_date!r}") from exc
-            raw_value = (row.get(spec.value_column) or "").strip()
-            try:
-                value = float(raw_value)
-            except ValueError as exc:
-                raise BadValueError(
-                    f"{spec.path} line {line}: bad value {raw_value!r}"
-                ) from exc
-            if not math.isfinite(value):
-                raise BadValueError(f"{spec.path} line {line}: non-finite value {raw_value!r}")
-            if day in observations:
-                raise DuplicateDateError(f"{spec.path}: duplicate date {day}")
-            observations[day] = value * spec.value_scale
+        try:
+            header = reader.fieldnames or []
+            for column in (spec.date_column, spec.value_column):
+                if column not in header:
+                    raise MissingColumnError(
+                        f"{spec.path}: column {column!r} not in header {header}"
+                    )
+            for row in reader:
+                line = reader.line_num
+                raw_date = (row.get(spec.date_column) or "").strip()
+                try:
+                    day = datetime.strptime(raw_date, spec.date_format).date()
+                except ValueError as exc:
+                    raise BadDateError(f"{spec.path} line {line}: bad date {raw_date!r}") from exc
+                raw_value = (row.get(spec.value_column) or "").strip()
+                try:
+                    value = float(raw_value)
+                except ValueError as exc:
+                    raise BadValueError(
+                        f"{spec.path} line {line}: bad value {raw_value!r}"
+                    ) from exc
+                if not math.isfinite(value):
+                    raise BadValueError(f"{spec.path} line {line}: non-finite value {raw_value!r}")
+                if day in observations:
+                    raise DuplicateDateError(f"{spec.path}: duplicate date {day}")
+                observations[day] = value * spec.value_scale
+        except csv.Error as exc:
+            # DictReader.line_num only advances after a row parses; its
+            # underlying reader has counted the line that failed.
+            line = reader.reader.line_num
+            raise MalformedCsvError(f"{spec.path} line {line}: {exc}") from exc
     if not observations:
         raise EmptyInputError(f"{spec.path}: no data rows")
     return DatedSeries.from_pairs(sorted(observations.items()))

@@ -2,14 +2,15 @@
 
 A :class:`DatedSeries` is the universal carrier for prices, earnings,
 yields, and premia: calendar dates paired with float values.  Each series
-holds its calendar as a ``datetime64[D]`` array (``days``), also exposed
-as a tuple of ``datetime.date`` (``dates``).  No business-day or holiday
-logic is applied anywhere, and series combine by exact date intersection.
+stores its calendar once, as a ``datetime64[D]`` array (``days``); the
+tuple of ``datetime.date`` (``dates``) is rebuilt from it on each access.
+No business-day or holiday logic is applied anywhere, and series combine
+by exact date intersection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from datetime import date
 from typing import Iterable, Sequence
 
@@ -42,24 +43,24 @@ def _as_days(dates) -> np.ndarray:
     return days
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatedSeries:
     """Ordered (date, value) observations with strictly increasing dates.
 
     Invariants enforced at construction: non-empty, dates strictly
     increasing (hence no duplicates), all values finite.  ``dates`` may be
-    given as any sequence of ``date`` or as a ``datetime64`` array; the
-    value array and ``days`` are read-only after construction.
+    given as any sequence of ``date`` or as a ``datetime64`` array; it is
+    stored only as ``days``.  The value array and ``days`` are read-only
+    after construction.
     """
 
-    dates: tuple[date, ...]
+    dates: InitVar[Sequence[date] | np.ndarray]
     values: np.ndarray
-    days: np.ndarray = field(init=False, repr=False, compare=False)
+    days: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        days = _as_days(self.dates)
+    def __post_init__(self, dates):
+        days = _as_days(dates)
         object.__setattr__(self, "days", days)
-        object.__setattr__(self, "dates", tuple(days.tolist()))
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -67,7 +68,7 @@ class DatedSeries:
             raise ValueError("series must contain at least one observation")
         bad = np.flatnonzero(np.diff(days) <= np.timedelta64(0, "D"))
         if bad.size:
-            a, b = self.dates[bad[0]], self.dates[bad[0] + 1]
+            a, b = days[bad[0]], days[bad[0] + 1]
             raise ValueError(f"dates must be strictly increasing: {a} !< {b}")
         if len(days) != len(values):
             raise ValueError("dates and values must have equal length")
@@ -85,8 +86,22 @@ class DatedSeries:
     def __len__(self) -> int:
         return len(self.days)
 
+    def __eq__(self, other):
+        # Field by field: the generated ``==`` would ask a numpy array for
+        # one truth value, which fails for more than one element.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
-@dataclass(frozen=True)
+
+# Attached after the class body: inside it, ``dates`` is the constructor's
+# InitVar, and a property there would become that argument's default.
+DatedSeries.dates = property(lambda self: tuple(self.days.tolist()),
+                             doc="The calendar as a tuple of ``datetime.date``.")
+
+
+@dataclass(frozen=True, eq=False)
 class ReturnSeries(DatedSeries):
     """Per-period simple returns, tagged with the period length.
 
@@ -96,8 +111,8 @@ class ReturnSeries(DatedSeries):
 
     period: str
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __post_init__(self, dates):
+        super().__post_init__(dates)
         if np.any(self.values <= -1.0):
             raise ValueError("simple returns must be > -1")
         if self.period not in PERIOD_LABELS:
@@ -157,7 +172,7 @@ def simple_returns(prices: DatedSeries, period: str | None = None) -> ReturnSeri
     if len(prices) < 2:
         raise TooShortError("need at least two prices to form a return")
     if np.any(prices.values <= 0.0):
-        bad = prices.dates[int(np.argmax(prices.values <= 0.0))]
+        bad = prices.days[int(np.argmax(prices.values <= 0.0))]
         raise NonPositivePriceError(f"non-positive price at {bad}")
     rets = prices.values[1:] / prices.values[:-1] - 1.0
     return ReturnSeries(prices.days[1:], rets, period or infer_period(prices.days))
@@ -207,7 +222,7 @@ def step_interpolate(sparse: DatedSeries,
         raise InvalidParametersError("calendar must be strictly increasing")
     if days[0] < sparse.days[0]:
         raise CalendarPrecedesDataError(
-            f"calendar starts {days[0]}, before first observation {sparse.dates[0]}"
+            f"calendar starts {days[0]}, before first observation {sparse.days[0]}"
         )
     latest = np.searchsorted(sparse.days, days, side="right") - 1
     return DatedSeries(days, sparse.values[latest])

@@ -1,12 +1,18 @@
 """End-to-end tests for the erp-lab command line."""
 
+import contextlib
+import io
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import erp_lab
 from erp_lab.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
@@ -108,6 +114,21 @@ class TestImplied:
         assert len(err.splitlines()) == 1
         assert err.startswith("erp-lab: parsing prices:")
 
+    def test_float_overflow_is_one_line_numerical_error(self, implied_files, tmp_path, capsys):
+        prices, _, yields = implied_files
+        eps = write(tmp_path, "huge.csv", "date,eps\n2009-01-02,1e308\n2009-01-03,-1e308\n")
+        code = main(implied_argv(prices, eps, yields, str(tmp_path / "erp.csv")))
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "erp-lab: smoothing eps: overflow encountered in scalar subtract\n")
+
+    def test_nonpositive_scale_is_one_line_error(self, implied_files, tmp_path, capsys):
+        code = main(implied_argv(*implied_files, str(tmp_path / "erp.csv"),
+                                 extra=("--prices-scale", "0")))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"erp-lab: {implied_files[0]}: value_scale must be positive, got 0.0\n")
+
 
 def historical_argv(annual_paths, output, *extra):
     return [
@@ -203,6 +224,17 @@ class TestHistorical:
         assert code == EXIT_INPUT
         assert "2010-1990" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_csv_field_is_one_line_error(self, annual_paths, tmp_path, capsys):
+        equity = write(tmp_path, "big.csv", "date,return\n2001-12-31," + "1" * 140_000 + "\n")
+        code = main(historical_argv({**annual_paths, "equity": equity},
+                                    str(tmp_path / "report.csv"),
+                                    "--window", "2000-2009", "--method", "arithmetic"))
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"erp-lab: parsing equity: {equity} line 2: field larger than field limit (131072)"]
 
 
 class TestCapm:
@@ -359,6 +391,117 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert main(["simulate"]) == EXIT_INPUT
         assert "--n-assets" in capsys.readouterr().err
+
+
+# -- fuzzing main() on malformed series files ---------------------------------
+
+# Most files are well-formed (unique parseable dates, mostly positive
+# values), so that runs reach the later stages; the rest are arbitrary
+# bytes or CSV text with random headers and cells.  Every size is small.
+GOOD_DATES = st.sampled_from(["2000-12-29", "2000-12-31", "2001-01-02", "2001-06-29",
+                              "2001-12-31", "2002-06-28", "2002-12-31", "2003-12-31"])
+POSITIVE = st.floats(1e-3, 1e4).map(repr)
+GOOD_VALUES = st.one_of(POSITIVE, POSITIVE, POSITIVE,
+                        st.sampled_from(["0", "-0.5", "-1", "1e-300", "1e308", "-1e308"]))
+FUZZ_CELLS = st.one_of(
+    GOOD_DATES, GOOD_VALUES,
+    st.sampled_from(["2001-02-29", "12/31/2001", "", " ", "nan", "inf", "abc", '"',
+                     "date", "value"]),
+    st.text(max_size=6),
+)
+FUZZ_HEADERS = st.lists(
+    st.one_of(st.sampled_from(["date", "value", "close", "eps", "rate", "return", ""]),
+              st.text(max_size=4)),
+    max_size=4)
+
+
+@st.composite
+def series_file(draw):
+    """Bytes of one series file."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.binary(max_size=300))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    if kind >= 3:
+        rows = draw(st.lists(st.tuples(GOOD_DATES, GOOD_VALUES), min_size=1, max_size=8,
+                             unique_by=lambda row: row[0]))
+        return newline.join(",".join(cells) for cells in [("date", "value"), *rows]).encode()
+    header = draw(FUZZ_HEADERS)
+    rows = draw(st.lists(st.lists(FUZZ_CELLS, max_size=4), max_size=40))
+    text = newline.join(",".join(cells) for cells in [header, *rows]) + newline
+    return text.encode("utf-8") + draw(st.binary(max_size=3))
+
+
+def flag_choices(*pairs):
+    return st.lists(st.sampled_from(pairs), max_size=4).map(
+        lambda chosen: [word for pair in chosen for word in pair])
+
+
+IMPLIED_FLAGS = flag_choices(
+    ("--ema-period", "1"), ("--ema-period", "3"), ("--ema-period", "0"),
+    ("--ema-period", "x"),
+    ("--yields-scale", "0.01"), ("--yields-scale", "0"), ("--yields-scale", "-1"),
+    ("--yields-scale", "nan"), ("--yields-scale", "inf"), ("--prices-scale", "0"),
+    ("--eps-value-column", "eps"), ("--prices-date-format", "%m/%d/%Y"),
+)
+HISTORICAL_FLAGS = flag_choices(
+    ("--equity-kind", "levels"), ("--riskfree-kind", "levels"), ("--equity-kind", "x"),
+    ("--riskfree-value-column", "return"), ("--equity-scale", "0"),
+    ("--equity-scale", "nan"), ("--riskfree-scale", "-1"),
+    ("--equity-date-format", "%m/%d/%Y"), ("--window", "2003-2000"),
+    ("--window", "20x1-2002"), ("--method", "median"),
+)
+WINDOWS = st.lists(st.sampled_from(["2000-2003", "2001-2001", "2002-2002", "1990-2020"]),
+                   min_size=1, max_size=3)
+METHODS = st.lists(st.sampled_from(["arithmetic", "geometric", "blume:2", "blume:50",
+                                    "exp:0.5"]), min_size=1, max_size=3)
+
+
+@st.composite
+def implied_run(draw):
+    """Series files by name, and an argv naming each file and the output by
+    ``str.format`` field (``{prices}``, ``{out}``)."""
+    files = {name: draw(series_file()) for name in ("prices", "eps", "yields")}
+    argv = ["implied", *(w for name in files for w in (f"--{name}", f"{{{name}}}")),
+            "--output", "{out}", *draw(IMPLIED_FLAGS)]
+    return files, argv
+
+
+@st.composite
+def historical_run(draw):
+    files = {"equity": draw(series_file()), "riskfree": draw(series_file())}
+    argv = ["historical", "--equity", "{equity}", "--riskfree", "rf={riskfree}",
+            *(w for window in draw(WINDOWS) for w in ("--window", window)),
+            *(w for method in draw(METHODS) for w in ("--method", method)),
+            "--output", "{out}", *draw(HISTORICAL_FLAGS)]
+    return files, argv
+
+
+class TestMalformedInputFuzz:
+    """Malformed files and flags end in exit 1 or 2 with one stderr line."""
+
+    @given(run=st.one_of(implied_run(), historical_run()))
+    @settings(max_examples=150, deadline=None)
+    def test_main_never_tracebacks(self, run):
+        files, argv = run
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"out": os.path.join(tmp, "out.csv")}
+            for name, data in files.items():
+                paths[name] = os.path.join(tmp, f"{name}.csv")
+                with open(paths[name], "wb") as fh:
+                    fh.write(data)
+            argv = [word.format(**paths) for word in argv]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL)
+        assert "Traceback" not in err.getvalue()
+        if code != EXIT_OK:
+            # a warning would print its own lines to stderr beside the error
+            assert [str(w.message) for w in caught] == []
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 def declared_console_script(name):

@@ -214,6 +214,21 @@ class TestTwoStagePrice:
         with pytest.raises(ValueError):
             TwoStageInputs(1.0, 0.10, -1, 0.03)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.10, 2.5, 0.03), "whole number"),
+        ((1.0, 0.10, 5, -1.0), "must exceed -1"),
+        ((1.0, 0.10, 5, -1.000000001), "must exceed -1"),
+        ((1.0, 0.10, 5, -1.5), "must exceed -1"),
+    ], ids=["fractional-short-years", "long-growth-minus-one", "long-growth-just-below",
+            "long-growth-far-below"])
+    def test_inadmissible_inputs_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            TwoStageInputs(*args)
+
+    def test_whole_float_short_years_prices_as_int(self):
+        assert (two_stage_price(TwoStageInputs(1.0, 0.10, 3.0, 0.03), 0.08)
+                == two_stage_price(TwoStageInputs(1.0, 0.10, 3, 0.03), 0.08))
+
 
 class TestTwoStageImpliedK:
     def test_reprices_observed_price(self):
@@ -279,6 +294,14 @@ class TestTwoStageImpliedK:
                             lambda inputs, k: math.nan if nan_at(k) else price_at(inputs, k))
         with pytest.raises(NumericalError, match="NaN at k="):
             two_stage_implied_k(30.0, TwoStageInputs(1.0, 0.10, 5, 0.03))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("inputs", [TwoStageInputs(1.0, 0.5, 5000, 0.03),
+                                        TwoStageInputs(1.0, 0.0, 400, -0.95)],
+                             ids=["growth-overflows", "discount-underflows"])
+    def test_out_of_float_range_is_numerical_error(self, inputs):
+        with pytest.raises(NumericalError, match="out of float range at k="):
+            two_stage_implied_k(30.0, inputs)
 
     def test_no_convergence_is_numerical_error(self, monkeypatch):
         monkeypatch.setattr(implied, "BISECTION_MAXITER", 3)

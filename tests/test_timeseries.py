@@ -104,6 +104,35 @@ class TestDatedSeries:
         with pytest.raises(ValueError):
             DatedSeries(days(3), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_equal_values_on_other_dates_compare_unequal(self, n):
+        a = DatedSeries(days(n), np.ones(n))
+        b = DatedSeries(days(n, start=date(2021, 1, 1)), np.ones(n))
+        assert not a == b
+        assert a != b
+
+    def test_equality_covers_dates_values_type_and_period(self):
+        a = ReturnSeries(days(3), np.array([0.1, 0.2, 0.3]), "daily")
+        assert a == ReturnSeries(days(3), np.array([0.1, 0.2, 0.3]), "daily")
+        assert a != ReturnSeries(days(3), np.array([0.1, 0.2, 0.3]), "annual")
+        assert a != ReturnSeries(days(3), np.array([0.1, 0.2, 0.4]), "daily")
+        assert a != DatedSeries(days(3), np.array([0.1, 0.2, 0.3]))
+        assert a != ReturnSeries(days(2), np.array([0.1, 0.2]), "daily")
+
+    def test_repr_shows_first_date(self):
+        later = days(2000, start=date(2021, 1, 1))
+        a = DatedSeries((date(2019, 6, 1),) + later, np.ones(2001))
+        b = DatedSeries((date(2020, 6, 1),) + later, np.ones(2001))
+        assert "2019" in repr(a) and "2019" not in repr(b)
+
+    @pytest.mark.parametrize("make", [lambda d: DatedSeries(d, np.ones(len(d))),
+                                      lambda d: ReturnSeries(d, np.ones(len(d)), "daily")],
+                             ids=["DatedSeries", "ReturnSeries"])
+    def test_stores_one_calendar(self, make):
+        s = make(days(3))
+        assert "dates" not in vars(s)
+        assert s.dates == days(3)
+
 
 class TestReturnSeries:
     def test_accepts_boundary_adjacent_returns(self):
@@ -326,7 +355,8 @@ class TestCalendarAgainstReference:
         sparse = series_on(base, sparse)
         calendar = calendar_on(base, calendar)
         if calendar[0] < sparse.dates[0]:
-            with pytest.raises(CalendarPrecedesDataError):
+            first = f"{calendar[0].isoformat()}, before first observation {sparse.dates[0].isoformat()}"
+            with pytest.raises(CalendarPrecedesDataError, match=f"starts {first}$"):
                 step_interpolate(sparse, calendar)
             return
         out = step_interpolate(sparse, calendar)
