@@ -109,9 +109,11 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
             f'stroke="grey" stroke-width="1" stroke-dasharray="4 3"/>'
         )
 
-    points = " ".join(
-        f"{_coord(x)},{_coord(y_at(v))}" for x, v in zip(xs, series.values.tolist())
-    )
+    # y_at over the whole array, in the same operation order; Python's
+    # float arithmetic neither warns nor traps, so neither may this
+    with np.errstate(all="ignore"):
+        ys = _MARGIN_TOP + plot_h * (hi - series.values) / (hi - lo)
+    points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys.tolist())))
     out.append(
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
     )

@@ -30,7 +30,7 @@ from .timeseries import (
     DatedSeries,
     ReturnSeries,
     align,
-    align_many,
+    align_days,
     ema,
     infer_period,
     simple_returns,
@@ -82,6 +82,23 @@ def _to_returns(series: DatedSeries, kind: str) -> ReturnSeries:
 
 # -- commands -----------------------------------------------------------------
 
+_IMPLIED_HEADER = "date,price,eps_smoothed,yield,erp\n"
+# one output row; ``%.10f`` renders as format_cell does
+_IMPLIED_ROW = "%s,%.10f,%.10f,%.10f,%.10f\n"
+_ROWS_PER_WRITE = 4096
+
+
+def _write_implied_csv(path: str, days: np.ndarray, columns: list[np.ndarray]) -> None:
+    """Write the implied pipeline's CSV, a fixed number of rows at a time,
+    so that no whole-column list or whole-file string is held."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(_IMPLIED_HEADER)
+        for start in range(0, len(days), _ROWS_PER_WRITE):
+            rows = slice(start, start + _ROWS_PER_WRITE)
+            cells = [days[rows].astype(str).tolist(), *(c[rows].tolist() for c in columns)]
+            fh.write("".join(map(_IMPLIED_ROW.__mod__, zip(*cells))))
+
+
 def run_implied(prices_spec: SeriesFileSpec, eps_spec: SeriesFileSpec,
                 yields_spec: SeriesFileSpec, ema_period: int, output: str,
                 svg_path: str | None = None) -> int:
@@ -101,12 +118,7 @@ def run_implied(prices_spec: SeriesFileSpec, eps_spec: SeriesFileSpec,
         with _stage("computing the premium"):
             erp = implied_erp_series(prices, eps_smooth, yields)
         with _stage("writing output"):
-            dates, columns = align_many([prices, eps_smooth, yields, erp])
-            lines = ["date,price,eps_smoothed,yield,erp"]
-            for d, *row in zip(dates, *columns):
-                lines.append(",".join([d.isoformat(), *map(format_cell, row)]))
-            with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write("\n".join(lines) + "\n")
+            _write_implied_csv(output, *align_days([prices, eps_smooth, yields, erp]))
             svg = svg_path or str(Path(output).with_suffix(".svg"))
             write_line_chart(erp, svg, title="Implied equity risk premium",
                              y_label="premium")
@@ -178,8 +190,9 @@ def run_simulate(n_assets: int, beta: float, sigma_m: float, sigma_eps: float,
                  n_periods: int, seed: int) -> int:
     """Print sample systematic/unsystematic risk of an equal-weight portfolio."""
     try:
-        systematic, unsystematic = simulate_diversification(
-            n_assets, beta, sigma_m, sigma_eps, n_periods, seed)
+        with _stage("simulating"):
+            systematic, unsystematic = simulate_diversification(
+                n_assets, beta, sigma_m, sigma_eps, n_periods, seed)
     except _CAUGHT as exc:
         return _fail(exc)
     print(f"n_assets        {n_assets}")

@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .averaging import AveragingMethod
-from .errors import EmptyInputError, EmptyIntersectionError, EmptyWindowError
+from .errors import (
+    EmptyInputError,
+    EmptyIntersectionError,
+    EmptyWindowError,
+    HorizonExceedsSampleError,
+)
 from .io import format_cell
 from .timeseries import ReturnSeries, align
 
@@ -127,8 +132,9 @@ def erp_report(
 ) -> ErpReport:
     """Cartesian grid of estimates over windows, instruments, and methods.
 
-    Cells whose window holds no data are flagged with the reason instead
-    of failing the whole report: the report is a diagnostic artifact.
+    Cells whose window holds no data, or fewer returns than a ``blume``
+    horizon, are flagged with the reason instead of failing the whole
+    report: the report is a diagnostic artifact.
     """
     if not riskfree_variants or not windows or not methods:
         raise EmptyInputError("need at least one riskfree variant, window, and method")
@@ -141,7 +147,8 @@ def erp_report(
                 try:
                     row.append(ReportCell(historical_erp(
                         equity, riskfree, window, method, riskfree_label=label)))
-                except (EmptyWindowError, EmptyIntersectionError) as exc:
+                except (EmptyWindowError, EmptyIntersectionError,
+                        HorizonExceedsSampleError) as exc:
                     row.append(ReportCell(None, note=str(exc)))
         rows.append(tuple(row))
     return ErpReport(tuple(windows), columns, tuple(rows))

@@ -117,6 +117,8 @@ class TwoStageInputs:
             raise ValueError("short_years must be >= 0")
         if self.short_years != int(self.short_years):
             raise ValueError(f"short_years must be a whole number, got {self.short_years}")
+        if self.short_growth <= -1:
+            raise ValueError(f"short_growth must exceed -1, got {self.short_growth}")
         if self.long_growth <= -1:
             raise ValueError(f"long_growth must exceed -1, got {self.long_growth}")
 

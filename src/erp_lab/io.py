@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 
+import numpy as np
+
 from .errors import (
     BadDateError,
     BadValueError,
@@ -25,6 +27,8 @@ from .errors import (
 from .timeseries import DatedSeries
 
 ISO_DATE = "%Y-%m-%d"
+_FIRST_DAY = np.datetime64("0001-01-01")
+_LAST_DAY = np.datetime64("9999-12-31")
 
 
 def format_cell(x: float) -> str:
@@ -54,11 +58,70 @@ def parse_series(spec: SeriesFileSpec) -> DatedSeries:
     Duplicate dates, unparseable dates, and blank or non-numeric values
     are errors; date/value problems carry the offending line number.
 
+    ISO-dated files are read column-wise (:func:`_parse_iso`); a file that
+    path cannot show to give the same series goes through the row loop
+    (:func:`_parse_rows`), which defines what is accepted and every error.
+
     Raises
     ------
     FileNotFoundError, MissingColumnError, BadDateError, BadValueError,
     DuplicateDateError, EmptyInputError, MalformedCsvError
     """
+    if spec.date_format == ISO_DATE:
+        series = _parse_iso(spec)
+        if series is not None:
+            return series
+    return _parse_rows(spec)
+
+
+def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
+    """The series :func:`_parse_rows` would return for an ISO-dated file,
+    converted a column at a time, or ``None`` where any check fails: a
+    missing column, a short row, an unparseable or non-finite value, a
+    date numpy reads differently from ``strptime``, a duplicate date, a
+    scaled value out of float range, malformed CSV or UTF-8.
+    """
+    try:
+        with open(spec.path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]  # DictReader skips blank lines too
+    except (csv.Error, ValueError):
+        return None
+    if not rows or spec.date_column not in header or spec.value_column not in header:
+        return None
+    # DictReader keeps the last of repeated header names
+    last = {name: i for i, name in enumerate(header)}
+    date_at, value_at = last[spec.date_column], last[spec.value_column]
+    if min(map(len, rows)) <= max(date_at, value_at):
+        return None
+    raw_dates = [row[date_at].strip() for row in rows]
+    try:
+        days = np.array(raw_dates, dtype="datetime64[D]")
+        values = np.array([float(row[value_at].strip()) for row in rows])
+    except ValueError:
+        return None
+    # numpy also reads '2020-01', '+2020-01-05', 'NaT' and '20200105' (a
+    # year); keep only dates that print back as the very string, within
+    # date's range.  Python strings, since numpy's drop trailing NULs.
+    if (days.astype(str).tolist() != raw_dates
+            or not np.all((days >= _FIRST_DAY) & (days <= _LAST_DAY))
+            or not np.all(np.isfinite(values))):
+        return None
+    order = np.argsort(days, kind="stable")
+    days, values = days[order], values[order]
+    if np.any(np.diff(days) <= np.timedelta64(0, "D")):
+        return None
+    # Python's float product neither warns nor traps; nor may this one
+    with np.errstate(all="ignore"):
+        values = values * float(spec.value_scale)
+    if not np.all(np.isfinite(values)):
+        return None
+    return DatedSeries(days, values)
+
+
+def _parse_rows(spec: SeriesFileSpec) -> DatedSeries:
+    """:func:`parse_series` one row at a time, for any ``date_format``."""
     observations: dict = {}
     with open(spec.path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)

@@ -144,12 +144,22 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[tuple[date, ...], list[np
 
     Accepts any mix of :class:`DatedSeries` and :class:`ReturnSeries`.
     Returns the common dates and one value array per input series, all in
-    the same ascending order.
+    the same ascending order: :func:`align_days` with the dates as
+    ``datetime.date``.
 
     Raises
     ------
     EmptyIntersectionError
         If the series share no dates.
+    """
+    days, columns = align_days(series)
+    return tuple(days.tolist()), columns
+
+
+def align_days(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """:func:`align_many` with the common dates as a ``datetime64[D]`` array.
+
+    Internal; the package root does not export it.
     """
     if not series:
         raise InvalidParametersError("align_many needs at least one series")
@@ -159,7 +169,7 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[tuple[date, ...], list[np
     if len(common) == 0:
         raise EmptyIntersectionError("series share no common dates")
     columns = [s.values[np.searchsorted(s.days, common)] for s in series]
-    return tuple(common.tolist()), columns
+    return common, columns
 
 
 def simple_returns(prices: DatedSeries, period: str | None = None) -> ReturnSeries:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import erp_lab
+from erp_lab import cli
 from erp_lab.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from erp_lab.io import format_cell
 
@@ -121,6 +122,17 @@ class TestImplied:
         assert code == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "erp-lab: smoothing eps: overflow encountered in scalar subtract\n")
+
+    @pytest.mark.parametrize("rows_per_write", [1, 2])
+    def test_output_written_in_chunks_is_unchanged(self, implied_files, tmp_path,
+                                                   monkeypatch, rows_per_write):
+        whole = str(tmp_path / "whole.csv")
+        assert main(implied_argv(*implied_files, whole)) == EXIT_OK
+        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+        chunked = str(tmp_path / "chunked.csv")
+        assert main(implied_argv(*implied_files, chunked)) == EXIT_OK
+        assert open(chunked).read() == open(whole).read()
+        assert len(open(whole).read().splitlines()) == 4
 
     def test_nonpositive_scale_is_one_line_error(self, implied_files, tmp_path, capsys):
         code = main(implied_argv(*implied_files, str(tmp_path / "erp.csv"),
@@ -236,6 +248,17 @@ class TestHistorical:
         assert err.splitlines() == [
             f"erp-lab: parsing equity: {equity} line 2: field larger than field limit (131072)"]
 
+    def test_blume_horizon_beyond_window_is_na_cell(self, annual_paths, tmp_path, capsys):
+        out = str(tmp_path / "report.csv")
+        code = main(historical_argv(annual_paths, out, "--window", "2000-2002",
+                                    "--window", "1990-2009", "--method", "blume:5"))
+        assert code == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "erp-lab: warning: 2000-2002 tbills blume(5): horizon 5 exceeds sample length 3"]
+        rows = open(out).read().splitlines()
+        assert rows[1] == "2000-2002,NA"
+        assert rows[2].startswith("1990-2009,") and rows[2] != "1990-2009,NA"
+
 
 class TestCapm:
     def test_double_beta_asset(self, tmp_path, capsys):
@@ -273,6 +296,16 @@ class TestSimulate:
         code = main(["simulate", "--n-assets", "4", "--n-periods", "10"])
         assert code == EXIT_INPUT
         assert "n_periods" in capsys.readouterr().err
+
+    def test_float_overflow_is_one_line_numerical_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["simulate", "--n-assets", "3", "--sigma-m", "1e200",
+                         "--n-periods", "30"])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "erp-lab: simulating: overflow encountered in square\n"
 
 
 class TestConfig:
@@ -477,10 +510,24 @@ def historical_run(draw):
     return files, argv
 
 
+@st.composite
+def simulate_run(draw):
+    """Small simulations (at most 20 assets and 200 periods) with extreme or
+    invalid parameters; no files."""
+    numbers = st.sampled_from(["0", "-1", "0.15", "1e-300", "1e200", "1e308", "nan", "inf"])
+    argv = ["simulate",
+            "--n-assets", draw(st.sampled_from(["1", "3", "20", "20", "0", "x"])),
+            "--n-periods", draw(st.sampled_from(["30", "200", "200", "29", "1.5"]))]
+    for flag in ("--beta", "--sigma-m", "--sigma-eps"):
+        if draw(st.integers(0, 3)):
+            argv += [flag, draw(numbers)]
+    return {}, argv
+
+
 class TestMalformedInputFuzz:
     """Malformed files and flags end in exit 1 or 2 with one stderr line."""
 
-    @given(run=st.one_of(implied_run(), historical_run()))
+    @given(run=st.one_of(implied_run(), historical_run(), simulate_run()))
     @settings(max_examples=150, deadline=None)
     def test_main_never_tracebacks(self, run):
         files, argv = run
@@ -498,9 +545,10 @@ class TestMalformedInputFuzz:
                 code = main(argv)
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERICAL)
         assert "Traceback" not in err.getvalue()
+        # a warning prints its own stderr lines, and on exit 0 flags a
+        # result computed past float range
+        assert [str(w.message) for w in caught] == []
         if code != EXIT_OK:
-            # a warning would print its own lines to stderr beside the error
-            assert [str(w.message) for w in caught] == []
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 

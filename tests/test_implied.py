@@ -219,8 +219,12 @@ class TestTwoStagePrice:
         ((1.0, 0.10, 5, -1.0), "must exceed -1"),
         ((1.0, 0.10, 5, -1.000000001), "must exceed -1"),
         ((1.0, 0.10, 5, -1.5), "must exceed -1"),
+        ((1.0, -1.0, 3, 0.03), "short_growth must exceed -1"),
+        ((1.0, -2.0, 3, 0.03), "short_growth must exceed -1"),
+        ((1.0, -2.0, 2, 0.03), "short_growth must exceed -1"),
     ], ids=["fractional-short-years", "long-growth-minus-one", "long-growth-just-below",
-            "long-growth-far-below"])
+            "long-growth-far-below", "short-growth-minus-one", "short-growth-alternating-sign",
+            "short-growth-even-years"])
     def test_inadmissible_inputs_rejected(self, args, message):
         with pytest.raises(ValueError, match=message):
             TwoStageInputs(*args)

@@ -1,10 +1,14 @@
 """Tests for CSV parsing, writing, and cell formatting."""
 
 import math
-from datetime import date
+import os
+import tempfile
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erp_lab.errors import (
     BadDateError,
@@ -13,7 +17,14 @@ from erp_lab.errors import (
     EmptyInputError,
     MissingColumnError,
 )
-from erp_lab.io import SeriesFileSpec, format_cell, parse_series, write_series
+from erp_lab.io import (
+    SeriesFileSpec,
+    _parse_iso,
+    _parse_rows,
+    format_cell,
+    parse_series,
+    write_series,
+)
 from erp_lab.timeseries import DatedSeries
 
 
@@ -94,6 +105,101 @@ class TestParseSeries:
     def test_bad_scale_rejected_at_spec(self):
         with pytest.raises(ValueError):
             SeriesFileSpec("x.csv", value_scale=0.0)
+
+
+def outcome(parse, spec):
+    """What ``parse(spec)`` gives under the CLI's float traps: a series, or
+    the type and message of what it raised."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return parse(spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Dates numpy reads but strptime("%Y-%m-%d") rejects, or the reverse, or
+# neither; each must end in the row loop's outcome.
+DATE_TRAPS = ["2020-01", "2020", "NaT", "+2020-01-05", "2020-01-05T00", "20200105",
+              "0000-01-01", "10000-01-01", "2020-1-5", "\u0662\u0660\u0662\u0660-"
+              "\u0660\u0661-\u0660\u0665", "2020-01-05\x00", "2020-02-30", "today", ""]
+VALUE_TRAPS = ["1_0", "nan", "1e400", "1e308", "-0.0", "", "abc", "\u0663"]
+ISO_DAYS = st.one_of(
+    st.sampled_from(["0001-01-01", "1969-12-31", "1970-01-01", "2020-02-29",
+                     "2020-03-01", "9999-12-31"]),
+    st.dates().map(date.isoformat),
+)
+DATE_CELLS = st.one_of(ISO_DAYS, ISO_DAYS, ISO_DAYS, ISO_DAYS, ISO_DAYS.map(" {} ".format),
+                       st.sampled_from(DATE_TRAPS))
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+VALUE_CELLS = st.one_of(FINITE, FINITE, st.integers(-10**6, 10**6).map(str),
+                        st.sampled_from(VALUE_TRAPS))
+HEADERS = st.sampled_from([["date", "value"], ["value", "date"], ["date", "value", "date"],
+                           ["value", "date", "value"], ["x", "date", "value", "y"],
+                           ["date"], ["day", "value"]])
+
+
+@st.composite
+def series_text(draw):
+    """Text of a small series file: header shapes DictReader resolves in its
+    own way (repeated names keep the last), short and blank rows, repeated
+    and unsorted dates, and the date and value traps."""
+    header = draw(HEADERS)
+    cells = {"date": DATE_CELLS, "value": VALUE_CELLS}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(cells.get(name, st.just("z"))) for name in header]
+        if draw(st.integers(0, 9)) == 0:
+            row = row[:draw(st.integers(0, len(row) - 1))]  # short, or blank
+        lines.append(",".join(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline
+
+
+class TestIsoFastPath:
+    """ISO files are read column-wise only where that gives the row loop's
+    series; everything else is the row loop's outcome."""
+
+    def test_well_formed_file_takes_the_fast_path(self, tmp_path):
+        rows = "".join(f"{date(1999, 12, 31) + timedelta(days=i)},{100 + i / 7:.2f}\n"
+                       for i in range(50))
+        spec = SeriesFileSpec(write(tmp_path, "date,close\n" + rows), value_column="close",
+                              value_scale=0.01)
+        fast = _parse_iso(spec)
+        assert fast is not None
+        assert fast == _parse_rows(spec)
+
+    def test_other_date_formats_skip_the_fast_path(self, tmp_path):
+        path = write(tmp_path, "date,value\n2009-01-02,1.0\n")
+        s = parse_series(SeriesFileSpec(path, date_format="%Y-%d-%m"))
+        assert s.dates == (date(2009, 2, 1),)
+
+    @pytest.mark.parametrize("trap", DATE_TRAPS)
+    def test_date_traps_fall_back_to_the_row_loop(self, tmp_path, trap):
+        path = write(tmp_path, f"date,value\n2009-01-02,1.0\n{trap},2.0\n")
+        spec = SeriesFileSpec(path)
+        assert _parse_iso(spec) is None
+        assert outcome(parse_series, spec) == outcome(_parse_rows, spec)
+
+    def test_scaled_overflow_is_a_value_error_under_float_traps(self, tmp_path):
+        path = write(tmp_path, "date,value\n2009-01-02,1e308\n")
+        got = outcome(parse_series, SeriesFileSpec(path, value_scale=10))
+        assert got == (ValueError, "values must be finite (no NaN or infinity)")
+
+    @given(text=series_text(), scale=st.sampled_from([1.0, 10.0, 0.01, 1e-300, 1e300]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_loop(self, text, scale):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            spec = SeriesFileSpec(path, value_scale=scale)
+            expected = outcome(_parse_rows, spec)
+            assert outcome(parse_series, spec) == expected
+            fast = _parse_iso(spec)
+        if isinstance(expected, DatedSeries):
+            assert fast is None or fast == expected
+        else:
+            assert fast is None
 
 
 class TestWriteSeries:

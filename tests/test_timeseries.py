@@ -19,6 +19,7 @@ from erp_lab.timeseries import (
     DatedSeries,
     ReturnSeries,
     align,
+    align_days,
     align_many,
     ema,
     infer_period,
@@ -347,6 +348,11 @@ class TestCalendarAgainstReference:
         assert dates == expected[0]
         assert len(columns) == len(series)
         for got, want in zip(columns, expected[1]):
+            np.testing.assert_array_equal(got, want)
+        common, day_columns = align_days(series)
+        assert common.dtype == np.dtype("datetime64[D]")
+        assert tuple(common.tolist()) == expected[0]
+        for got, want in zip(day_columns, expected[1]):
             np.testing.assert_array_equal(got, want)
 
     @given(base=st.sampled_from(BASES), sparse=OFFSETS, calendar=OFFSETS)
