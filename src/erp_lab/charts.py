@@ -8,8 +8,11 @@ and generated ids.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import NumericalError
 from .timeseries import DatedSeries
 
 FORMAT_COMMENT = "<!-- erp-lab chart format 1 -->"
@@ -34,6 +37,13 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
 
     X is calendar time (labeled with ISO dates), y the series value; a
     dashed zero line is drawn when zero falls inside the y range.
+
+    Raises
+    ------
+    NumericalError
+        The padded y range, or its width scaled to the plot height,
+        exceeds float range: the chart would hold ``inf`` or ``nan``
+        coordinates.
     """
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -48,6 +58,9 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
     else:
         pad = (vmax - vmin) * 0.05
     lo, hi = vmin - pad, vmax + pad
+    # y_at multiplies by plot_h before it divides by the range width
+    if not all(map(math.isfinite, (lo, hi, plot_h * (hi - lo)))):
+        raise NumericalError(f"chart y range {lo:g} to {hi:g} spans more than float range")
 
     def y_at(v: float) -> float:
         return _MARGIN_TOP + plot_h * (hi - v) / (hi - lo)
@@ -132,5 +145,6 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
 
 
 def write_line_chart(series: DatedSeries, path: str, **kwargs) -> None:
+    svg = line_chart_svg(series, **kwargs)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(line_chart_svg(series, **kwargs))
+        fh.write(svg)

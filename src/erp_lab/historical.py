@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .averaging import AveragingMethod
 from .errors import (
     EmptyInputError,
@@ -78,13 +80,32 @@ def historical_erp(
     EmptyWindowError
         No common observation falls inside the window.
     """
-    start, end = window
+    eq_in, rf_in = _window_legs(*_aligned_years(equity, riskfree), window)
+    return _estimate(eq_in, rf_in, window, method, riskfree_label)
+
+
+def _aligned_years(equity: ReturnSeries, riskfree: ReturnSeries
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The common dates' years (ascending) and both legs' values on them."""
     dates, eq, rf = align(equity, riskfree)
-    mask = [start <= d.year <= end for d in dates]
-    if not any(mask):
+    return np.fromiter((d.year for d in dates), np.int64, len(dates)), eq, rf
+
+
+def _window_legs(years: np.ndarray, eq: np.ndarray, rf: np.ndarray,
+                 window: YearWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Both legs' observations whose year falls inside the inclusive
+    window; ``years`` is sorted, so they are one contiguous slice."""
+    start, end = window
+    first = np.searchsorted(years, start, side="left")
+    stop = np.searchsorted(years, end, side="right")
+    if stop <= first:
         raise EmptyWindowError(f"no aligned observations in {start}-{end}")
-    eq_in = eq[mask]
-    rf_in = rf[mask]
+    return eq[first:stop], rf[first:stop]
+
+
+def _estimate(eq_in: np.ndarray, rf_in: np.ndarray, window: YearWindow,
+              method: AveragingMethod, riskfree_label: str) -> ErpEstimate:
+    start, end = window
     premium = method.apply(eq_in) - method.apply(rf_in)
     return ErpEstimate(premium, (start, end), riskfree_label, method, len(eq_in))
 
@@ -134,21 +155,42 @@ def erp_report(
 
     Cells whose window holds no data, or fewer returns than a ``blume``
     horizon, are flagged with the reason instead of failing the whole
-    report: the report is a diagnostic artifact.
+    report: the report is a diagnostic artifact.  Each riskfree variant
+    is aligned with the equity series once, and each window's rows are
+    found once per variant.
     """
     if not riskfree_variants or not windows or not methods:
         raise EmptyInputError("need at least one riskfree variant, window, and method")
     columns = tuple((label, method) for label, _ in riskfree_variants for method in methods)
+    aligned = []
+    for label, riskfree in riskfree_variants:
+        try:
+            aligned.append((label, _aligned_years(equity, riskfree), ""))
+        except EmptyIntersectionError as exc:
+            aligned.append((label, None, str(exc)))
     rows = []
     for window in windows:
         row = []
-        for label, riskfree in riskfree_variants:
-            for method in methods:
-                try:
-                    row.append(ReportCell(historical_erp(
-                        equity, riskfree, window, method, riskfree_label=label)))
-                except (EmptyWindowError, EmptyIntersectionError,
-                        HorizonExceedsSampleError) as exc:
-                    row.append(ReportCell(None, note=str(exc)))
+        for label, legs, gap in aligned:
+            if legs is None:
+                row.extend(ReportCell(None, note=gap) for _ in methods)
+            else:
+                row.extend(_window_cells(legs, window, methods, label))
         rows.append(tuple(row))
     return ErpReport(tuple(windows), columns, tuple(rows))
+
+
+def _window_cells(legs: tuple[np.ndarray, np.ndarray, np.ndarray], window: YearWindow,
+                  methods: list[AveragingMethod], label: str) -> list[ReportCell]:
+    """One window's cells for one aligned riskfree variant, in method order."""
+    try:
+        eq_in, rf_in = _window_legs(*legs, window)
+    except EmptyWindowError as exc:
+        return [ReportCell(None, note=str(exc)) for _ in methods]
+    cells = []
+    for method in methods:
+        try:
+            cells.append(ReportCell(_estimate(eq_in, rf_in, window, method, label)))
+        except HorizonExceedsSampleError as exc:
+            cells.append(ReportCell(None, note=str(exc)))
+    return cells

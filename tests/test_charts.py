@@ -3,8 +3,10 @@
 from datetime import date, timedelta
 
 import numpy as np
+import pytest
 
 from erp_lab.charts import FORMAT_COMMENT, line_chart_svg, write_line_chart
+from erp_lab.errors import NumericalError
 from erp_lab.timeseries import DatedSeries
 
 
@@ -58,3 +60,23 @@ def test_write_line_chart(tmp_path):
     path = tmp_path / "chart.svg"
     write_line_chart(s, str(path), title="x")
     assert path.read_text() == line_chart_svg(s, title="x")
+
+
+@pytest.mark.parametrize("values", [
+    [-1e308, 1e308],      # the range's width overflows, so both padded ends are infinite
+    [-8.5e307, 8.5e307],  # both ends finite, only hi - lo overflows
+    [-8e307, 8e307],      # hi - lo finite, only its product with the plot height overflows
+    [1.7e308, 1.7e308],   # a constant series padded past the largest float
+], ids=["infinite-ends", "infinite-width", "infinite-scaled-width", "constant-padded-past-max"])
+def test_range_beyond_float_range_is_numerical_error(values, tmp_path):
+    with pytest.raises(NumericalError, match="spans more than float range"):
+        line_chart_svg(series(values))
+    path = tmp_path / "chart.svg"
+    with pytest.raises(NumericalError):
+        write_line_chart(series(values), str(path))
+    assert not path.exists()
+
+
+def test_wide_finite_range_draws_without_nan():
+    svg = line_chart_svg(series([-1e305, 1e305]))
+    assert "nan" not in svg and "inf" not in svg

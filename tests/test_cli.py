@@ -123,6 +123,18 @@ class TestImplied:
         assert capsys.readouterr().err == (
             "erp-lab: smoothing eps: overflow encountered in scalar subtract\n")
 
+    def test_premium_beyond_float_range_fails_chart_not_nan(self, tmp_path, capsys):
+        prices = write(tmp_path, "prices.csv", "date,close\n2009-01-02,1\n2009-01-03,1\n")
+        eps = write(tmp_path, "eps.csv", "date,eps\n2009-01-02,1\n2009-01-03,1\n")
+        yields = write(tmp_path, "yields.csv",
+                       "date,rate\n2009-01-02,-1e308\n2009-01-03,1e308\n")
+        out = tmp_path / "erp.csv"
+        code = main(implied_argv(prices, eps, yields, str(out), extra=("--yields-scale", "1")))
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "erp-lab: writing output: chart y range -inf to inf spans more than float range\n")
+        assert not out.with_suffix(".svg").exists()
+
     @pytest.mark.parametrize("rows_per_write", [1, 2])
     def test_output_written_in_chunks_is_unchanged(self, implied_files, tmp_path,
                                                    monkeypatch, rows_per_write):

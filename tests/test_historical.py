@@ -1,21 +1,30 @@
 """Tests for historical premium estimation and the report grid."""
 
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from erp_lab import historical
 from erp_lab.averaging import AveragingMethod
-from erp_lab.errors import EmptyInputError, EmptyIntersectionError, EmptyWindowError
+from erp_lab.errors import (
+    EmptyInputError,
+    EmptyIntersectionError,
+    EmptyWindowError,
+    HorizonExceedsSampleError,
+)
 from erp_lab.historical import (
     ErpEstimate,
+    ErpReport,
     ReportCell,
     erp_report,
     historical_erp,
     premium_series,
 )
-from erp_lab.timeseries import ReturnSeries
+from erp_lab.timeseries import ReturnSeries, align
 
 ARITH = AveragingMethod.arithmetic()
 GEOM = AveragingMethod.geometric()
@@ -179,3 +188,111 @@ class TestErpReport:
             erp_report(eq, [("tbills", tb)], [], [ARITH])
         with pytest.raises(EmptyInputError):
             erp_report(eq, [("tbills", tb)], [(2000, 2004)], [])
+
+
+CELL_GAPS = (EmptyWindowError, EmptyIntersectionError, HorizonExceedsSampleError)
+
+
+def reference_report(equity, riskfree_variants, windows, methods):
+    """The report one cell at a time: align, a per-date year mask, then
+    ``apply`` on each leg."""
+    columns = tuple((label, method) for label, _ in riskfree_variants for method in methods)
+    rows = []
+    for start, end in windows:
+        row = []
+        for label, riskfree in riskfree_variants:
+            for method in methods:
+                try:
+                    dates, eq, rf = align(equity, riskfree)
+                    mask = [start <= d.year <= end for d in dates]
+                    if not any(mask):
+                        raise EmptyWindowError(f"no aligned observations in {start}-{end}")
+                    eq_in, rf_in = eq[mask], rf[mask]
+                    premium = method.apply(eq_in) - method.apply(rf_in)
+                    row.append(ReportCell(ErpEstimate(
+                        premium, (start, end), label, method, len(eq_in))))
+                except CELL_GAPS as exc:
+                    row.append(ReportCell(None, note=str(exc)))
+        rows.append(tuple(row))
+    return ErpReport(tuple(windows), columns, tuple(rows))
+
+
+@st.composite
+def report_inputs(draw):
+    """An equity series, riskfree variants (one possibly sharing no date
+    with it), windows inside, across and outside the data, and methods."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        first = draw(st.integers(1950, 2000))
+        grid = [date(first + i, 12, 31) for i in range(n)]
+    else:
+        # daily-ish dates starting near a year end, so that they cross years
+        day = date(draw(st.integers(1950, 2000)), 12, draw(st.integers(1, 31)))
+        grid = []
+        for gap in draw(st.lists(st.integers(1, 90), min_size=n, max_size=n)):
+            day += timedelta(days=gap)
+            grid.append(day)
+    returns = st.floats(-0.9, 2.0, allow_nan=False)
+
+    def subset():
+        keep = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
+        dates = [d for d, k in zip(grid, keep) if k]
+        values = draw(st.lists(returns, min_size=len(dates), max_size=len(dates)))
+        return ReturnSeries(dates, np.array(values), "daily")
+
+    equity = subset()
+    variants = [(f"rf{i}", subset()) for i in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        after = [equity.dates[-1] + timedelta(days=k) for k in range(1, draw(st.integers(2, 5)))]
+        disjoint = ReturnSeries(after, np.full(len(after), 0.01), "daily")
+        variants.insert(draw(st.integers(0, len(variants))), ("disjoint", disjoint))
+
+    years = st.integers(grid[0].year - 3, grid[-1].year + 3)
+    windows = draw(st.lists(st.tuples(years, years).map(sorted).map(tuple),
+                            min_size=1, max_size=8))
+    methods = draw(st.lists(st.one_of(
+        st.just(ARITH),
+        st.just(GEOM),
+        st.integers(1, 12).map(AveragingMethod.blume),
+        st.floats(0.05, 1.0).map(AveragingMethod.exp_weighted),
+    ), min_size=1, max_size=4))
+    return equity, variants, windows, methods
+
+
+class TestReportAgainstPerCellReference:
+    @settings(max_examples=200, deadline=None)
+    @given(report_inputs())
+    def test_matches_reference(self, inputs):
+        equity, variants, windows, methods = inputs
+        report = erp_report(*inputs)
+        expected = reference_report(*inputs)
+        assert report.to_csv() == expected.to_csv()
+        assert report == expected
+        for window, row, expected_row in zip(windows, report.cells, expected.cells):
+            for (label, method), cell, expected_cell in zip(report.columns, row, expected_row):
+                assert cell.note == expected_cell.note
+                one_cell = (equity, dict(variants)[label], window, method, label)
+                if cell.missing:
+                    with pytest.raises(CELL_GAPS) as gap:
+                        historical_erp(*one_cell)
+                    assert str(gap.value) == cell.note
+                else:
+                    assert cell.estimate.sample_size == expected_cell.estimate.sample_size
+                    assert historical_erp(*one_cell) == cell.estimate
+
+    def test_aligns_once_per_riskfree_variant(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return align(a, b)
+
+        monkeypatch.setattr(historical, "align", counted)
+        eq = annual([0.08, 0.02, -0.04, 0.11, 0.06])
+        variants = [("tbills", annual([0.03] * 5)), ("tbonds", annual([0.05] * 5)),
+                    ("disjoint", annual([0.01, 0.02], first_year=2020))]
+        report = erp_report(eq, variants, [(2000, 2001), (2000, 2004), (2010, 2014)],
+                            [ARITH, GEOM, AveragingMethod.blume(3)])
+        assert len(calls) == len(variants)
+        assert all(cell.note == "series share no common dates"
+                   for row in report.cells for cell in row[6:])
