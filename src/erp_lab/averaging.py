@@ -3,6 +3,11 @@
 Four ways to collapse a return sample into one rate: plain arithmetic
 mean, compound (geometric) mean, a horizon-weighted blend of the two, and
 an exponentially weighted mean that favours recent periods.
+
+Each scheme reduces over the last axis.  A 1-D sample gives a Python
+``float``; a ``(k, T)`` stack of k samples of T returns gives k values,
+each bit-identical to the 1-D call on that row (numpy sums each row of a
+C-ordered stack pairwise, exactly as it sums a 1-D array).
 """
 
 from __future__ import annotations
@@ -23,18 +28,23 @@ KINDS = ("arithmetic", "geometric", "blume", "exp_weighted")
 
 
 def _as_returns(returns) -> np.ndarray:
-    arr = np.asarray(returns, dtype=float)
-    if arr.size == 0:
+    arr = np.atleast_1d(np.asarray(returns, dtype=float))  # a scalar is a one-element sample
+    if arr.shape[-1] == 0:
         raise EmptyInputError("no returns to average")
     return arr
 
 
-def arithmetic_mean(returns) -> float:
+def _result(values: np.ndarray):
+    """A Python float for one sample, the per-row values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def arithmetic_mean(returns) -> float | np.ndarray:
     """Sum of returns divided by their count."""
-    return float(np.mean(_as_returns(returns)))
+    return _result(np.mean(_as_returns(returns), axis=-1))
 
 
-def geometric_mean(returns) -> float:
+def geometric_mean(returns) -> float | np.ndarray:
     """Compound mean: ``(prod(1 + r))**(1/n) - 1``.
 
     Every return must exceed -1.  Computed as ``expm1(mean(log1p(r)))``
@@ -43,10 +53,10 @@ def geometric_mean(returns) -> float:
     arr = _as_returns(returns)
     if np.any(arr <= -1.0):
         raise ReturnBelowMinusOneError("geometric mean undefined for returns <= -1")
-    return float(np.expm1(np.mean(np.log1p(arr))))
+    return _result(np.expm1(np.mean(np.log1p(arr), axis=-1)))
 
 
-def blume_blend(returns, horizon_n: int) -> float:
+def blume_blend(returns, horizon_n: int) -> float | np.ndarray:
     """Horizon-weighted blend of arithmetic and geometric means.
 
     With sample length T and horizon N, the weights are (T-N)/(T-1) on the
@@ -57,29 +67,32 @@ def blume_blend(returns, horizon_n: int) -> float:
     arr = _as_returns(returns)
     if horizon_n < 1:
         raise InvalidParametersError("blend horizon must be >= 1")
-    t = arr.size
+    t = arr.shape[-1]
     if horizon_n > t:
         raise HorizonExceedsSampleError(f"horizon {horizon_n} exceeds sample length {t}")
     if t == 1:
-        return float(arr[0])
+        return _result(arr[..., 0])
     w_arith = (t - horizon_n) / (t - 1)
     w_geom = (horizon_n - 1) / (t - 1)
     return w_arith * arithmetic_mean(arr) + w_geom * geometric_mean(arr)
 
 
-def exp_weighted_mean(returns, decay: float) -> float:
+def exp_weighted_mean(returns, decay: float) -> float | np.ndarray:
     """Exponentially weighted mean with per-period decay in (0, 1].
 
     The most recent observation gets weight proportional to 1, the one
     before it ``decay``, then ``decay**2``, and so on; weights are
     normalized to sum to one.  ``decay == 1`` reduces to the arithmetic
-    mean.
+    mean.  A stack takes one ``np.dot`` per row: one matrix product
+    would sum in another order and change the last bits.
     """
     arr = _as_returns(returns)
     if not 0.0 < decay <= 1.0:
         raise DecayOutOfRangeError(f"decay must lie in (0, 1], got {decay}")
-    weights = np.power(decay, np.arange(arr.size - 1, -1, -1, dtype=float))
-    return float(np.dot(weights, arr) / weights.sum())
+    t = arr.shape[-1]
+    weights = np.power(decay, np.arange(t - 1, -1, -1, dtype=float))
+    dots = np.array([np.dot(weights, row) for row in arr.reshape(-1, t)])
+    return _result(dots.reshape(arr.shape[:-1]) / weights.sum())
 
 
 @dataclass(frozen=True)
@@ -140,7 +153,8 @@ class AveragingMethod:
             return f"exp({self.decay:g})"
         return self.kind
 
-    def apply(self, returns) -> float:
+    def apply(self, returns) -> float | np.ndarray:
+        """Average a 1-D sample to a float, or each row of a stack."""
         if self.kind == "arithmetic":
             return arithmetic_mean(returns)
         if self.kind == "geometric":

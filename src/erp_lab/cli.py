@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import charts
 from .averaging import AveragingMethod
 from .capm import fit_market_model, risk_decomposition, simulate_diversification
-from .charts import write_line_chart
 from .errors import DataError, ErpLabError, NumericalError
 from .historical import erp_report
 from .implied import implied_erp_series
@@ -99,6 +99,11 @@ def _write_implied_csv(path: str, days: np.ndarray, columns: list[np.ndarray]) -
             fh.write("".join(map(_IMPLIED_ROW.__mod__, zip(*cells))))
 
 
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def run_implied(prices_spec: SeriesFileSpec, eps_spec: SeriesFileSpec,
                 yields_spec: SeriesFileSpec, ema_period: int, output: str,
                 svg_path: str | None = None) -> int:
@@ -118,10 +123,12 @@ def run_implied(prices_spec: SeriesFileSpec, eps_spec: SeriesFileSpec,
         with _stage("computing the premium"):
             erp = implied_erp_series(prices, eps_smooth, yields)
         with _stage("writing output"):
+            # the chart is the step that can still fail: render it before
+            # writing either file, so that a failure leaves neither
+            chart = charts.line_chart_svg(erp, title="Implied equity risk premium",
+                                          y_label="premium")
             _write_implied_csv(output, *align_days([prices, eps_smooth, yields, erp]))
-            svg = svg_path or str(Path(output).with_suffix(".svg"))
-            write_line_chart(erp, svg, title="Implied equity risk premium",
-                             y_label="premium")
+            _write_text(svg_path or Path(output).with_suffix(".svg"), chart)
     except _CAUGHT as exc:
         return _fail(exc)
     return EXIT_OK
@@ -154,8 +161,7 @@ def run_historical(equity_spec: SeriesFileSpec,
                         file=sys.stderr,
                     )
         with _stage("writing output"):
-            with open(output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(report.to_csv())
+            _write_text(output, report.to_csv())
     except _CAUGHT as exc:
         return _fail(exc)
     return EXIT_OK
@@ -387,13 +393,29 @@ def _apply_config(subs: list, config: dict[str, tuple[str, str]]) -> None:
             raise ValueError(f"{where}: not a flag of any subcommand")
 
 
+def _may_name_config(token: str) -> bool:
+    """Whether argparse could read ``token`` as ``--config``: it takes any
+    prefix of a long flag, also before ``=`` (``--c PATH``, ``--conf=PATH``,
+    even ``--=PATH``).  A single-dash token never matches a long flag."""
+    return token.startswith("--") and "--config".startswith(token.partition("=")[0])
+
+
+def _config_path(argv: list[str]) -> str | None:
+    """The ``--config`` argument, else ``$ERP_LAB_CONFIG``.  The pre-parse
+    scans every token, so it runs only when some token can name the flag;
+    without one it could neither match nor fail."""
+    config = None
+    if any(map(_may_name_config, argv)):
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        config = pre.parse_known_args(argv)[0].config
+    return config or os.environ.get("ERP_LAB_CONFIG")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        pre = _Parser(add_help=False)
-        pre.add_argument("--config")
-        known, _ = pre.parse_known_args(argv)
-        config_path = known.config or os.environ.get("ERP_LAB_CONFIG")
+        config_path = _config_path(argv)
         parser, subs = build_parser()
         if config_path:
             _apply_config(subs, _load_config(config_path))

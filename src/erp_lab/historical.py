@@ -81,7 +81,8 @@ def historical_erp(
         No common observation falls inside the window.
     """
     eq_in, rf_in = _window_legs(*_aligned_years(equity, riskfree), window)
-    return _estimate(eq_in, rf_in, window, method, riskfree_label)
+    premium = method.apply(eq_in) - method.apply(rf_in)
+    return ErpEstimate(premium, tuple(window), riskfree_label, method, len(eq_in))
 
 
 def _aligned_years(equity: ReturnSeries, riskfree: ReturnSeries
@@ -91,23 +92,27 @@ def _aligned_years(equity: ReturnSeries, riskfree: ReturnSeries
     return np.fromiter((d.year for d in dates), np.int64, len(dates)), eq, rf
 
 
+def _window_rows(years: np.ndarray, windows: list[YearWindow]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each inclusive window's first and stop rows in the sorted ``years``:
+    its observations are the contiguous rows ``first:stop``, and none
+    where ``stop <= first``."""
+    starts, ends = zip(*windows)
+    return (np.searchsorted(years, starts, side="left"),
+            np.searchsorted(years, ends, side="right"))
+
+
+def _empty_window(window: YearWindow) -> EmptyWindowError:
+    return EmptyWindowError(f"no aligned observations in {window[0]}-{window[1]}")
+
+
 def _window_legs(years: np.ndarray, eq: np.ndarray, rf: np.ndarray,
                  window: YearWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Both legs' observations whose year falls inside the inclusive
-    window; ``years`` is sorted, so they are one contiguous slice."""
-    start, end = window
-    first = np.searchsorted(years, start, side="left")
-    stop = np.searchsorted(years, end, side="right")
+    """Both legs' observations whose year falls inside the inclusive window."""
+    (first,), (stop,) = _window_rows(years, [window])
     if stop <= first:
-        raise EmptyWindowError(f"no aligned observations in {start}-{end}")
+        raise _empty_window(window)
     return eq[first:stop], rf[first:stop]
-
-
-def _estimate(eq_in: np.ndarray, rf_in: np.ndarray, window: YearWindow,
-              method: AveragingMethod, riskfree_label: str) -> ErpEstimate:
-    start, end = window
-    premium = method.apply(eq_in) - method.apply(rf_in)
-    return ErpEstimate(premium, (start, end), riskfree_label, method, len(eq_in))
 
 
 @dataclass(frozen=True)
@@ -156,8 +161,8 @@ def erp_report(
     Cells whose window holds no data, or fewer returns than a ``blume``
     horizon, are flagged with the reason instead of failing the whole
     report: the report is a diagnostic artifact.  Each riskfree variant
-    is aligned with the equity series once, and each window's rows are
-    found once per variant.
+    is aligned with the equity series once, and all windows of the same
+    row count are averaged together.
     """
     if not riskfree_variants or not windows or not methods:
         raise EmptyInputError("need at least one riskfree variant, window, and method")
@@ -168,29 +173,39 @@ def erp_report(
             aligned.append((label, _aligned_years(equity, riskfree), ""))
         except EmptyIntersectionError as exc:
             aligned.append((label, None, str(exc)))
-    rows = []
-    for window in windows:
-        row = []
-        for label, legs, gap in aligned:
-            if legs is None:
-                row.extend(ReportCell(None, note=gap) for _ in methods)
-            else:
-                row.extend(_window_cells(legs, window, methods, label))
-        rows.append(tuple(row))
-    return ErpReport(tuple(windows), columns, tuple(rows))
+    tables = [[[ReportCell(None, note=gap)] * len(methods) for _ in windows] if legs is None
+              else _variant_cells(legs, windows, methods, label)
+              for label, legs, gap in aligned]
+    rows = tuple(tuple(cell for table in tables for cell in table[i])
+                 for i in range(len(windows)))
+    return ErpReport(tuple(windows), columns, rows)
 
 
-def _window_cells(legs: tuple[np.ndarray, np.ndarray, np.ndarray], window: YearWindow,
-                  methods: list[AveragingMethod], label: str) -> list[ReportCell]:
-    """One window's cells for one aligned riskfree variant, in method order."""
-    try:
-        eq_in, rf_in = _window_legs(*legs, window)
-    except EmptyWindowError as exc:
-        return [ReportCell(None, note=str(exc)) for _ in methods]
-    cells = []
-    for method in methods:
-        try:
-            cells.append(ReportCell(_estimate(eq_in, rf_in, window, method, label)))
-        except HorizonExceedsSampleError as exc:
-            cells.append(ReportCell(None, note=str(exc)))
-    return cells
+def _variant_cells(legs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                   windows: list[YearWindow], methods: list[AveragingMethod],
+                   label: str) -> list[list[ReportCell]]:
+    """One aligned riskfree variant's cells, one list per window in method
+    order.  Windows with the same row count are stacked and averaged with
+    one ``apply`` call per method and leg."""
+    years, eq, rf = legs
+    first, stop = _window_rows(years, windows)
+    lengths = stop - first
+    table = [[ReportCell(None, note=str(_empty_window(window)))] * len(methods) if n <= 0
+             else [None] * len(methods) for window, n in zip(windows, lengths.tolist())]
+    for n in sorted(set(lengths.tolist())):
+        if n <= 0:
+            continue
+        group = np.flatnonzero(lengths == n)
+        rows = first[group, None] + np.arange(n)
+        eq_in, rf_in = eq[rows], rf[rows]
+        for m, method in enumerate(methods):
+            try:
+                premiums = (method.apply(eq_in) - method.apply(rf_in)).tolist()
+            except HorizonExceedsSampleError as exc:
+                for i in group.tolist():
+                    table[i][m] = ReportCell(None, note=str(exc))
+                continue
+            for i, premium in zip(group.tolist(), premiums):
+                table[i][m] = ReportCell(
+                    ErpEstimate(premium, tuple(windows[i]), label, method, n))
+    return table

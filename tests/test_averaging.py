@@ -176,3 +176,73 @@ class TestAveragingMethod:
             AveragingMethod("exp_weighted")
         with pytest.raises(ValueError):
             AveragingMethod("harmonic")
+
+
+def one_sample_reference(method, sample):
+    """Each scheme's 1-D definition from before stacks were accepted."""
+    if method.kind == "arithmetic":
+        return float(np.mean(sample))
+    if method.kind == "geometric":
+        return float(np.expm1(np.mean(np.log1p(sample))))
+    t = sample.size
+    if method.kind == "blume":
+        if t == 1:
+            return float(sample[0])
+        n = method.horizon
+        return ((t - n) / (t - 1) * one_sample_reference(AveragingMethod.arithmetic(), sample)
+                + (n - 1) / (t - 1) * one_sample_reference(AveragingMethod.geometric(), sample))
+    weights = np.power(method.decay, np.arange(t - 1, -1, -1, dtype=float))
+    return float(np.dot(weights, sample) / weights.sum())
+
+
+def outcome(apply, returns):
+    try:
+        return apply(returns)
+    except (HorizonExceedsSampleError, ReturnBelowMinusOneError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def stacked_samples(draw):
+    """A return series and a (k, T) stack of its T-row windows gathered the
+    way the historical report gathers them, from repeated, unsorted starts.
+    T runs to 300, across numpy's 8-wide unrolled sum and its 128-element
+    pairwise blocks."""
+    t = draw(st.integers(1, 300))
+    length = t + draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    series = np.expm1(rng.normal(0.05, draw(st.sampled_from([1e-3, 0.2, 1.5])), length))
+    if draw(st.booleans()) and draw(st.booleans()):
+        series[draw(st.integers(0, length - 1))] = -1.0  # geometric mean undefined
+    starts = draw(st.lists(st.integers(0, length - t), min_size=1, max_size=12))
+    stack = series[np.asarray(starts)[:, None] + np.arange(t)]
+    methods = [AveragingMethod.arithmetic(), AveragingMethod.geometric(),
+               AveragingMethod.blume(draw(st.integers(1, t + 2))),
+               AveragingMethod.exp_weighted(draw(st.floats(0.01, 1.0)))]
+    return series, starts, stack, methods
+
+
+class TestStackedSamples:
+    @given(stacked_samples())
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_bit_identical_to_the_one_sample_call(self, drawn):
+        series, starts, stack, methods = drawn
+        t = stack.shape[1]
+        for method in methods:
+            rows = [outcome(method.apply, series[s:s + t]) for s in starts]
+            stacked = outcome(method.apply, stack)
+            errors = [row for row in rows if isinstance(row, tuple)]
+            if errors:
+                assert stacked == errors[0]
+                continue
+            assert all(type(row) is float for row in rows)
+            assert isinstance(stacked, np.ndarray) and stacked.shape == (len(starts),)
+            expected = [one_sample_reference(method, series[s:s + t]) for s in starts]
+            assert [float.hex(v) for v in rows] == [float.hex(v) for v in expected]
+            assert [float.hex(v) for v in stacked.tolist()] == [float.hex(v) for v in expected]
+
+    def test_empty_rows_raise_as_an_empty_sample_does(self):
+        for apply in (arithmetic_mean, geometric_mean, lambda r: blume_blend(r, 1),
+                      lambda r: exp_weighted_mean(r, 0.9)):
+            with pytest.raises(EmptyInputError, match="no returns to average"):
+                apply(np.empty((3, 0)))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -133,6 +134,8 @@ class TestImplied:
         assert code == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "erp-lab: writing output: chart y range -inf to inf spans more than float range\n")
+        # the chart is rendered before either file is written
+        assert not out.exists()
         assert not out.with_suffix(".svg").exists()
 
     @pytest.mark.parametrize("rows_per_write", [1, 2])
@@ -423,6 +426,59 @@ class TestConfig:
                     implied_argv(prices, eps, yields, str(tmp_path / "x.csv")))
         assert code == EXIT_INPUT
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [("--c", "{cfg}"), ("--conf={cfg}",)])
+    def test_abbreviated_config_flag(self, flag, implied_files, tmp_path):
+        cfg = write(tmp_path, "cfg", "ema-period = 3\n")
+        explicit = str(tmp_path / "explicit.csv")
+        via_config = str(tmp_path / "config.csv")
+        assert main(implied_argv(*implied_files, explicit,
+                                 extra=("--ema-period", "3"))) == EXIT_OK
+        assert main([word.format(cfg=cfg) for word in flag] +
+                    implied_argv(*implied_files, via_config)) == EXIT_OK
+        assert open(via_config).read() == open(explicit).read()
+
+    def test_bare_equals_names_config(self, implied_files, tmp_path, capsys):
+        # the pre-parse reads --=PATH as --config PATH and loads it before
+        # the full parser finds the flag ambiguous with --help
+        missing = str(tmp_path / "missing.cfg")
+        code = main([f"--={missing}"] + implied_argv(*implied_files, str(tmp_path / "x.csv")))
+        assert code == EXIT_INPUT
+        assert missing in capsys.readouterr().err
+
+    def test_no_config_token_skips_the_pre_parse(self, annual_paths, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pre-parse ran")
+
+        argv = historical_argv(annual_paths, str(tmp_path / "r.csv"), "--method", "arithmetic",
+                               "--window=2000-2004", "-c")
+        monkeypatch.setattr(cli._Parser, "parse_known_args", refuse)
+        assert cli._config_path(argv) is None
+        monkeypatch.setenv("ERP_LAB_CONFIG", "from-env.cfg")
+        assert cli._config_path(argv) == "from-env.cfg"
+
+    @given(argv=st.lists(st.one_of(
+        st.sampled_from(["--config", "--c", "--conf=a", "--=b", "--", "--co", "-c", "-",
+                         "--configs", "---config", "--window", "historical", "x=--c"]),
+        st.text(alphabet="-=cofnigx", max_size=9)), max_size=6),
+        env=st.sampled_from([None, "from-env.cfg"]))
+    @settings(max_examples=300, deadline=None)
+    def test_config_path_matches_an_unconditional_pre_parse(self, argv, env):
+        def pre_parsed():
+            pre = cli._Parser(add_help=False)
+            pre.add_argument("--config")
+            return pre.parse_known_args(argv)[0].config or env
+
+        with pytest.MonkeyPatch.context() as mp:
+            if env is not None:
+                mp.setenv("ERP_LAB_CONFIG", env)
+            try:
+                expected = pre_parsed()
+            except cli._UsageError as exc:
+                with pytest.raises(cli._UsageError, match=re.escape(str(exc))):
+                    cli._config_path(argv)
+            else:
+                assert cli._config_path(argv) == expected
 
 
 class TestUsage:

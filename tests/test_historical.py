@@ -296,3 +296,28 @@ class TestReportAgainstPerCellReference:
         assert len(calls) == len(variants)
         assert all(cell.note == "series share no common dates"
                    for row in report.cells for cell in row[6:])
+
+    def test_one_apply_per_variant_leg_row_count_and_method(self, monkeypatch):
+        calls = []
+        apply = AveragingMethod.apply
+
+        def counted(method, returns):
+            calls.append((method, np.shape(returns)))
+            return apply(method, returns)
+
+        monkeypatch.setattr(AveragingMethod, "apply", counted)
+        eq = annual(np.linspace(-0.2, 0.3, 20))
+        variants = [("tbills", annual([0.03] * 20)), ("tbonds", annual([0.05] * 15)),
+                    ("disjoint", annual([0.01, 0.02], first_year=2030))]
+        # twelve 5-year windows (two of them repeated), three 10-year
+        # windows, one single year and one window outside the data
+        windows = ([(2000 + i, 2004 + i) for i in range(10)] + [(2003, 2007), (2003, 2007)]
+                   + [(2000, 2009), (2005, 2014), (2002, 2011), (2012, 2012), (1990, 1995)])
+        methods = [ARITH, GEOM, AveragingMethod.blume(1), AveragingMethod.exp_weighted(0.9)]
+        report = erp_report(eq, variants, windows, methods)
+        # per aligned variant, leg and method: one (12, 5), one (3, 10) and one (1, 1) stack
+        stacks = sorted([(12, 5), (3, 10), (1, 1)] * 2 * 2)
+        assert len(calls) == len(stacks) * len(methods)
+        for method in methods:
+            assert sorted(shape for m, shape in calls if m == method) == stacks
+        assert report == reference_report(eq, variants, windows, methods)
