@@ -23,7 +23,7 @@ from datetime import date, timedelta
 def daily(values) -> ReturnSeries:
     start = date(2024, 1, 1)
     dates = tuple(start + timedelta(days=i) for i in range(len(values)))
-    return ReturnSeries(dates, np.asarray(values), "daily")
+    return ReturnSeries(dates, np.asarray(values))
 
 
 def main() -> None:

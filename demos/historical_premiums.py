@@ -13,7 +13,6 @@ from erp_lab import (
     SeriesFileSpec,
     erp_report,
     historical_erp,
-    infer_period,
     parse_series,
 )
 
@@ -22,7 +21,7 @@ DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 
 def load(name: str) -> ReturnSeries:
     s = parse_series(SeriesFileSpec(str(DATA / name), value_column="return"))
-    return ReturnSeries(s.dates, s.values, infer_period(s.dates))
+    return ReturnSeries(s.dates, s.values)
 
 
 def main() -> None:

@@ -52,7 +52,6 @@ from .timeseries import (
     align,
     align_many,
     ema,
-    infer_period,
     simple_returns,
     step_interpolate,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "gordon_price",
     "historical_erp",
     "implied_erp_series",
-    "infer_period",
     "line_chart_svg",
     "multifactor_premium",
     "parse_series",

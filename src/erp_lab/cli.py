@@ -32,7 +32,6 @@ from .timeseries import (
     align,
     align_days,
     ema,
-    infer_period,
     simple_returns,
     step_interpolate,
 )
@@ -77,7 +76,7 @@ def _stage(name: str):
 def _to_returns(series: DatedSeries, kind: str) -> ReturnSeries:
     if kind == "levels":
         return simple_returns(series)
-    return ReturnSeries(series.days, series.values, infer_period(series.days))
+    return ReturnSeries(series.days, series.values)
 
 
 # -- commands -----------------------------------------------------------------
@@ -143,6 +142,11 @@ def run_historical(equity_spec: SeriesFileSpec,
                    riskfree_values: str = "returns") -> int:
     """Windowed premium report across riskfree instruments and averaging
     methods, written as CSV (windows down, instrument x method across)."""
+    columns = set()
+    for column in (f"{label} {method.label}" for label, _ in riskfree_specs for method in methods):
+        if column in columns:
+            return _fail(DataError(f"report column {column!r} appears more than once"))
+        columns.add(column)
     try:
         with _stage("parsing equity"):
             equity = _to_returns(parse_series(equity_spec), equity_values)
@@ -209,13 +213,14 @@ def run_simulate(n_assets: int, beta: float, sigma_m: float, sigma_eps: float,
 
 # -- argument plumbing --------------------------------------------------------
 
-def _add_series_flags(sub, prefix: str) -> None:
-    sub.add_argument(f"--{prefix}", required=True, help=f"{prefix} CSV file")
-    sub.add_argument(f"--{prefix}-date-column", default="date")
-    sub.add_argument(f"--{prefix}-value-column", default="value")
-    sub.add_argument(f"--{prefix}-date-format", default=ISO_DATE)
-    sub.add_argument(f"--{prefix}-scale", type=float, default=1.0,
-                     help="multiplier applied to values (0.01 for percent quotes)")
+def _add_series_flags(flag, sub, prefix: str, **main) -> None:
+    """Declare ``--{prefix}`` (``main`` overrides its keywords) and its file flags."""
+    flag(sub, f"--{prefix}", **{"required": True, "help": f"{prefix} CSV file", **main})
+    flag(sub, f"--{prefix}-date-column", default="date")
+    flag(sub, f"--{prefix}-value-column", default="value")
+    flag(sub, f"--{prefix}-date-format", default=ISO_DATE)
+    flag(sub, f"--{prefix}-scale", type=float, default=1.0,
+         help="multiplier applied to values (0.01 for percent quotes)")
 
 
 def _spec_from(args, prefix: str, path: str) -> SeriesFileSpec:
@@ -256,64 +261,64 @@ class _Repeatable(argparse.Action):
         setattr(namespace, self.dest, [*items, values])
 
 
-def build_parser() -> tuple[_Parser, list]:
+def build_parser() -> tuple[_Parser, dict]:
+    """The parser, and each flag's ``dest`` mapped to its ``(subparser, action)`` pairs."""
     parser = _Parser(prog="erp-lab", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="key=value file pre-filling flags "
                         "(default: $ERP_LAB_CONFIG); explicit flags win")
     commands = parser.add_subparsers(dest="command", required=True)
+    flags: dict[str, list[tuple[_Parser, argparse.Action]]] = {}
+
+    def flag(sub, *names, **kwargs) -> None:
+        action = sub.add_argument(*names, **kwargs)
+        flags.setdefault(action.dest, []).append((sub, action))
 
     implied = commands.add_parser(
         "implied", help="daily implied-premium pipeline from prices, EPS, and yields")
     for prefix in ("prices", "eps", "yields"):
-        _add_series_flags(implied, prefix)
-    implied.add_argument("--ema-period", type=int, default=50,
-                         help="EPS smoothing period in days (default 50)")
-    implied.add_argument("--output", required=True, help="output CSV path")
-    implied.add_argument("--svg", help="output SVG path (default: output with .svg)")
+        _add_series_flags(flag, implied, prefix)
+    flag(implied, "--ema-period", type=int, default=50,
+         help="EPS smoothing period in days (default 50)")
+    flag(implied, "--output", required=True, help="output CSV path")
+    flag(implied, "--svg", help="output SVG path (default: output with .svg)")
     implied.set_defaults(func=_cmd_implied)
 
     historical = commands.add_parser(
         "historical", help="windowed historical premium report")
-    _add_series_flags(historical, "equity")
-    historical.add_argument("--equity-kind", choices=("returns", "levels"),
-                            default="returns",
-                            help="whether the equity file holds returns or price levels")
-    historical.add_argument("--riskfree", action=_Repeatable, required=True,
-                            type=_parse_riskfree, metavar="LABEL=PATH",
-                            help="riskfree instrument file; repeatable")
-    historical.add_argument("--riskfree-date-column", default="date")
-    historical.add_argument("--riskfree-value-column", default="value")
-    historical.add_argument("--riskfree-date-format", default=ISO_DATE)
-    historical.add_argument("--riskfree-scale", type=float, default=1.0)
-    historical.add_argument("--riskfree-kind", choices=("returns", "levels"),
-                            default="returns")
-    historical.add_argument("--window", action=_Repeatable, required=True,
-                            type=_parse_window, metavar="START-END",
-                            help="inclusive year window, e.g. 1928-2008; repeatable")
-    historical.add_argument("--method", action=_Repeatable, required=True,
-                            type=AveragingMethod.from_string, metavar="METHOD",
-                            help="arithmetic | geometric | blume:N | exp:DECAY; repeatable")
-    historical.add_argument("--output", required=True, help="output CSV path")
+    _add_series_flags(flag, historical, "equity")
+    flag(historical, "--equity-kind", choices=("returns", "levels"), default="returns",
+         help="whether the equity file holds returns or price levels")
+    _add_series_flags(flag, historical, "riskfree", action=_Repeatable,
+                      type=_parse_riskfree, metavar="LABEL=PATH",
+                      help="riskfree instrument file; repeatable")
+    flag(historical, "--riskfree-kind", choices=("returns", "levels"), default="returns")
+    flag(historical, "--window", action=_Repeatable, required=True,
+         type=_parse_window, metavar="START-END",
+         help="inclusive year window, e.g. 1928-2008; repeatable")
+    flag(historical, "--method", action=_Repeatable, required=True,
+         type=AveragingMethod.from_string, metavar="METHOD",
+         help="arithmetic | geometric | blume:N | exp:DECAY; repeatable")
+    flag(historical, "--output", required=True, help="output CSV path")
     historical.set_defaults(func=_cmd_historical)
 
     capm = commands.add_parser("capm", help="market-model regression of asset on market")
-    _add_series_flags(capm, "asset")
-    _add_series_flags(capm, "market")
-    capm.add_argument("--kind", choices=("returns", "levels"), default="returns",
-                      help="whether both files hold returns or price levels")
+    _add_series_flags(flag, capm, "asset")
+    _add_series_flags(flag, capm, "market")
+    flag(capm, "--kind", choices=("returns", "levels"), default="returns",
+         help="whether both files hold returns or price levels")
     capm.set_defaults(func=_cmd_capm)
 
     simulate = commands.add_parser(
         "simulate", help="diversification experiment for an equal-weight portfolio")
-    simulate.add_argument("--n-assets", type=int, required=True)
-    simulate.add_argument("--beta", type=float, default=1.0)
-    simulate.add_argument("--sigma-m", type=float, default=0.15)
-    simulate.add_argument("--sigma-eps", type=float, default=0.30)
-    simulate.add_argument("--n-periods", type=int, default=10000)
-    simulate.add_argument("--seed", type=int, default=0)
+    flag(simulate, "--n-assets", type=int, required=True)
+    flag(simulate, "--beta", type=float, default=1.0)
+    flag(simulate, "--sigma-m", type=float, default=0.15)
+    flag(simulate, "--sigma-eps", type=float, default=0.30)
+    flag(simulate, "--n-periods", type=int, default=10000)
+    flag(simulate, "--seed", type=int, default=0)
     simulate.set_defaults(func=_cmd_simulate)
 
-    return parser, list(commands.choices.values())
+    return parser, flags
 
 
 def _cmd_implied(args) -> int:
@@ -352,8 +357,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_config(path: str) -> dict[str, tuple[str, str]]:
-    """Map each flag name to ``(where, value)``; ``where`` names file, line and key."""
+    """Map each flag dest to ``(where, value)``; ``where`` names file, line
+    and key.  A key given twice is an error, not a silent override."""
     config: dict[str, tuple[str, str]] = {}
+    first_line: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -363,18 +370,20 @@ def _load_config(path: str) -> dict[str, tuple[str, str]]:
             if not sep:
                 raise ValueError(f"{path} line {lineno}: expected key=value, got {line!r}")
             key = key.strip()
-            config[key.replace("-", "_")] = (f"{path} line {lineno}: {key}", value.strip())
+            dest, where = key.replace("-", "_"), f"{path} line {lineno}: {key}"
+            if dest in first_line:
+                raise ValueError(f"{where}: repeats line {first_line[dest]}")
+            first_line[dest] = lineno
+            config[dest] = (where, value.strip())
     return config
 
 
-def _apply_config(subs: list, config: dict[str, tuple[str, str]]) -> None:
-    known = set()
-    for sub in subs:
-        for action in sub._actions:
-            known.add(action.dest)
-            if action.dest not in config:
-                continue
-            where, raw = config[action.dest]
+def _apply_config(flags: dict, config: dict[str, tuple[str, str]]) -> None:
+    """Make each config entry the default of every flag in ``flags`` it names."""
+    for dest, (where, raw) in config.items():
+        if dest not in flags:
+            raise ValueError(f"{where}: not a flag of any subcommand")
+        for sub, action in flags[dest]:
             convert = action.type or str
             repeatable = isinstance(action, _Repeatable)
             parts = [p for p in (s.strip() for s in raw.split(",")) if p] if repeatable else [raw]
@@ -386,11 +395,8 @@ def _apply_config(subs: list, config: dict[str, tuple[str, str]]) -> None:
                 if action.choices is not None and value not in action.choices:
                     choices = ", ".join(map(repr, action.choices))
                     raise ValueError(f"{where}: invalid choice {value!r} (choose from {choices})")
-            sub.set_defaults(**{action.dest: values if repeatable else values[0]})
+            sub.set_defaults(**{dest: values if repeatable else values[0]})
             action.required = False
-    for dest, (where, _) in config.items():
-        if dest not in known:
-            raise ValueError(f"{where}: not a flag of any subcommand")
 
 
 def _may_name_config(token: str) -> bool:
@@ -416,9 +422,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         config_path = _config_path(argv)
-        parser, subs = build_parser()
+        parser, flags = build_parser()
         if config_path:
-            _apply_config(subs, _load_config(config_path))
+            _apply_config(flags, _load_config(config_path))
         args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:

@@ -55,7 +55,7 @@ def premium_series(equity: ReturnSeries, riskfree: ReturnSeries) -> ReturnSeries
     depend on working in nominal or real terms.
     """
     dates, eq, rf = align(equity, riskfree)
-    return ReturnSeries(dates, eq - rf, equity.period)
+    return ReturnSeries(dates, eq - rf)
 
 
 def historical_erp(

@@ -24,8 +24,6 @@ from .errors import (
     TooShortError,
 )
 
-PERIOD_LABELS = ("daily", "quarterly", "annual")
-
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 
@@ -103,33 +101,12 @@ DatedSeries.dates = property(lambda self: tuple(self.days.tolist()),
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries(DatedSeries):
-    """Per-period simple returns, tagged with the period length.
-
-    Each return must exceed -1 (prices are positive); ``period`` is one of
-    ``daily``, ``quarterly``, ``annual``.
-    """
-
-    period: str
+    """Per-period simple returns; each must exceed -1 (prices are positive)."""
 
     def __post_init__(self, dates):
         super().__post_init__(dates)
         if np.any(self.values <= -1.0):
             raise ValueError("simple returns must be > -1")
-        if self.period not in PERIOD_LABELS:
-            raise ValueError(f"period must be one of {PERIOD_LABELS}, got {self.period!r}")
-
-
-def infer_period(dates: Sequence[date] | np.ndarray) -> str:
-    """Classify a date grid as daily, quarterly, or annual by median spacing."""
-    gaps = np.diff(_as_days(dates)).astype(np.int64)
-    if len(gaps) == 0:
-        return "daily"
-    median = float(np.median(gaps))
-    if median >= 300:
-        return "annual"
-    if median >= 60:
-        return "quarterly"
-    return "daily"
 
 
 def align(a: DatedSeries, b: DatedSeries) -> tuple[tuple[date, ...], np.ndarray, np.ndarray]:
@@ -172,12 +149,11 @@ def align_days(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
     return common, columns
 
 
-def simple_returns(prices: DatedSeries, period: str | None = None) -> ReturnSeries:
+def simple_returns(prices: DatedSeries) -> ReturnSeries:
     """Per-period simple returns ``p[i+1]/p[i] - 1``, dated at the later day.
 
     All prices must be positive and the series needs at least two
-    observations.  ``period`` defaults to a classification of the price
-    grid's median spacing (see :func:`infer_period`).
+    observations.
     """
     if len(prices) < 2:
         raise TooShortError("need at least two prices to form a return")
@@ -185,7 +161,7 @@ def simple_returns(prices: DatedSeries, period: str | None = None) -> ReturnSeri
         bad = prices.days[int(np.argmax(prices.values <= 0.0))]
         raise NonPositivePriceError(f"non-positive price at {bad}")
     rets = prices.values[1:] / prices.values[:-1] - 1.0
-    return ReturnSeries(prices.days[1:], rets, period or infer_period(prices.days))
+    return ReturnSeries(prices.days[1:], rets)
 
 
 def ema(series: DatedSeries, period_days: int) -> DatedSeries:

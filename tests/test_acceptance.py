@@ -33,7 +33,7 @@ from erp_lab.implied import (
     two_stage_price,
 )
 from erp_lab.io import SeriesFileSpec, parse_series
-from erp_lab.timeseries import ReturnSeries, infer_period
+from erp_lab.timeseries import ReturnSeries
 
 ARITH = AveragingMethod.arithmetic()
 GEOM = AveragingMethod.geometric()
@@ -47,7 +47,7 @@ def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def _returns_from(path, value_column="return"):
     s = parse_series(SeriesFileSpec(str(path), value_column=value_column))
-    return ReturnSeries(s.dates, s.values, infer_period(s.dates))
+    return ReturnSeries(s.dates, s.values)
 
 
 def test_01_mean_inequality():
@@ -202,8 +202,8 @@ def test_08_inflation_invariance(annual_paths):
         base_series = premium_series(equity, riskfree)
         base_est = historical_erp(equity, riskfree, window, ARITH)
         for c in (0.01, 0.05):
-            eq_shift = ReturnSeries(equity.dates, equity.values + c, equity.period)
-            rf_shift = ReturnSeries(riskfree.dates, riskfree.values + c, riskfree.period)
+            eq_shift = ReturnSeries(equity.dates, equity.values + c)
+            rf_shift = ReturnSeries(riskfree.dates, riskfree.values + c)
             shifted = premium_series(eq_shift, rf_shift)
             if not (shifted.dates == base_series.dates
                     and np.array_equal(shifted.values, base_series.values)):

@@ -33,7 +33,7 @@ from erp_lab.timeseries import ReturnSeries
 
 def series(values, start=date(2020, 1, 1)):
     dates = tuple(start + timedelta(days=i) for i in range(len(values)))
-    return ReturnSeries(dates, np.asarray(values, dtype=float), "daily")
+    return ReturnSeries(dates, np.asarray(values, dtype=float))
 
 
 def ols_line(x, y):
@@ -78,7 +78,7 @@ class TestFitMarketModel:
         market = series([0.01, 0.02, 0.03, 0.04])
         # asset misses the first market date, has one extra date at the end
         asset = ReturnSeries(market.dates[1:] + (date(2020, 2, 1),),
-                             np.array([0.02, 0.03, 0.04, 0.99]), "daily")
+                             np.array([0.02, 0.03, 0.04, 0.99]))
         fit = fit_market_model(asset, market)
         assert fit.n_obs == 3
         np.testing.assert_allclose(fit.beta, 1.0, rtol=1e-12)
@@ -125,7 +125,7 @@ class TestFitMarketModel:
     def test_single_common_date_raises(self):
         market = series([0.01, 0.02])
         asset = ReturnSeries((market.dates[1], date(2021, 1, 1)),
-                             np.array([0.05, 0.06]), "daily")
+                             np.array([0.05, 0.06]))
         with pytest.raises(TooFewObservationsError):
             fit_market_model(asset, market)
 

@@ -274,6 +274,25 @@ class TestHistorical:
         assert rows[1] == "2000-2002,NA"
         assert rows[2].startswith("1990-2009,") and rows[2] != "1990-2009,NA"
 
+    @pytest.mark.parametrize("extra", [
+        ("--riskfree", "tbills={tbonds}", "--method", "arithmetic"),
+        ("--method", "arithmetic", "--method", "arithmetic"),
+        ("--method", "exp:0.95", "--method", "exp:0.950"),
+    ], ids=["riskfree label", "method", "method label"])
+    def test_repeated_report_column_is_input_error(self, extra, annual_paths, tmp_path,
+                                                   capsys, monkeypatch):
+        # the report's files are never read: the check precedes parsing
+        monkeypatch.setattr(cli, "parse_series", None)
+        out = tmp_path / "report.csv"
+        argv = historical_argv(annual_paths, str(out), "--window", "2000-2009",
+                               *(w.format(tbonds=annual_paths["tbonds"]) for w in extra))
+        assert main(argv) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        column = "tbills arithmetic" if "arithmetic" in extra else "tbills exp(0.95)"
+        assert f"report column {column!r}" in err
+        assert not out.exists()
+
 
 class TestCapm:
     def test_double_beta_asset(self, tmp_path, capsys):
@@ -377,6 +396,20 @@ class TestConfig:
         assert lines[0] == "window,tbills arithmetic,tbills geometric"
         assert [line.split(",")[0] for line in lines[1:]] == ["2000-2004", "2000-2009"]
 
+    def test_config_fills_per_file_flags(self, annual_paths, tmp_path):
+        # each file flag's companions are config keys, --riskfree's included
+        cfg = write(tmp_path, "cfg", "equity-value-column = return\n"
+                    "riskfree_value_column = return\nriskfree-scale = 0.5\n")
+        outs = [str(tmp_path / name) for name in ("explicit.csv", "config.csv")]
+        argv = ["historical", "--equity", str(annual_paths["equity"]),
+                "--riskfree", f"tbills={annual_paths['tbills']}",
+                "--window", "2000-2009", "--method", "arithmetic", "--output"]
+        assert main(argv + [outs[0], "--equity-value-column", "return",
+                            "--riskfree-value-column", "return",
+                            "--riskfree-scale", "0.5"]) == EXIT_OK
+        assert main(["--config", cfg] + argv + [outs[1]]) == EXIT_OK
+        assert open(outs[1]).read() == open(outs[0]).read()
+
     def test_explicit_repeatable_flag_replaces_config_list(self, annual_paths, tmp_path):
         cfg = write(tmp_path, "cfg", "window = 2000-2004\nmethod = arithmetic\n")
         out = str(tmp_path / "report.csv")
@@ -417,6 +450,28 @@ class TestConfig:
         err = capsys.readouterr().err
         assert f"{cfg} line 1" in err
         assert "equity-kind" in err
+        assert not out.exists()
+
+    def test_help_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg", "help = yes\n")
+        code = main(["--config", cfg, "simulate", "--n-assets", "3", "--n-periods", "30"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"erp-lab: {cfg} line 1: help: not a flag of any subcommand\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, line", [
+        ("window = 2000-2005\nwindow = 2001-2003\n", "line 2: window"),
+        ("seed=1\n# again\n\nseed=2\n", "line 4: seed"),
+        ("ema-period = 3\nseed = 1\nema_period = 3\n", "line 3: ema_period"),
+    ], ids=["window", "seed", "dash and underscore"])
+    def test_repeated_config_key(self, text, line, annual_paths, tmp_path, capsys):
+        cfg = write(tmp_path, "cfg", text)
+        out = tmp_path / "report.csv"
+        code = main(["--config", cfg] + historical_argv(annual_paths, str(out),
+                                                        "--method", "arithmetic"))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == f"erp-lab: {cfg} {line}: repeats line 1\n"
         assert not out.exists()
 
     def test_malformed_config_line(self, implied_files, tmp_path, capsys):
@@ -592,10 +647,37 @@ def simulate_run(draw):
     return {}, argv
 
 
-class TestMalformedInputFuzz:
-    """Malformed files and flags end in exit 1 or 2 with one stderr line."""
+# Config file lines: valid keys of each subcommand, ``help``, an unknown
+# key, bad windows and choices, a line with no ``=``, and empty values for
+# repeatable keys.  ``ema-period`` and ``ema_period`` are one key.
+CONFIG_LINES = st.sampled_from([
+    "ema-period = 3", "ema_period=1", "yields-scale = 0.01", "seed = 4", "n-periods = 30",
+    "window = 2000-2003, 2001-2001", "method = arithmetic, geometric",
+    "equity-kind = levels", "riskfree-value-column = return",
+    "help = yes", "no-such-flag = 1", "window = 2003-2000", "window = 20x1-2002",
+    "equity-kind = x", "kind = neither", "ema-period 3", "method =", "window = ,",
+    "# comment", "",
+])
 
-    @given(run=st.one_of(implied_run(), historical_run(), simulate_run()))
+
+@st.composite
+def maybe_config(draw, runs):
+    """A run from ``runs``, in one case of three with a ``--config`` file,
+    whose lines sometimes repeat a key."""
+    files, argv = draw(runs)
+    if draw(st.integers(0, 2)):
+        return files, argv
+    lines = draw(st.lists(CONFIG_LINES, max_size=5))
+    if lines and draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    return {**files, "config": "\n".join(lines).encode()}, ["--config", "{config}", *argv]
+
+
+class TestMalformedInputFuzz:
+    """Malformed files, flags and config files end in exit 1 or 2 with one
+    stderr line."""
+
+    @given(run=maybe_config(st.one_of(implied_run(), historical_run(), simulate_run())))
     @settings(max_examples=150, deadline=None)
     def test_main_never_tracebacks(self, run):
         files, argv = run

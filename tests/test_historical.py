@@ -32,14 +32,13 @@ GEOM = AveragingMethod.geometric()
 
 def annual(values, first_year=2000):
     dates = tuple(date(first_year + i, 12, 31) for i in range(len(values)))
-    return ReturnSeries(dates, np.asarray(values, dtype=float), "annual")
+    return ReturnSeries(dates, np.asarray(values, dtype=float))
 
 
 class TestPremiumSeries:
     def test_single_date(self):
         out = premium_series(annual([0.10]), annual([0.04]))
         np.testing.assert_allclose(out.values, [0.06], atol=1e-15)
-        assert out.period == "annual"
 
     def test_identical_legs_give_zero(self):
         eq = annual([0.1, 0.2, -0.05])
@@ -238,13 +237,13 @@ def report_inputs(draw):
         keep = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(any))
         dates = [d for d, k in zip(grid, keep) if k]
         values = draw(st.lists(returns, min_size=len(dates), max_size=len(dates)))
-        return ReturnSeries(dates, np.array(values), "daily")
+        return ReturnSeries(dates, np.array(values))
 
     equity = subset()
     variants = [(f"rf{i}", subset()) for i in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):
         after = [equity.dates[-1] + timedelta(days=k) for k in range(1, draw(st.integers(2, 5)))]
-        disjoint = ReturnSeries(after, np.full(len(after), 0.01), "daily")
+        disjoint = ReturnSeries(after, np.full(len(after), 0.01))
         variants.insert(draw(st.integers(0, len(variants))), ("disjoint", disjoint))
 
     years = st.integers(grid[0].year - 3, grid[-1].year + 3)

@@ -22,7 +22,6 @@ from erp_lab.timeseries import (
     align_days,
     align_many,
     ema,
-    infer_period,
     simple_returns,
     step_interpolate,
 )
@@ -112,13 +111,12 @@ class TestDatedSeries:
         assert not a == b
         assert a != b
 
-    def test_equality_covers_dates_values_type_and_period(self):
-        a = ReturnSeries(days(3), np.array([0.1, 0.2, 0.3]), "daily")
-        assert a == ReturnSeries(days(3), np.array([0.1, 0.2, 0.3]), "daily")
-        assert a != ReturnSeries(days(3), np.array([0.1, 0.2, 0.3]), "annual")
-        assert a != ReturnSeries(days(3), np.array([0.1, 0.2, 0.4]), "daily")
+    def test_equality_covers_dates_values_and_type(self):
+        a = ReturnSeries(days(3), np.array([0.1, 0.2, 0.3]))
+        assert a == ReturnSeries(days(3), np.array([0.1, 0.2, 0.3]))
+        assert a != ReturnSeries(days(3), np.array([0.1, 0.2, 0.4]))
         assert a != DatedSeries(days(3), np.array([0.1, 0.2, 0.3]))
-        assert a != ReturnSeries(days(2), np.array([0.1, 0.2]), "daily")
+        assert a != ReturnSeries(days(2), np.array([0.1, 0.2]))
 
     def test_repr_shows_first_date(self):
         later = days(2000, start=date(2021, 1, 1))
@@ -127,7 +125,7 @@ class TestDatedSeries:
         assert "2019" in repr(a) and "2019" not in repr(b)
 
     @pytest.mark.parametrize("make", [lambda d: DatedSeries(d, np.ones(len(d))),
-                                      lambda d: ReturnSeries(d, np.ones(len(d)), "daily")],
+                                      lambda d: ReturnSeries(d, np.ones(len(d)))],
                              ids=["DatedSeries", "ReturnSeries"])
     def test_stores_one_calendar(self, make):
         s = make(days(3))
@@ -137,29 +135,11 @@ class TestDatedSeries:
 
 class TestReturnSeries:
     def test_accepts_boundary_adjacent_returns(self):
-        s = ReturnSeries(days(2), np.array([-0.999999, 5.0]), "annual")
-        assert s.period == "annual"
+        s = ReturnSeries(days(2), np.array([-0.999999, 5.0]))
 
     def test_rejects_return_at_minus_one(self):
         with pytest.raises(ValueError, match="-1"):
-            ReturnSeries(days(2), np.array([0.1, -1.0]), "annual")
-
-    def test_rejects_unknown_period(self):
-        with pytest.raises(ValueError, match="period"):
-            ReturnSeries(days(2), np.array([0.1, 0.2]), "weekly")
-
-
-class TestInferPeriod:
-    def test_daily(self):
-        assert infer_period(days(10)) == "daily"
-
-    def test_quarterly(self):
-        d = tuple(date(2020, 3 * i + 1, 1) for i in range(4))
-        assert infer_period(d) == "quarterly"
-
-    def test_annual(self):
-        d = tuple(date(2000 + i, 12, 31) for i in range(5))
-        assert infer_period(d) == "annual"
+            ReturnSeries(days(2), np.array([0.1, -1.0]))
 
 
 class TestAlign:
@@ -213,15 +193,6 @@ class TestSimpleReturns:
     def test_halving_and_doubling(self):
         prices = DatedSeries(days(3), np.array([100.0, 50.0, 100.0]))
         np.testing.assert_allclose(simple_returns(prices).values, [-0.5, 1.0])
-
-    def test_period_inferred_from_dates(self):
-        prices = DatedSeries(tuple(date(2000 + i, 12, 31) for i in range(3)),
-                             np.array([1.0, 2.0, 3.0]))
-        assert simple_returns(prices).period == "annual"
-
-    def test_period_override(self):
-        prices = DatedSeries(days(3), np.array([1.0, 2.0, 3.0]))
-        assert simple_returns(prices, period="annual").period == "annual"
 
     def test_single_observation_raises(self):
         prices = DatedSeries(days(1), np.array([100.0]))
