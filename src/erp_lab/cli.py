@@ -30,7 +30,7 @@ from .timeseries import (
     DatedSeries,
     ReturnSeries,
     align,
-    align_days,
+    align_many,
     ema,
     simple_returns,
     step_interpolate,
@@ -126,7 +126,7 @@ def run_implied(prices_spec: SeriesFileSpec, eps_spec: SeriesFileSpec,
             # writing either file, so that a failure leaves neither
             chart = charts.line_chart_svg(erp, title="Implied equity risk premium",
                                           y_label="premium")
-            _write_implied_csv(output, *align_days([prices, eps_smooth, yields, erp]))
+            _write_implied_csv(output, *align_many([prices, eps_smooth, yields, erp]))
             _write_text(svg_path or Path(output).with_suffix(".svg"), chart)
     except _CAUGHT as exc:
         return _fail(exc)
@@ -387,6 +387,8 @@ def _apply_config(flags: dict, config: dict[str, tuple[str, str]]) -> None:
             convert = action.type or str
             repeatable = isinstance(action, _Repeatable)
             parts = [p for p in (s.strip() for s in raw.split(",")) if p] if repeatable else [raw]
+            if not parts:
+                raise ValueError(f"{where}: needs at least one value")
             try:
                 values = [convert(p) for p in parts]
             except (argparse.ArgumentTypeError, ValueError) as exc:

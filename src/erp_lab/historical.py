@@ -8,6 +8,8 @@ arithmetic scheme this coincides with differencing first.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +56,8 @@ def premium_series(equity: ReturnSeries, riskfree: ReturnSeries) -> ReturnSeries
     nominal return) cancels in the subtraction, so the premium does not
     depend on working in nominal or real terms.
     """
-    dates, eq, rf = align(equity, riskfree)
-    return ReturnSeries(dates, eq - rf)
+    days, eq, rf = align(equity, riskfree)
+    return ReturnSeries(days, eq - rf)
 
 
 def historical_erp(
@@ -88,8 +90,8 @@ def historical_erp(
 def _aligned_years(equity: ReturnSeries, riskfree: ReturnSeries
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The common dates' years (ascending) and both legs' values on them."""
-    dates, eq, rf = align(equity, riskfree)
-    return np.fromiter((d.year for d in dates), np.int64, len(dates)), eq, rf
+    days, eq, rf = align(equity, riskfree)
+    return days.astype("datetime64[Y]").astype(np.int64) + 1970, eq, rf
 
 
 def _window_rows(years: np.ndarray, windows: list[YearWindow]
@@ -139,8 +141,12 @@ class ErpReport:
         return [f"{label} {method.label}" for label, method in self.columns]
 
     def to_csv(self) -> str:
-        """One row per window; missing cells render as NA."""
-        lines = ["window," + ",".join(self.column_labels())]
+        """One row per window; missing cells render as NA.  A header field
+        holding a comma, quote or line break is quoted."""
+        header = io.StringIO()
+        # with "\r\n" as terminator the writer quotes a bare "\r" too
+        csv.writer(header, lineterminator="\r\n").writerow(["window", *self.column_labels()])
+        lines = [header.getvalue()[:-2]]
         for window, row in zip(self.windows, self.cells):
             rendered = [
                 "NA" if cell.missing else format_cell(cell.estimate.premium)

@@ -262,11 +262,11 @@ def implied_erp_series(prices: DatedSeries, eps_daily: DatedSeries,
     NonPositivePriceError, NonPositiveEpsError
         Reported with the offending date.
     """
-    dates, (p, e, y) = align_many([prices, eps_daily, yields])
+    days, (p, e, y) = align_many([prices, eps_daily, yields])
     bad = (p <= 0) | (e <= 0)
     if bad.any():
         i = int(np.argmax(bad))
         if p[i] <= 0:
-            raise NonPositivePriceError(f"non-positive price at {dates[i]}")
-        raise NonPositiveEpsError(f"non-positive eps at {dates[i]}")
-    return DatedSeries(dates, e / p - y)
+            raise NonPositivePriceError(f"non-positive price at {days[i]}")
+        raise NonPositiveEpsError(f"non-positive eps at {days[i]}")
+    return DatedSeries(days, e / p - y)

@@ -109,34 +109,25 @@ class ReturnSeries(DatedSeries):
             raise ValueError("simple returns must be > -1")
 
 
-def align(a: DatedSeries, b: DatedSeries) -> tuple[tuple[date, ...], np.ndarray, np.ndarray]:
+def align(a: DatedSeries, b: DatedSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair two series over their common dates: ``align_many([a, b])``
-    unpacked to ``(dates, a_values, b_values)``."""
-    dates, (a_vals, b_vals) = align_many([a, b])
-    return dates, a_vals, b_vals
+    unpacked to ``(days, a_values, b_values)``."""
+    days, (a_vals, b_vals) = align_many([a, b])
+    return days, a_vals, b_vals
 
 
-def align_many(series: Sequence[DatedSeries]) -> tuple[tuple[date, ...], list[np.ndarray]]:
+def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarray]]:
     """Intersect any number of series on their common dates.
 
     Accepts any mix of :class:`DatedSeries` and :class:`ReturnSeries`.
-    Returns the common dates and one value array per input series, all in
-    the same ascending order: :func:`align_days` with the dates as
-    ``datetime.date``.
+    Returns the common dates as a ``datetime64[D]`` array, as each series
+    stores its ``days`` (``.tolist()`` gives ``datetime.date`` objects),
+    and one value array per input series, all in the same ascending order.
 
     Raises
     ------
     EmptyIntersectionError
         If the series share no dates.
-    """
-    days, columns = align_days(series)
-    return tuple(days.tolist()), columns
-
-
-def align_days(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """:func:`align_many` with the common dates as a ``datetime64[D]`` array.
-
-    Internal; the package root does not export it.
     """
     if not series:
         raise InvalidParametersError("align_many needs at least one series")

@@ -1,6 +1,7 @@
 """End-to-end tests for the erp-lab command line."""
 
 import contextlib
+import csv
 import io
 import os
 import re
@@ -11,12 +12,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import erp_lab
-from erp_lab import cli
+from erp_lab import cli, timeseries
 from erp_lab.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from erp_lab.io import format_cell
 
@@ -293,6 +295,51 @@ class TestHistorical:
         assert f"report column {column!r}" in err
         assert not out.exists()
 
+    def test_riskfree_labels_are_quoted_in_the_header(self, annual_paths, tmp_path):
+        labels = ["a,b", 'say "hi"', "two\nlines", "bare\rreturn"]
+        methods = ["arithmetic", "geometric"]
+        out = tmp_path / "report.csv"
+        argv = historical_argv(annual_paths, str(out), "--window", "2000-2004",
+                               "--window", "2005-2009")
+        for label in labels:
+            argv += ["--riskfree", f"{label}={annual_paths['tbills']}"]
+        for method in methods:
+            argv += ["--method", method]
+        assert main(argv) == EXIT_OK
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        columns = [f"{label} {method}" for label in ["tbills", *labels] for method in methods]
+        assert header == ["window", *columns]
+        assert [len(row) for row in rows] == [1 + len(columns)] * 2
+
+
+class TestCalendarStaysDays:
+    """On ISO-dated inputs every series is built from a ``datetime64[D]``
+    array: no pipeline turns its calendar into ``datetime.date`` objects
+    and back."""
+
+    @pytest.mark.parametrize("command", ["implied", "historical"])
+    def test_no_series_is_built_from_date_objects(self, command, implied_files, annual_paths,
+                                                  tmp_path, monkeypatch):
+        received = []
+        as_days = timeseries._as_days
+
+        def recorded(dates):
+            received.append(dates)
+            return as_days(dates)
+
+        monkeypatch.setattr(timeseries, "_as_days", recorded)
+        out = str(tmp_path / "out.csv")
+        if command == "implied":
+            argv = implied_argv(*implied_files, out)
+        else:
+            argv = historical_argv(annual_paths, out, "--window", "2000-2009",
+                                   "--method", "arithmetic")
+        assert main(argv) == EXIT_OK
+        assert received
+        assert [type(dates).__name__ for dates in received
+                if not (isinstance(dates, np.ndarray) and dates.dtype == "datetime64[D]")] == []
+
 
 class TestCapm:
     def test_double_beta_asset(self, tmp_path, capsys):
@@ -472,6 +519,23 @@ class TestConfig:
                                                         "--method", "arithmetic"))
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == f"erp-lab: {cfg} {line}: repeats line 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, other", [
+        ("method =", ("--window", "2000-2009")),
+        ("window = , ,", ("--method", "arithmetic")),
+    ], ids=["method", "commas only"])
+    def test_empty_repeatable_value(self, line, other, annual_paths, tmp_path, capsys,
+                                    monkeypatch):
+        # a config error, raised before any input file is read
+        monkeypatch.setattr(cli, "parse_series", None)
+        cfg = write(tmp_path, "cfg", f"# no values\n{line}\n")
+        out = tmp_path / "report.csv"
+        code = main(["--config", cfg] + historical_argv(annual_paths, str(out), *other))
+        assert code == EXIT_INPUT
+        key = line.partition(" ")[0]
+        assert capsys.readouterr().err == (
+            f"erp-lab: {cfg} line 2: {key}: needs at least one value\n")
         assert not out.exists()
 
     def test_malformed_config_line(self, implied_files, tmp_path, capsys):

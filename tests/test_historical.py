@@ -58,6 +58,13 @@ class TestPremiumSeries:
 
 
 class TestHistoricalErp:
+    @given(st.lists(st.dates(), min_size=1, max_size=20, unique=True).map(sorted))
+    @settings(max_examples=150, deadline=None)
+    def test_aligned_years_are_the_dates_years(self, dates):
+        series = ReturnSeries(dates, np.zeros(len(dates)))
+        years, _, _ = historical._aligned_years(series, series)
+        assert years.tolist() == [d.year for d in dates]
+
     def test_constant_series_all_methods(self):
         eq = annual([0.08] * 10)
         rf = annual([0.03] * 10)
@@ -203,7 +210,7 @@ def reference_report(equity, riskfree_variants, windows, methods):
             for method in methods:
                 try:
                     dates, eq, rf = align(equity, riskfree)
-                    mask = [start <= d.year <= end for d in dates]
+                    mask = [start <= d.year <= end for d in dates.tolist()]
                     if not any(mask):
                         raise EmptyWindowError(f"no aligned observations in {start}-{end}")
                     eq_in, rf_in = eq[mask], rf[mask]
