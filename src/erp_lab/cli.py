@@ -156,14 +156,9 @@ def run_historical(equity_spec: SeriesFileSpec,
                 variants.append((label, _to_returns(parse_series(spec), riskfree_values)))
         with _stage("building report"):
             report = erp_report(equity, variants, windows, methods)
-        for window, row in zip(report.windows, report.cells):
-            for (label, method), cell in zip(report.columns, row):
-                if cell.missing:
-                    print(
-                        f"erp-lab: warning: {window[0]}-{window[1]} "
-                        f"{label} {method.label}: {cell.note}",
-                        file=sys.stderr,
-                    )
+        for (i, j), gap in sorted(report.gaps.items()):
+            window, (label, method) = "%s-%s" % report.windows[i], report.columns[j]
+            print(f"erp-lab: warning: {window} {label} {method.label}: {gap}", file=sys.stderr)
         with _stage("writing output"):
             _write_text(output, report.to_csv())
     except _CAUGHT as exc:
@@ -244,6 +239,12 @@ def _parse_window(text: str) -> tuple[int, int]:
     return window
 
 
+def _path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("the path is empty")
+    return text
+
+
 def _parse_riskfree(text: str) -> tuple[str, str]:
     label, sep, path = text.partition("=")
     if not sep:
@@ -279,8 +280,8 @@ def build_parser() -> tuple[_Parser, dict]:
         _add_series_flags(flag, implied, prefix)
     flag(implied, "--ema-period", type=int, default=50,
          help="EPS smoothing period in days (default 50)")
-    flag(implied, "--output", required=True, help="output CSV path")
-    flag(implied, "--svg", help="output SVG path (default: output with .svg)")
+    flag(implied, "--output", required=True, type=_path, help="output CSV path")
+    flag(implied, "--svg", type=_path, help="output SVG path (default: output with .svg)")
     implied.set_defaults(func=_cmd_implied)
 
     historical = commands.add_parser(
@@ -298,7 +299,7 @@ def build_parser() -> tuple[_Parser, dict]:
     flag(historical, "--method", action=_Repeatable, required=True,
          type=AveragingMethod.from_string, metavar="METHOD",
          help="arithmetic | geometric | blume:N | exp:DECAY; repeatable")
-    flag(historical, "--output", required=True, help="output CSV path")
+    flag(historical, "--output", required=True, type=_path, help="output CSV path")
     historical.set_defaults(func=_cmd_historical)
 
     capm = commands.add_parser("capm", help="market-model regression of asset on market")

@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .averaging import AveragingMethod
 from .errors import (
+    DataError,
     EmptyInputError,
     EmptyIntersectionError,
     EmptyWindowError,
@@ -67,7 +69,8 @@ def historical_erp(
     method: AveragingMethod,
     riskfree_label: str = "riskfree",
 ) -> ErpEstimate:
-    """Premium over an inclusive year window under one averaging scheme.
+    """Premium over an inclusive year window under one averaging scheme:
+    the one cell of a 1 x 1 :func:`erp_report`.
 
     Both series are paired on common dates, restricted to observations
     whose year falls inside the window, averaged per leg with ``method``,
@@ -81,10 +84,13 @@ def historical_erp(
         The series share no dates at all.
     EmptyWindowError
         No common observation falls inside the window.
+    HorizonExceedsSampleError
+        A ``blume`` horizon exceeds the window's sample.
     """
-    eq_in, rf_in = _window_legs(*_aligned_years(equity, riskfree), window)
-    premium = method.apply(eq_in) - method.apply(rf_in)
-    return ErpEstimate(premium, tuple(window), riskfree_label, method, len(eq_in))
+    report = erp_report(equity, [(riskfree_label, riskfree)], [window], [method])
+    if (0, 0) in report.gaps:
+        raise report.gaps[0, 0]
+    return report.cells[0][0].estimate
 
 
 def _aligned_years(equity: ReturnSeries, riskfree: ReturnSeries
@@ -92,29 +98,6 @@ def _aligned_years(equity: ReturnSeries, riskfree: ReturnSeries
     """The common dates' years (ascending) and both legs' values on them."""
     days, eq, rf = align(equity, riskfree)
     return days.astype("datetime64[Y]").astype(np.int64) + 1970, eq, rf
-
-
-def _window_rows(years: np.ndarray, windows: list[YearWindow]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each inclusive window's first and stop rows in the sorted ``years``:
-    its observations are the contiguous rows ``first:stop``, and none
-    where ``stop <= first``."""
-    starts, ends = zip(*windows)
-    return (np.searchsorted(years, starts, side="left"),
-            np.searchsorted(years, ends, side="right"))
-
-
-def _empty_window(window: YearWindow) -> EmptyWindowError:
-    return EmptyWindowError(f"no aligned observations in {window[0]}-{window[1]}")
-
-
-def _window_legs(years: np.ndarray, eq: np.ndarray, rf: np.ndarray,
-                 window: YearWindow) -> tuple[np.ndarray, np.ndarray]:
-    """Both legs' observations whose year falls inside the inclusive window."""
-    (first,), (stop,) = _window_rows(years, [window])
-    if stop <= first:
-        raise _empty_window(window)
-    return eq[first:stop], rf[first:stop]
 
 
 @dataclass(frozen=True)
@@ -129,13 +112,35 @@ class ReportCell:
         return self.estimate is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErpReport:
-    """Grid of premium estimates: windows down, (riskfree x method) across."""
+    """Grid of premium estimates: windows down, (riskfree x method) across.
+
+    ``premium`` and ``sample_size`` (the aligned periods in each window)
+    are windows x columns arrays.  A cell is missing exactly when ``gaps``
+    maps its ``(window_index, column_index)`` to the :class:`DataError`
+    that explains it; its premium is then NaN, as a filled one may be too.
+    """
 
     windows: tuple[YearWindow, ...]
     columns: tuple[tuple[str, AveragingMethod], ...]
-    cells: tuple[tuple[ReportCell, ...], ...]
+    premium: np.ndarray
+    sample_size: np.ndarray
+    gaps: dict[tuple[int, int], DataError]
+
+    @cached_property
+    def cells(self) -> tuple[tuple[ReportCell, ...], ...]:
+        """The grid as one :class:`ReportCell` per cell, built on first access."""
+        premium, sample_size = self.premium.tolist(), self.sample_size.tolist()
+        return tuple(tuple(
+            ReportCell(None, note=str(self.gaps[i, j])) if (i, j) in self.gaps else
+            ReportCell(ErpEstimate(premium[i][j], window, label, method, sample_size[i][j]))
+            for j, (label, method) in enumerate(self.columns))
+            for i, window in enumerate(self.windows))
+
+    def __eq__(self, other):
+        return isinstance(other, ErpReport) and ((self.windows, self.columns, self.cells)
+                                                 == (other.windows, other.columns, other.cells))
 
     def column_labels(self) -> list[str]:
         return [f"{label} {method.label}" for label, method in self.columns]
@@ -147,12 +152,9 @@ class ErpReport:
         # with "\r\n" as terminator the writer quotes a bare "\r" too
         csv.writer(header, lineterminator="\r\n").writerow(["window", *self.column_labels()])
         lines = [header.getvalue()[:-2]]
-        for window, row in zip(self.windows, self.cells):
-            rendered = [
-                "NA" if cell.missing else format_cell(cell.estimate.premium)
-                for cell in row
-            ]
-            lines.append(f"{window[0]}-{window[1]}," + ",".join(rendered))
+        for i, (window, row) in enumerate(zip(self.windows, self.premium.tolist())):
+            lines.append(f"{window[0]}-{window[1]}," + ",".join(
+                "NA" if (i, j) in self.gaps else format_cell(p) for j, p in enumerate(row)))
         return "\n".join(lines) + "\n"
 
 
@@ -167,51 +169,42 @@ def erp_report(
     Cells whose window holds no data, or fewer returns than a ``blume``
     horizon, are flagged with the reason instead of failing the whole
     report: the report is a diagnostic artifact.  Each riskfree variant
-    is aligned with the equity series once, and all windows of the same
-    row count are averaged together.
+    is aligned with the equity series once; a window's observations are
+    the aligned rows whose year lies inside it.  Windows with the same
+    row count are averaged together, one ``apply`` per method and leg.
     """
     if not riskfree_variants or not windows or not methods:
         raise EmptyInputError("need at least one riskfree variant, window, and method")
+    windows = tuple(map(tuple, windows))
     columns = tuple((label, method) for label, _ in riskfree_variants for method in methods)
-    aligned = []
-    for label, riskfree in riskfree_variants:
+    premium = np.full((len(windows), len(columns)), np.nan)
+    sample_size = np.zeros(premium.shape, dtype=np.int64)
+    gaps: dict[tuple[int, int], DataError] = {}
+    starts, ends = zip(*windows)
+    for v, (_, riskfree) in enumerate(riskfree_variants):
+        variant = range(v * len(methods), (v + 1) * len(methods))
         try:
-            aligned.append((label, _aligned_years(equity, riskfree), ""))
+            years, eq, rf = _aligned_years(equity, riskfree)
         except EmptyIntersectionError as exc:
-            aligned.append((label, None, str(exc)))
-    tables = [[[ReportCell(None, note=gap)] * len(methods) for _ in windows] if legs is None
-              else _variant_cells(legs, windows, methods, label)
-              for label, legs, gap in aligned]
-    rows = tuple(tuple(cell for table in tables for cell in table[i])
-                 for i in range(len(windows)))
-    return ErpReport(tuple(windows), columns, rows)
-
-
-def _variant_cells(legs: tuple[np.ndarray, np.ndarray, np.ndarray],
-                   windows: list[YearWindow], methods: list[AveragingMethod],
-                   label: str) -> list[list[ReportCell]]:
-    """One aligned riskfree variant's cells, one list per window in method
-    order.  Windows with the same row count are stacked and averaged with
-    one ``apply`` call per method and leg."""
-    years, eq, rf = legs
-    first, stop = _window_rows(years, windows)
-    lengths = stop - first
-    table = [[ReportCell(None, note=str(_empty_window(window)))] * len(methods) if n <= 0
-             else [None] * len(methods) for window, n in zip(windows, lengths.tolist())]
-    for n in sorted(set(lengths.tolist())):
-        if n <= 0:
+            exc = exc.with_traceback(None)
+            gaps.update(((i, c), exc) for i in range(len(windows)) for c in variant)
             continue
-        group = np.flatnonzero(lengths == n)
-        rows = first[group, None] + np.arange(n)
-        eq_in, rf_in = eq[rows], rf[rows]
-        for m, method in enumerate(methods):
-            try:
-                premiums = (method.apply(eq_in) - method.apply(rf_in)).tolist()
-            except HorizonExceedsSampleError as exc:
-                for i in group.tolist():
-                    table[i][m] = ReportCell(None, note=str(exc))
+        first = np.searchsorted(years, starts, side="left")
+        lengths = np.searchsorted(years, ends, side="right") - first
+        sample_size[:, variant.start:variant.stop] = np.maximum(lengths, 0)[:, None]
+        for n in sorted(set(lengths.tolist())):
+            group = np.flatnonzero(lengths == n)
+            if n <= 0:
+                gaps.update(((i, c), EmptyWindowError("no aligned observations in %s-%s"
+                                                      % windows[i]))
+                            for i in group.tolist() for c in variant)
                 continue
-            for i, premium in zip(group.tolist(), premiums):
-                table[i][m] = ReportCell(
-                    ErpEstimate(premium, tuple(windows[i]), label, method, n))
-    return table
+            rows = first[group, None] + np.arange(n)
+            eq_in, rf_in = eq[rows], rf[rows]
+            for c, method in zip(variant, methods):
+                try:
+                    premium[group, c] = method.apply(eq_in) - method.apply(rf_in)
+                except HorizonExceedsSampleError as exc:
+                    exc = exc.with_traceback(None)
+                    gaps.update(((i, c), exc) for i in group.tolist())
+    return ErpReport(windows, columns, premium, sample_size, gaps)

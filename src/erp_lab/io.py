@@ -47,8 +47,9 @@ class SeriesFileSpec:
     value_scale: float = 1.0
 
     def __post_init__(self):
-        if self.value_scale <= 0:
-            raise ValueError(f"{self.path}: value_scale must be positive, got {self.value_scale}")
+        if not 0 < self.value_scale < math.inf:
+            raise ValueError(f"{self.path}: value_scale must be positive and finite, "
+                             f"got {self.value_scale}")
 
 
 def parse_series(spec: SeriesFileSpec) -> DatedSeries:

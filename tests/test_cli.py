@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import erp_lab
-from erp_lab import cli, timeseries
+from erp_lab import cli, historical, timeseries
 from erp_lab.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from erp_lab.io import format_cell
 
@@ -156,7 +156,19 @@ class TestImplied:
                                  extra=("--prices-scale", "0")))
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"erp-lab: {implied_files[0]}: value_scale must be positive, got 0.0\n")
+            f"erp-lab: {implied_files[0]}: value_scale must be positive and finite, got 0.0\n")
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_scale_is_one_line_error(self, scale, implied_files, tmp_path, capsys,
+                                                monkeypatch):
+        # rejected with the file's name before any input is read
+        monkeypatch.setattr(cli, "parse_series", None)
+        code = main(implied_argv(*implied_files, str(tmp_path / "erp.csv"),
+                                 extra=("--yields-scale", scale)))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"erp-lab: {implied_files[2]}: value_scale must be positive and finite, "
+            f"got {scale}\n")
 
 
 def historical_argv(annual_paths, output, *extra):
@@ -294,6 +306,47 @@ class TestHistorical:
         column = "tbills arithmetic" if "arithmetic" in extra else "tbills exp(0.95)"
         assert f"report column {column!r}" in err
         assert not out.exists()
+
+    def test_gap_warnings_are_window_major(self, annual_paths, tmp_path, capsys):
+        later = write(tmp_path, "later.csv", "date,return\n2030-12-31,0.01\n2031-12-31,0.02\n")
+        out = tmp_path / "report.csv"
+        code = main(historical_argv(annual_paths, str(out), "--riskfree", f"later={later}",
+                                    "--window", "2000-2002", "--window", "1990-1995",
+                                    "--window", "2000-2009",
+                                    "--method", "arithmetic", "--method", "blume:5"))
+        assert code == EXIT_OK
+        disjoint = "series share no common dates"
+        assert capsys.readouterr().err.splitlines() == [f"erp-lab: warning: {line}" for line in [
+            "2000-2002 tbills blume(5): horizon 5 exceeds sample length 3",
+            f"2000-2002 later arithmetic: {disjoint}",
+            f"2000-2002 later blume(5): {disjoint}",
+            "1990-1995 tbills arithmetic: no aligned observations in 1990-1995",
+            "1990-1995 tbills blume(5): no aligned observations in 1990-1995",
+            f"1990-1995 later arithmetic: {disjoint}",
+            f"1990-1995 later blume(5): {disjoint}",
+            f"2000-2009 later arithmetic: {disjoint}",
+            f"2000-2009 later blume(5): {disjoint}",
+        ]]
+        rows = out.read_text().splitlines()
+        assert rows[1].startswith("2000-2002,") and rows[1].endswith(",NA,NA,NA")
+        assert rows[2] == "1990-1995,NA,NA,NA,NA"
+        assert rows[3].count("NA") == 2
+
+    def test_report_builds_no_cell_objects(self, annual_paths, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a report cell object")
+
+        monkeypatch.setattr(historical, "ErpEstimate", refuse)
+        monkeypatch.setattr(historical, "ReportCell", refuse)
+        out = tmp_path / "report.csv"
+        code = main(historical_argv(annual_paths, str(out), "--window", "2000-2009",
+                                    "--window", "1990-1995", "--window", "2000-2002",
+                                    "--method", "arithmetic", "--method", "blume:5"))
+        assert code == EXIT_OK
+        rows = out.read_text().splitlines()
+        assert rows[1].startswith("2000-2009,0.0210000000,")
+        assert rows[2] == "1990-1995,NA,NA"
+        assert rows[3].startswith("2000-2002,") and rows[3].endswith(",NA")
 
     def test_riskfree_labels_are_quoted_in_the_header(self, annual_paths, tmp_path):
         labels = ["a,b", 'say "hi"', "two\nlines", "bare\rreturn"]
@@ -598,6 +651,36 @@ class TestConfig:
                     cli._config_path(argv)
             else:
                 assert cli._config_path(argv) == expected
+
+
+class TestEmptyPath:
+    """An empty ``--output`` or ``--svg`` is refused before any input is read."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("implied", "output"), ("implied", "svg"), ("historical", "output"),
+    ])
+    @pytest.mark.parametrize("source", ["config", "command line"])
+    def test_empty_path_is_refused(self, command, flag, source, implied_files, annual_paths,
+                                   tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "parse_series", None)
+        out = str(tmp_path / "out.csv")
+        argv = (implied_argv(*implied_files, out) if command == "implied"
+                else historical_argv(annual_paths, out, "--window", "2000-2009",
+                                     "--method", "arithmetic"))
+        if flag == "output":
+            at = argv.index("--output")
+            del argv[at:at + 2]
+        if source == "config":
+            cfg = write(tmp_path, "cfg", f"{flag} =\n")
+            argv = ["--config", cfg, *argv]
+            expected = f"erp-lab: {cfg} line 1: {flag}: the path is empty\n"
+        else:
+            argv += [f"--{flag}", ""]
+            expected = f"erp-lab: erp-lab {command}: argument --{flag}: the path is empty\n"
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == expected
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestUsage:

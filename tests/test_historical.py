@@ -18,7 +18,6 @@ from erp_lab.errors import (
 )
 from erp_lab.historical import (
     ErpEstimate,
-    ErpReport,
     ReportCell,
     erp_report,
     historical_erp,
@@ -180,6 +179,46 @@ class TestErpReport:
         assert lines[2] == "2010-2014,NA"
         assert text.endswith("\n")
 
+    def test_grid_is_arrays_with_the_gaps_keyed_by_cell(self):
+        variants = [("tbills", annual([0.03] * 5)),
+                    ("later", annual([0.01], first_year=2030))]
+        windows = [(2000, 2004), (2010, 2014), (2003, 2004)]
+        report = erp_report(annual([0.08] * 5), variants, windows,
+                            [ARITH, AveragingMethod.blume(3)])
+        assert report.premium.shape == report.sample_size.shape == (3, 4)
+        assert report.sample_size.tolist() == [[5, 5, 0, 0], [0, 0, 0, 0], [2, 2, 0, 0]]
+        kinds = {key: type(gap) for key, gap in report.gaps.items()}
+        assert kinds == {
+            **{(i, j): EmptyIntersectionError for i in range(3) for j in (2, 3)},
+            (1, 0): EmptyWindowError, (1, 1): EmptyWindowError,
+            (2, 1): HorizonExceedsSampleError,
+        }
+        assert np.isnan(report.premium[tuple(zip(*report.gaps))]).all()
+        # a stored gap holds no traceback, so no frame of erp_report stays alive
+        assert all(gap.__traceback__ is None for gap in report.gaps.values())
+        np.testing.assert_allclose(report.premium[[0, 0, 2], [0, 1, 0]], 0.05, atol=1e-12)
+        cells = report.cells
+        assert cells is report.cells
+        assert isinstance(cells[0][0].estimate.premium, float)
+        assert type(cells[2][0].estimate.sample_size) is int
+        assert report == erp_report(annual([0.08] * 5), variants, windows,
+                                    [ARITH, AveragingMethod.blume(3)])
+        assert report != erp_report(annual([0.08] * 5), variants, windows[:2],
+                                    [ARITH, AveragingMethod.blume(3)])
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_premium_overflowing_to_nan_renders_nan_not_na(self):
+        # outside the command line's float traps numpy only warns, and the
+        # cell keeps the NaN it computed: a filled cell, not a gap
+        huge = annual([1e308, 1e308])
+        with pytest.warns(RuntimeWarning):
+            report = erp_report(huge, [("tbills", huge)], [(2000, 2001)], [ARITH])
+        assert not report.gaps
+        ((cell,),) = report.cells
+        assert not cell.missing and math.isnan(cell.estimate.premium)
+        assert report.to_csv().splitlines()[1] == "2000-2001,nan"
+
     def test_report_cell_missing_property(self):
         assert ReportCell(None, note="gap").missing
         est = historical_erp(annual([0.1]), annual([0.0]), (2000, 2000), ARITH)
@@ -200,8 +239,8 @@ CELL_GAPS = (EmptyWindowError, EmptyIntersectionError, HorizonExceedsSampleError
 
 
 def reference_report(equity, riskfree_variants, windows, methods):
-    """The report one cell at a time: align, a per-date year mask, then
-    ``apply`` on each leg."""
+    """The report's columns and cells, one cell at a time: align, a
+    per-date year mask, then ``apply`` on each leg."""
     columns = tuple((label, method) for label, _ in riskfree_variants for method in methods)
     rows = []
     for start, end in windows:
@@ -220,7 +259,16 @@ def reference_report(equity, riskfree_variants, windows, methods):
                 except CELL_GAPS as exc:
                     row.append(ReportCell(None, note=str(exc)))
         rows.append(tuple(row))
-    return ErpReport(tuple(windows), columns, tuple(rows))
+    return columns, tuple(rows)
+
+
+def reference_csv(windows, columns, cells):
+    """``report.csv`` rendered cell by cell (labels without CSV specials)."""
+    lines = ["window," + ",".join(f"{label} {method.label}" for label, method in columns)]
+    for (start, end), row in zip(windows, cells):
+        lines.append(f"{start}-{end}," + ",".join(
+            "NA" if cell.missing else f"{cell.estimate.premium:.10f}" for cell in row))
+    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -271,10 +319,11 @@ class TestReportAgainstPerCellReference:
     def test_matches_reference(self, inputs):
         equity, variants, windows, methods = inputs
         report = erp_report(*inputs)
-        expected = reference_report(*inputs)
-        assert report.to_csv() == expected.to_csv()
-        assert report == expected
-        for window, row, expected_row in zip(windows, report.cells, expected.cells):
+        columns, cells = reference_report(*inputs)
+        assert (report.windows, report.columns, report.cells) == (tuple(windows), columns, cells)
+        assert report.to_csv() == reference_csv(windows, columns, cells)
+        assert report == erp_report(*inputs)
+        for window, row, expected_row in zip(windows, report.cells, cells):
             for (label, method), cell, expected_cell in zip(report.columns, row, expected_row):
                 assert cell.note == expected_cell.note
                 one_cell = (equity, dict(variants)[label], window, method, label)
@@ -326,4 +375,4 @@ class TestReportAgainstPerCellReference:
         assert len(calls) == len(stacks) * len(methods)
         for method in methods:
             assert sorted(shape for m, shape in calls if m == method) == stacks
-        assert report == reference_report(eq, variants, windows, methods)
+        assert report.cells == reference_report(eq, variants, windows, methods)[1]

@@ -106,6 +106,12 @@ class TestParseSeries:
         with pytest.raises(ValueError):
             SeriesFileSpec("x.csv", value_scale=0.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf])
+    def test_non_finite_scale_rejected_at_spec(self, scale):
+        with pytest.raises(ValueError, match=f"^x.csv: value_scale must be positive and "
+                                             f"finite, got {scale}$"):
+            SeriesFileSpec("x.csv", value_scale=scale)
+
 
 def outcome(parse, spec):
     """What ``parse(spec)`` gives under the CLI's float traps: a series, or
