@@ -4,6 +4,8 @@ Subcommands: ``implied`` (daily implied-premium pipeline), ``historical``
 (windowed premium report), ``capm`` (market-model regression), and
 ``simulate`` (diversification experiment).  Exit status: 0 success
 (possibly with warnings), 1 input/parse error, 2 numerical failure.
+Each ``run_<subcommand>(args)`` takes the parsed namespace and raises on
+failure; :func:`main` prints the error as one line and returns the status.
 
 A plain ``key=value`` config file can pre-fill any flag (``--config`` or
 the ERP_LAB_CONFIG environment variable); explicit flags win.
@@ -26,15 +28,7 @@ from .errors import DataError, ErpLabError, NumericalError
 from .historical import erp_report
 from .implied import implied_erp_series
 from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series
-from .timeseries import (
-    DatedSeries,
-    ReturnSeries,
-    align,
-    align_many,
-    ema,
-    simple_returns,
-    step_interpolate,
-)
+from .timeseries import ReturnSeries, align, align_many, ema, simple_returns, step_interpolate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -50,11 +44,6 @@ class _Parser(argparse.ArgumentParser):
     # surface usage problems as exit status 1, not argparse's default 2
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
-
-
-def _fail(exc: BaseException) -> int:
-    print(f"erp-lab: {exc}", file=sys.stderr)
-    return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
 
 
 @contextmanager
@@ -73,10 +62,14 @@ def _stage(name: str):
         raise (NumericalError if numerical else DataError)(f"{name}: {exc}") from exc
 
 
-def _to_returns(series: DatedSeries, kind: str) -> ReturnSeries:
-    if kind == "levels":
-        return simple_returns(series)
-    return ReturnSeries(series.days, series.values)
+def _read(name: str, spec: SeriesFileSpec, kind: str | None = None):
+    """Parse one file in the stage ``parsing {name}``; given a ``kind``, as
+    returns, differencing ``levels`` first."""
+    with _stage(f"parsing {name}"):
+        series = parse_series(spec)
+        if kind == "levels":
+            return simple_returns(series)
+        return series if kind is None else ReturnSeries(series.days, series.values)
 
 
 # -- commands -----------------------------------------------------------------
@@ -103,84 +96,64 @@ def _write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def run_implied(prices_spec: SeriesFileSpec, eps_spec: SeriesFileSpec,
-                yields_spec: SeriesFileSpec, ema_period: int, output: str,
-                svg_path: str | None = None) -> int:
+def run_implied(args) -> int:
     """Daily pipeline: parse, carry EPS to the price calendar, smooth,
     compute eps/price - yield, write CSV and SVG."""
-    try:
-        with _stage("parsing prices"):
-            prices = parse_series(prices_spec)
-        with _stage("parsing eps"):
-            eps_sparse = parse_series(eps_spec)
-        with _stage("parsing yields"):
-            yields = parse_series(yields_spec)
-        with _stage("interpolating eps to the price calendar"):
-            eps_daily = step_interpolate(eps_sparse, prices.days)
-        with _stage("smoothing eps"):
-            eps_smooth = ema(eps_daily, ema_period)
-        with _stage("computing the premium"):
-            erp = implied_erp_series(prices, eps_smooth, yields)
-        with _stage("writing output"):
-            # the chart is the step that can still fail: render it before
-            # writing either file, so that a failure leaves neither
-            chart = charts.line_chart_svg(erp, title="Implied equity risk premium",
-                                          y_label="premium")
-            _write_implied_csv(output, *align_many([prices, eps_smooth, yields, erp]))
-            _write_text(svg_path or Path(output).with_suffix(".svg"), chart)
-    except _CAUGHT as exc:
-        return _fail(exc)
+    prices_spec, eps_spec, yields_spec = (
+        _spec_from(args, name) for name in ("prices", "eps", "yields"))
+    prices = _read("prices", prices_spec)
+    eps_sparse = _read("eps", eps_spec)
+    yields = _read("yields", yields_spec)
+    with _stage("interpolating eps to the price calendar"):
+        eps_daily = step_interpolate(eps_sparse, prices.days)
+    with _stage("smoothing eps"):
+        eps_smooth = ema(eps_daily, args.ema_period)
+    with _stage("computing the premium"):
+        erp = implied_erp_series(prices, eps_smooth, yields)
+    with _stage("writing output"):
+        # the chart is the step that can still fail: render it before
+        # writing either file, so that a failure leaves neither
+        chart = charts.line_chart_svg(erp, title="Implied equity risk premium",
+                                      y_label="premium")
+        _write_implied_csv(args.output, *align_many([prices, eps_smooth, yields, erp]))
+        _write_text(args.svg or Path(args.output).with_suffix(".svg"), chart)
     return EXIT_OK
 
 
-def run_historical(equity_spec: SeriesFileSpec,
-                   riskfree_specs: list[tuple[str, SeriesFileSpec]],
-                   windows: list[tuple[int, int]],
-                   methods: list[AveragingMethod],
-                   output: str,
-                   equity_values: str = "returns",
-                   riskfree_values: str = "returns") -> int:
+def run_historical(args) -> int:
     """Windowed premium report across riskfree instruments and averaging
     methods, written as CSV (windows down, instrument x method across)."""
+    riskfree_specs = [(label, _spec_from(args, "riskfree", path))
+                      for label, path in args.riskfree]
+    equity_spec = _spec_from(args, "equity")
     columns = set()
-    for column in (f"{label} {method.label}" for label, _ in riskfree_specs for method in methods):
+    for column in (f"{label} {m.label}" for label, _ in args.riskfree for m in args.method):
         if column in columns:
-            return _fail(DataError(f"report column {column!r} appears more than once"))
+            raise DataError(f"report column {column!r} appears more than once")
         columns.add(column)
-    try:
-        with _stage("parsing equity"):
-            equity = _to_returns(parse_series(equity_spec), equity_values)
-        variants = []
-        for label, spec in riskfree_specs:
-            with _stage(f"parsing riskfree {label!r}"):
-                variants.append((label, _to_returns(parse_series(spec), riskfree_values)))
-        with _stage("building report"):
-            report = erp_report(equity, variants, windows, methods)
-        for (i, j), gap in sorted(report.gaps.items()):
-            window, (label, method) = "%s-%s" % report.windows[i], report.columns[j]
-            print(f"erp-lab: warning: {window} {label} {method.label}: {gap}", file=sys.stderr)
-        with _stage("writing output"):
-            _write_text(output, report.to_csv())
-    except _CAUGHT as exc:
-        return _fail(exc)
+    equity = _read("equity", equity_spec, args.equity_kind)
+    variants = [(label, _read(f"riskfree {label!r}", spec, args.riskfree_kind))
+                for label, spec in riskfree_specs]
+    with _stage("building report"):
+        report = erp_report(equity, variants, args.window, args.method)
+    for (i, j), gap in sorted(report.gaps.items()):
+        window, (label, method) = "%s-%s" % report.windows[i], report.columns[j]
+        print(f"erp-lab: warning: {window} {label} {method.label}: {gap}", file=sys.stderr)
+    with _stage("writing output"):
+        _write_text(args.output, report.to_csv())
     return EXIT_OK
 
 
-def run_capm(asset_spec: SeriesFileSpec, market_spec: SeriesFileSpec,
-             values: str = "returns") -> int:
+def run_capm(args) -> int:
     """Fit the market model and print the estimate and risk split."""
-    try:
-        with _stage("parsing asset"):
-            asset = _to_returns(parse_series(asset_spec), values)
-        with _stage("parsing market"):
-            market = _to_returns(parse_series(market_spec), values)
-        with _stage("fitting market model"):
-            fit = fit_market_model(asset, market)
-            _, _, market_aligned = align(asset, market)
-            sigma_m = float(market_aligned.std())
-            systematic, unsystematic = risk_decomposition(fit, sigma_m)
-    except _CAUGHT as exc:
-        return _fail(exc)
+    asset_spec, market_spec = _spec_from(args, "asset"), _spec_from(args, "market")
+    asset = _read("asset", asset_spec, args.kind)
+    market = _read("market", market_spec, args.kind)
+    with _stage("fitting market model"):
+        fit = fit_market_model(asset, market)
+        _, _, market_aligned = align(asset, market)
+        sigma_m = float(market_aligned.std())
+        systematic, unsystematic = risk_decomposition(fit, sigma_m)
     print(f"n_obs           {fit.n_obs}")
     print(f"beta            {format_cell(fit.beta)}")
     print(f"intercept       {format_cell(fit.intercept)}")
@@ -191,16 +164,12 @@ def run_capm(asset_spec: SeriesFileSpec, market_spec: SeriesFileSpec,
     return EXIT_OK
 
 
-def run_simulate(n_assets: int, beta: float, sigma_m: float, sigma_eps: float,
-                 n_periods: int, seed: int) -> int:
+def run_simulate(args) -> int:
     """Print sample systematic/unsystematic risk of an equal-weight portfolio."""
-    try:
-        with _stage("simulating"):
-            systematic, unsystematic = simulate_diversification(
-                n_assets, beta, sigma_m, sigma_eps, n_periods, seed)
-    except _CAUGHT as exc:
-        return _fail(exc)
-    print(f"n_assets        {n_assets}")
+    with _stage("simulating"):
+        systematic, unsystematic = simulate_diversification(
+            args.n_assets, args.beta, args.sigma_m, args.sigma_eps, args.n_periods, args.seed)
+    print(f"n_assets        {args.n_assets}")
     print(f"systematic      {format_cell(systematic)}")
     print(f"unsystematic    {format_cell(unsystematic)}")
     return EXIT_OK
@@ -210,7 +179,8 @@ def run_simulate(n_assets: int, beta: float, sigma_m: float, sigma_eps: float,
 
 def _add_series_flags(flag, sub, prefix: str, **main) -> None:
     """Declare ``--{prefix}`` (``main`` overrides its keywords) and its file flags."""
-    flag(sub, f"--{prefix}", **{"required": True, "help": f"{prefix} CSV file", **main})
+    flag(sub, f"--{prefix}", **{"required": True, "type": _path, "help": f"{prefix} CSV file",
+                                **main})
     flag(sub, f"--{prefix}-date-column", default="date")
     flag(sub, f"--{prefix}-value-column", default="value")
     flag(sub, f"--{prefix}-date-format", default=ISO_DATE)
@@ -218,9 +188,11 @@ def _add_series_flags(flag, sub, prefix: str, **main) -> None:
          help="multiplier applied to values (0.01 for percent quotes)")
 
 
-def _spec_from(args, prefix: str, path: str) -> SeriesFileSpec:
+def _spec_from(args, prefix: str, path: str | None = None) -> SeriesFileSpec:
+    """The file spec of ``--{prefix}`` and its companions; ``path``, if given,
+    replaces the flag's value (a riskfree flag's value is a label and path)."""
     return SeriesFileSpec(
-        path=path,
+        path=getattr(args, prefix) if path is None else path,
         date_column=getattr(args, f"{prefix}_date_column"),
         value_column=getattr(args, f"{prefix}_value_column"),
         date_format=getattr(args, f"{prefix}_date_format"),
@@ -246,9 +218,13 @@ def _path(text: str) -> str:
 
 
 def _parse_riskfree(text: str) -> tuple[str, str]:
+    """``LABEL=PATH``, or ``PATH`` labelled with its file name's stem."""
     label, sep, path = text.partition("=")
     if not sep:
-        return Path(text).stem, text
+        label, path = Path(text).stem, text
+    _path(path)
+    if not label:
+        raise argparse.ArgumentTypeError("the label is empty")
     return label, path
 
 
@@ -282,7 +258,7 @@ def build_parser() -> tuple[_Parser, dict]:
          help="EPS smoothing period in days (default 50)")
     flag(implied, "--output", required=True, type=_path, help="output CSV path")
     flag(implied, "--svg", type=_path, help="output SVG path (default: output with .svg)")
-    implied.set_defaults(func=_cmd_implied)
+    implied.set_defaults(func=run_implied)
 
     historical = commands.add_parser(
         "historical", help="windowed historical premium report")
@@ -300,14 +276,14 @@ def build_parser() -> tuple[_Parser, dict]:
          type=AveragingMethod.from_string, metavar="METHOD",
          help="arithmetic | geometric | blume:N | exp:DECAY; repeatable")
     flag(historical, "--output", required=True, type=_path, help="output CSV path")
-    historical.set_defaults(func=_cmd_historical)
+    historical.set_defaults(func=run_historical)
 
     capm = commands.add_parser("capm", help="market-model regression of asset on market")
     _add_series_flags(flag, capm, "asset")
     _add_series_flags(flag, capm, "market")
     flag(capm, "--kind", choices=("returns", "levels"), default="returns",
          help="whether both files hold returns or price levels")
-    capm.set_defaults(func=_cmd_capm)
+    capm.set_defaults(func=run_capm)
 
     simulate = commands.add_parser(
         "simulate", help="diversification experiment for an equal-weight portfolio")
@@ -317,44 +293,9 @@ def build_parser() -> tuple[_Parser, dict]:
     flag(simulate, "--sigma-eps", type=float, default=0.30)
     flag(simulate, "--n-periods", type=int, default=10000)
     flag(simulate, "--seed", type=int, default=0)
-    simulate.set_defaults(func=_cmd_simulate)
+    simulate.set_defaults(func=run_simulate)
 
     return parser, flags
-
-
-def _cmd_implied(args) -> int:
-    return run_implied(
-        _spec_from(args, "prices", args.prices),
-        _spec_from(args, "eps", args.eps),
-        _spec_from(args, "yields", args.yields),
-        args.ema_period,
-        args.output,
-        svg_path=args.svg,
-    )
-
-
-def _cmd_historical(args) -> int:
-    riskfree_specs = [(label, _spec_from(args, "riskfree", path))
-                      for label, path in args.riskfree]
-    return run_historical(
-        _spec_from(args, "equity", args.equity),
-        riskfree_specs,
-        args.window,
-        args.method,
-        args.output,
-        equity_values=args.equity_kind,
-        riskfree_values=args.riskfree_kind,
-    )
-
-
-def _cmd_capm(args) -> int:
-    return run_capm(_spec_from(args, "asset", args.asset),
-                    _spec_from(args, "market", args.market), values=args.kind)
-
-
-def _cmd_simulate(args) -> int:
-    return run_simulate(args.n_assets, args.beta, args.sigma_m, args.sigma_eps,
-                        args.n_periods, args.seed)
 
 
 def _load_config(path: str) -> dict[str, tuple[str, str]]:
@@ -430,11 +371,9 @@ def main(argv=None) -> int:
             _apply_config(flags, _load_config(config_path))
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, *_CAUGHT) as exc:
         print(f"erp-lab: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _CAUGHT as exc:
-        return _fail(exc)
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from erp_lab.capm import (
     portfolio_risk_premium,
     simulate_diversification,
 )
-from erp_lab.cli import run_implied
+from erp_lab.cli import main
 from erp_lab.historical import erp_report, historical_erp, premium_series
 from erp_lab.implied import (
     GordonInputs,
@@ -218,13 +218,16 @@ def test_08_inflation_invariance(annual_paths):
     assert ok
 
 
-def _daily_specs(daily_paths):
-    return (
-        SeriesFileSpec(str(daily_paths["prices"]), value_column="close"),
-        SeriesFileSpec(str(daily_paths["eps"]), value_column="eps"),
-        SeriesFileSpec(str(daily_paths["yields"]), value_column="rate",
-                       value_scale=0.01),
-    )
+def _implied_argv(daily_paths, output):
+    return [
+        "implied",
+        "--prices", str(daily_paths["prices"]), "--prices-value-column", "close",
+        "--eps", str(daily_paths["eps"]), "--eps-value-column", "eps",
+        "--yields", str(daily_paths["yields"]), "--yields-value-column", "rate",
+        "--yields-scale", "0.01",
+        "--ema-period", "50",
+        "--output", output,
+    ]
 
 
 def _read_output(path):
@@ -239,9 +242,8 @@ def _read_output(path):
 
 
 def test_09_pipeline_sign_behavior(daily_paths, tmp_path):
-    prices_spec, eps_spec, yields_spec = _daily_specs(daily_paths)
     out = str(tmp_path / "erp.csv")
-    code = run_implied(prices_spec, eps_spec, yields_spec, 50, out)
+    code = main(_implied_argv(daily_paths, out))
     assert code == 0
     header, rows = _read_output(out)
     assert header == ["date", "price", "eps_smoothed", "yield", "erp"]
@@ -339,12 +341,11 @@ def test_10_conditional_table_reproduction():
 
 
 def test_11_cli_determinism(daily_paths, tmp_path):
-    prices_spec, eps_spec, yields_spec = _daily_specs(daily_paths)
     first = tmp_path / "first.csv"
     second = tmp_path / "second.csv"
     t0 = time.perf_counter()
-    assert run_implied(prices_spec, eps_spec, yields_spec, 50, str(first)) == 0
-    assert run_implied(prices_spec, eps_spec, yields_spec, 50, str(second)) == 0
+    assert main(_implied_argv(daily_paths, str(first))) == 0
+    assert main(_implied_argv(daily_paths, str(second))) == 0
     elapsed = time.perf_counter() - t0
     same_csv = first.read_bytes() == second.read_bytes()
     same_svg = (first.with_suffix(".svg").read_bytes()

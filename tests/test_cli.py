@@ -653,30 +653,53 @@ class TestConfig:
                 assert cli._config_path(argv) == expected
 
 
-class TestEmptyPath:
-    """An empty ``--output`` or ``--svg`` is refused before any input is read."""
+# command, flag, value, why it is refused
+EMPTY_CASES = [
+    ("implied", "output", "", "the path is empty"),
+    ("implied", "svg", "", "the path is empty"),
+    ("historical", "output", "", "the path is empty"),
+    ("implied", "prices", "", "the path is empty"),
+    ("implied", "eps", "", "the path is empty"),
+    ("implied", "yields", "", "the path is empty"),
+    ("historical", "equity", "", "the path is empty"),
+    ("capm", "asset", "", "the path is empty"),
+    ("capm", "market", "", "the path is empty"),
+    ("historical", "riskfree", "", "the path is empty"),
+    ("historical", "riskfree", "tbonds=", "the path is empty"),
+    ("historical", "riskfree", "=", "the path is empty"),
+    ("historical", "riskfree", "=tbills.csv", "the label is empty"),
+]
 
-    @pytest.mark.parametrize("command, flag", [
-        ("implied", "output"), ("implied", "svg"), ("historical", "output"),
-    ])
+
+class TestEmptyPath:
+    """An empty path or riskfree label is refused before any input is read."""
+
+    @pytest.mark.parametrize("command, flag, value, reason", EMPTY_CASES,
+                             ids=["-".join(filter(None, case[:3])) for case in EMPTY_CASES])
     @pytest.mark.parametrize("source", ["config", "command line"])
-    def test_empty_path_is_refused(self, command, flag, source, implied_files, annual_paths,
-                                   tmp_path, capsys, monkeypatch):
+    def test_empty_path_is_refused(self, command, flag, value, reason, source, implied_files,
+                                   annual_paths, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "parse_series", None)
         out = str(tmp_path / "out.csv")
-        argv = (implied_argv(*implied_files, out) if command == "implied"
-                else historical_argv(annual_paths, out, "--window", "2000-2009",
-                                     "--method", "arithmetic"))
-        if flag == "output":
-            at = argv.index("--output")
+        argv = {
+            "implied": implied_argv(*implied_files, out),
+            "historical": historical_argv(annual_paths, out, "--window", "2000-2009",
+                                          "--method", "arithmetic"),
+            "capm": ["capm", "--asset", implied_files[0], "--market", implied_files[1]],
+        }[command]
+        if f"--{flag}" in argv:
+            at = argv.index(f"--{flag}")
             del argv[at:at + 2]
         if source == "config":
-            cfg = write(tmp_path, "cfg", f"{flag} =\n")
+            cfg = write(tmp_path, "cfg", f"{flag} = {value}\n")
             argv = ["--config", cfg, *argv]
-            expected = f"erp-lab: {cfg} line 1: {flag}: the path is empty\n"
+            if flag == "riskfree" and not value:
+                # a repeatable key drops empty list items: none are left
+                reason = "needs at least one value"
+            expected = f"erp-lab: {cfg} line 1: {flag}: {reason}\n"
         else:
-            argv += [f"--{flag}", ""]
-            expected = f"erp-lab: erp-lab {command}: argument --{flag}: the path is empty\n"
+            argv += [f"--{flag}", value]
+            expected = f"erp-lab: erp-lab {command}: argument --{flag}: {reason}\n"
         before = sorted(os.listdir(tmp_path))
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == expected
@@ -754,6 +777,10 @@ HISTORICAL_FLAGS = flag_choices(
     ("--equity-date-format", "%m/%d/%Y"), ("--window", "2003-2000"),
     ("--window", "20x1-2002"), ("--method", "median"),
 )
+CAPM_FLAGS = flag_choices(
+    ("--kind", "levels"), ("--kind", "x"), ("--asset-scale", "0"), ("--asset-scale", "nan"),
+    ("--market-value-column", "return"),
+)
 WINDOWS = st.lists(st.sampled_from(["2000-2003", "2001-2001", "2002-2002", "1990-2020"]),
                    min_size=1, max_size=3)
 METHODS = st.lists(st.sampled_from(["arithmetic", "geometric", "blume:2", "blume:50",
@@ -778,6 +805,12 @@ def historical_run(draw):
             *(w for method in draw(METHODS) for w in ("--method", method)),
             "--output", "{out}", *draw(HISTORICAL_FLAGS)]
     return files, argv
+
+
+@st.composite
+def capm_run(draw):
+    files = {"asset": draw(series_file()), "market": draw(series_file())}
+    return files, ["capm", "--asset", "{asset}", "--market", "{market}", *draw(CAPM_FLAGS)]
 
 
 @st.composite
@@ -824,8 +857,9 @@ class TestMalformedInputFuzz:
     """Malformed files, flags and config files end in exit 1 or 2 with one
     stderr line."""
 
-    @given(run=maybe_config(st.one_of(implied_run(), historical_run(), simulate_run())))
-    @settings(max_examples=150, deadline=None)
+    @given(run=maybe_config(st.one_of(implied_run(), historical_run(), capm_run(),
+                                      simulate_run())))
+    @settings(max_examples=200, deadline=None)
     def test_main_never_tracebacks(self, run):
         files, argv = run
         with tempfile.TemporaryDirectory() as tmp:
