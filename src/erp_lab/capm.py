@@ -82,7 +82,8 @@ def fit_market_model(asset, market) -> MarketModelFit:
         raise TooFewObservationsError("market-model regression needs >= 2 observations")
     dx = x - x.mean()
     var_x = float(np.mean(dx * dx))
-    if var_x == 0.0:
+    # rounding can give a constant market a tiny variance, underflow a varying one zero
+    if var_x == 0.0 or np.all(x == x[0]):
         raise DegenerateRegressorError("market returns have zero variance")
     dy = y - y.mean()
     beta = float(np.mean(dx * dy)) / var_x

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError
+from .io import write_text
 from .timeseries import DatedSeries
 
 FORMAT_COMMENT = "<!-- erp-lab chart format 1 -->"
@@ -29,6 +30,18 @@ def _coord(x: float) -> str:
 
 def _tick_label(v: float) -> str:
     return f"{v:.6g}"
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke="black", extra="") -> str:
+    return (f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" y2="{_coord(y2)}" '
+            f'stroke="{stroke}" stroke-width="1"{extra}/>')
+
+
+def _text(x: str, y: str, anchor: str, size: int, body: str, extra: str = "") -> str:
+    """A text element at already formatted coordinates; ``body`` is escaped."""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
 
 
 def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
@@ -72,10 +85,7 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
     if title:
-        out.append(
-            f'<text x="{_coord(width / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
+        out.append(_text(_coord(width / 2), "20", "middle", 14, title))
 
     axis_bottom = _MARGIN_TOP + plot_h
     axis_right = _MARGIN_LEFT + plot_w
@@ -90,61 +100,38 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
     for i in range(5):
         v = lo + (hi - lo) * i / 4
         y = y_at(v)
-        out.append(
-            f'<line x1="{_coord(_MARGIN_LEFT - 4)}" y1="{_coord(y)}" '
-            f'x2="{_coord(_MARGIN_LEFT)}" y2="{_coord(y)}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_coord(_MARGIN_LEFT - 8)}" y="{_coord(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_tick_label(v)}</text>'
-        )
+        out += [_line(_MARGIN_LEFT - 4, y, _MARGIN_LEFT, y),
+                _text(_coord(_MARGIN_LEFT - 8), _coord(y + 4), "end", 11, _tick_label(v))]
 
     # x ticks: up to five dates spread across the sample
     n = len(series)
     tick_indexes = sorted({round(i * (n - 1) / 4) for i in range(5)})
     for idx in tick_indexes:
-        d = series.days[idx]
         x = xs[idx]
-        out.append(
-            f'<line x1="{_coord(x)}" y1="{_coord(axis_bottom)}" '
-            f'x2="{_coord(x)}" y2="{_coord(axis_bottom + 4)}" stroke="black" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_coord(x)}" y="{_coord(axis_bottom + 18)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{d}</text>'
-        )
+        out += [_line(x, axis_bottom, x, axis_bottom + 4),
+                _text(_coord(x), _coord(axis_bottom + 18), "middle", 11, str(series.days[idx]))]
 
     if lo < 0.0 < hi:
         zero_y = y_at(0.0)
-        out.append(
-            f'<line x1="{_coord(_MARGIN_LEFT)}" y1="{_coord(zero_y)}" '
-            f'x2="{_coord(axis_right)}" y2="{_coord(zero_y)}" '
-            f'stroke="grey" stroke-width="1" stroke-dasharray="4 3"/>'
-        )
+        out.append(_line(_MARGIN_LEFT, zero_y, axis_right, zero_y, stroke="grey",
+                         extra=' stroke-dasharray="4 3"'))
 
-    # y_at over the whole array, in the same operation order; Python's
-    # float arithmetic neither warns nor traps, so neither may this
+    # y_at over the whole array; Python's float arithmetic neither warns
+    # nor traps, so neither may this
     with np.errstate(all="ignore"):
-        ys = _MARGIN_TOP + plot_h * (hi - series.values) / (hi - lo)
+        ys = y_at(series.values)
     points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys.tolist())))
     out.append(
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
     )
 
-    out.append(
-        f'<text x="{_coord(_MARGIN_LEFT + plot_w / 2)}" y="{_coord(height - 8)}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="12">date</text>'
-    )
-    out.append(
-        f'<text x="14" y="{_coord(_MARGIN_TOP + plot_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 14 {_coord(_MARGIN_TOP + plot_h / 2)})">{y_label}</text>'
-    )
+    out.append(_text(_coord(_MARGIN_LEFT + plot_w / 2), _coord(height - 8), "middle", 12, "date"))
+    mid_y = _coord(_MARGIN_TOP + plot_h / 2)
+    out.append(_text("14", mid_y, "middle", 12, y_label,
+                     extra=f' transform="rotate(-90 14 {mid_y})"'))
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
 def write_line_chart(series: DatedSeries, path: str, **kwargs) -> None:
-    svg = line_chart_svg(series, **kwargs)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(svg)
+    write_text(path, line_chart_svg(series, **kwargs))

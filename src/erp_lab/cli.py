@@ -27,7 +27,7 @@ from .capm import fit_market_model, risk_decomposition, simulate_diversification
 from .errors import DataError, ErpLabError, NumericalError
 from .historical import erp_report
 from .implied import implied_erp_series
-from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series
+from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series, write_rows, write_text
 from .timeseries import ReturnSeries, align, align_many, ema, simple_returns, step_interpolate
 
 EXIT_OK = 0
@@ -74,28 +74,6 @@ def _read(name: str, spec: SeriesFileSpec, kind: str | None = None):
 
 # -- commands -----------------------------------------------------------------
 
-_IMPLIED_HEADER = "date,price,eps_smoothed,yield,erp\n"
-# one output row; ``%.10f`` renders as format_cell does
-_IMPLIED_ROW = "%s,%.10f,%.10f,%.10f,%.10f\n"
-_ROWS_PER_WRITE = 4096
-
-
-def _write_implied_csv(path: str, days: np.ndarray, columns: list[np.ndarray]) -> None:
-    """Write the implied pipeline's CSV, a fixed number of rows at a time,
-    so that no whole-column list or whole-file string is held."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_IMPLIED_HEADER)
-        for start in range(0, len(days), _ROWS_PER_WRITE):
-            rows = slice(start, start + _ROWS_PER_WRITE)
-            cells = [days[rows].astype(str).tolist(), *(c[rows].tolist() for c in columns)]
-            fh.write("".join(map(_IMPLIED_ROW.__mod__, zip(*cells))))
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def run_implied(args) -> int:
     """Daily pipeline: parse, carry EPS to the price calendar, smooth,
     compute eps/price - yield, write CSV and SVG."""
@@ -115,8 +93,9 @@ def run_implied(args) -> int:
         # writing either file, so that a failure leaves neither
         chart = charts.line_chart_svg(erp, title="Implied equity risk premium",
                                       y_label="premium")
-        _write_implied_csv(args.output, *align_many([prices, eps_smooth, yields, erp]))
-        _write_text(args.svg or Path(args.output).with_suffix(".svg"), chart)
+        write_rows(args.output, ("date", "price", "eps_smoothed", "yield", "erp"),
+                   *align_many([prices, eps_smooth, yields, erp]))
+        write_text(args.svg or Path(args.output).with_suffix(".svg"), chart)
     return EXIT_OK
 
 
@@ -140,7 +119,7 @@ def run_historical(args) -> int:
         window, (label, method) = "%s-%s" % report.windows[i], report.columns[j]
         print(f"erp-lab: warning: {window} {label} {method.label}: {gap}", file=sys.stderr)
     with _stage("writing output"):
-        _write_text(args.output, report.to_csv())
+        write_text(args.output, report.to_csv())
     return EXIT_OK
 
 

@@ -8,8 +8,6 @@ arithmetic scheme this coincides with differencing first.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +21,7 @@ from .errors import (
     EmptyWindowError,
     HorizonExceedsSampleError,
 )
-from .io import format_cell
+from .io import csv_header, format_cell
 from .timeseries import ReturnSeries, align
 
 YearWindow = tuple[int, int]
@@ -148,10 +146,7 @@ class ErpReport:
     def to_csv(self) -> str:
         """One row per window; missing cells render as NA.  A header field
         holding a comma, quote or line break is quoted."""
-        header = io.StringIO()
-        # with "\r\n" as terminator the writer quotes a bare "\r" too
-        csv.writer(header, lineterminator="\r\n").writerow(["window", *self.column_labels()])
-        lines = [header.getvalue()[:-2]]
+        lines = [csv_header(["window", *self.column_labels()])]
         for i, (window, row) in enumerate(zip(self.windows, self.premium.tolist())):
             lines.append(f"{window[0]}-{window[1]}," + ",".join(
                 "NA" if (i, j) in self.gaps else format_cell(p) for j, p in enumerate(row)))

@@ -1,4 +1,4 @@
-"""CSV ingestion and emission for dated series.
+"""CSV ingestion for dated series, and every output file the package writes.
 
 Input files are UTF-8 CSV with a header row; columns are looked up by
 name, dates parsed against a configurable format (ISO by default), and
@@ -13,6 +13,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from io import StringIO
 
 import numpy as np
 
@@ -29,11 +30,13 @@ from .timeseries import DatedSeries
 ISO_DATE = "%Y-%m-%d"
 _FIRST_DAY = np.datetime64("0001-01-01")
 _LAST_DAY = np.datetime64("9999-12-31")
+CELL_FORMAT = "%.10f"
+_ROWS_PER_WRITE = 4096
 
 
 def format_cell(x: float) -> str:
     """Fixed 10-decimal rendering used in all command output CSVs."""
-    return f"{x:.10f}"
+    return CELL_FORMAT % x
 
 
 @dataclass(frozen=True)
@@ -162,6 +165,35 @@ def _parse_rows(spec: SeriesFileSpec) -> DatedSeries:
     return DatedSeries.from_pairs(sorted(observations.items()))
 
 
+def csv_header(fields) -> str:
+    """One CSV header line, without its line break.  A field holding a
+    comma, quote or line break is quoted."""
+    line = StringIO()
+    # with "\r\n" as terminator the writer quotes a bare "\r" too
+    csv.writer(line, lineterminator="\r\n").writerow(fields)
+    return line.getvalue()[:-2]
+
+
+def write_rows(path, fields, days, columns, cell: str = CELL_FORMAT) -> None:
+    """Write ISO dates and value columns as CSV under the header ``fields``,
+    each value rendered with the %-format ``cell``.  Rows are formatted a
+    fixed number at a time, so that no whole-column list or whole-file
+    string is held."""
+    row = ",".join(["%s", *[cell] * len(columns)]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_header(fields) + "\n")
+        for start in range(0, len(days), _ROWS_PER_WRITE):
+            rows = slice(start, start + _ROWS_PER_WRITE)
+            cells = [days[rows].astype(str).tolist(), *(c[rows].tolist() for c in columns)]
+            fh.write("".join(map(row.__mod__, zip(*cells))))
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8, line endings as they are."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def write_series(series: DatedSeries, path: str, date_column: str = "date",
                  value_column: str = "value") -> None:
     """Write a series as CSV with full-precision (round-trippable) values.
@@ -169,8 +201,4 @@ def write_series(series: DatedSeries, path: str, date_column: str = "date",
     ``parse_series`` on the result with default settings reproduces the
     series exactly.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([date_column, value_column])
-        for day, value in series.as_pairs():
-            writer.writerow([day.isoformat(), repr(value)])
+    write_rows(path, [date_column, value_column], series.days, [series.values], "%r")

@@ -116,8 +116,10 @@ class TestFitMarketModel:
         np.testing.assert_allclose(scaled.residual_sigma,
                                    3.0 * base.residual_sigma, rtol=1e-12)
 
-    def test_constant_market_raises(self):
-        market = series([0.01, 0.01, 0.01])
+    # 0.1 has a float mean one ulp off its value, so its variance is 1.9e-34, not 0
+    @pytest.mark.parametrize("level", [0.01, 0.1, 0.5])
+    def test_constant_market_raises(self, level):
+        market = series([level] * 3)
         asset = series([0.02, 0.01, 0.03])
         with pytest.raises(DegenerateRegressorError):
             fit_market_model(asset, market)

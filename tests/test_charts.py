@@ -1,6 +1,7 @@
 """Tests for the deterministic SVG line chart."""
 
 from datetime import date, timedelta
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -80,3 +81,11 @@ def test_range_beyond_float_range_is_numerical_error(values, tmp_path):
 def test_wide_finite_range_draws_without_nan():
     svg = line_chart_svg(series([-1e305, 1e305]))
     assert "nan" not in svg and "inf" not in svg
+
+
+@pytest.mark.parametrize("labels", [{"title": "S&P 500 <ERP>"}, {"y_label": "S&P 500 <ERP>"}],
+                         ids=["title", "y_label"])
+def test_text_is_escaped(labels):
+    svg = line_chart_svg(series([1.0, -1.0, 2.0]), **labels)
+    texts = minidom.parseString(svg).getElementsByTagName("text")
+    assert "S&P 500 <ERP>" in [t.firstChild.data for t in texts]

@@ -145,7 +145,7 @@ class TestImplied:
                                                    monkeypatch, rows_per_write):
         whole = str(tmp_path / "whole.csv")
         assert main(implied_argv(*implied_files, whole)) == EXIT_OK
-        monkeypatch.setattr(cli, "_ROWS_PER_WRITE", rows_per_write)
+        monkeypatch.setattr("erp_lab.io._ROWS_PER_WRITE", rows_per_write)
         chunked = str(tmp_path / "chunked.csv")
         assert main(implied_argv(*implied_files, chunked)) == EXIT_OK
         assert open(chunked).read() == open(whole).read()
@@ -415,6 +415,18 @@ class TestCapm:
         code = main(["capm", "--asset", asset, "--market", market])
         assert code == EXIT_NUMERICAL
         assert "fitting market model" in capsys.readouterr().err
+
+    def test_market_constant_up_to_float_rounding_is_numerical_failure(self, tmp_path, capsys):
+        # the float mean of three 0.1 returns is 0.10000000000000002
+        market = write(tmp_path, "market.csv",
+                       "date,value\n2020-01-01,0.1\n2020-01-02,0.1\n2020-01-03,0.1\n")
+        asset = write(tmp_path, "asset.csv",
+                      "date,value\n2020-01-01,0.2\n2020-01-02,0.1\n2020-01-03,0.3\n")
+        code = main(["capm", "--asset", asset, "--market", market])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.out == ""
+        assert captured.err == "erp-lab: fitting market model: market returns have zero variance\n"
 
 
 class TestSimulate:

@@ -228,6 +228,15 @@ class TestWriteSeries:
         text = open(path).read()
         assert text == "day,close\n2009-01-02,1.5\n"
 
+    @pytest.mark.parametrize("name", ["a,b", 'say "x"', "x\ry", "x\ny"],
+                             ids=["comma", "quote", "carriage-return", "newline"])
+    def test_header_needing_quotes_round_trips(self, tmp_path, name):
+        original = DatedSeries((date(2009, 1, 2), date(2009, 1, 5)), np.array([1.5, -0.25]))
+        path = str(tmp_path / "out.csv")
+        write_series(original, path, value_column=name)
+        back = parse_series(SeriesFileSpec(path, value_column=name))
+        assert back == original
+
 
 class TestFormatCell:
     def test_ten_decimals(self):
