@@ -9,7 +9,6 @@ into the current directory.
 from pathlib import Path
 
 from erp_lab import (
-    DatedSeries,
     SeriesFileSpec,
     ema,
     implied_erp_series,
@@ -33,7 +32,7 @@ def main() -> None:
     print(f"{len(prices)} daily prices, {len(eps_quarterly)} EPS reports, "
           f"{len(yields)} yield quotes")
 
-    eps_daily = step_interpolate(eps_quarterly, prices.dates)
+    eps_daily = step_interpolate(eps_quarterly, prices.days)
     eps_smooth = ema(eps_daily, 50)
     erp = implied_erp_series(prices, eps_smooth, yields)
 
@@ -51,8 +50,7 @@ def main() -> None:
         fh.write("date,erp\n")
         for d, v in erp.as_pairs():
             fh.write(f"{d.isoformat()},{v:.10f}\n")
-    chart = DatedSeries(erp.dates, erp.values)
-    write_line_chart(chart, "implied_erp.svg",
+    write_line_chart(erp, "implied_erp.svg",
                      title="Implied equity risk premium", y_label="premium")
     print(f"wrote {out_csv} and implied_erp.svg")
 

@@ -9,10 +9,11 @@ and generated ids.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import InvalidParametersError, NumericalError
 from .io import write_text
 from .timeseries import DatedSeries
 
@@ -22,6 +23,9 @@ _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 20.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 48.0
+
+# characters XML 1.0 forbids outright: no escape can carry them
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _coord(x: float) -> str:
@@ -53,11 +57,18 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
 
     Raises
     ------
+    InvalidParametersError
+        ``title`` or ``y_label`` holds a character XML 1.0 forbids.
     NumericalError
         The padded y range, or its width scaled to the plot height,
         exceeds float range: the chart would hold ``inf`` or ``nan``
         coordinates.
     """
+    for name, text in (("title", title), ("y_label", y_label)):
+        bad = _NOT_XML.search(text)
+        if bad:
+            raise InvalidParametersError(
+                f"chart {name} holds U+{ord(bad.group()):04X}, which XML 1.0 forbids")
     plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
 

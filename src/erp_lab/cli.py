@@ -25,7 +25,7 @@ from . import charts
 from .averaging import AveragingMethod
 from .capm import fit_market_model, risk_decomposition, simulate_diversification
 from .errors import DataError, ErpLabError, NumericalError
-from .historical import erp_report
+from .historical import erp_report, report_columns
 from .implied import implied_erp_series
 from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series, write_rows, write_text
 from .timeseries import ReturnSeries, align, align_many, ema, simple_returns, step_interpolate
@@ -33,7 +33,7 @@ from .timeseries import ReturnSeries, align, align_many, ema, simple_returns, st
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
-_CAUGHT = (ErpLabError, OSError, ValueError, FloatingPointError)
+_CAUGHT = (ErpLabError, OSError, ValueError, FloatingPointError, MemoryError)
 
 
 class _UsageError(Exception):
@@ -105,19 +105,16 @@ def run_historical(args) -> int:
     riskfree_specs = [(label, _spec_from(args, "riskfree", path))
                       for label, path in args.riskfree]
     equity_spec = _spec_from(args, "equity")
-    columns = set()
-    for column in (f"{label} {m.label}" for label, _ in args.riskfree for m in args.method):
-        if column in columns:
-            raise DataError(f"report column {column!r} appears more than once")
-        columns.add(column)
+    report_columns([label for label, _ in args.riskfree], args.method)
     equity = _read("equity", equity_spec, args.equity_kind)
     variants = [(label, _read(f"riskfree {label!r}", spec, args.riskfree_kind))
                 for label, spec in riskfree_specs]
     with _stage("building report"):
         report = erp_report(equity, variants, args.window, args.method)
+    labels = report.column_labels()
     for (i, j), gap in sorted(report.gaps.items()):
-        window, (label, method) = "%s-%s" % report.windows[i], report.columns[j]
-        print(f"erp-lab: warning: {window} {label} {method.label}: {gap}", file=sys.stderr)
+        window = "%s-%s" % report.windows[i]
+        print(f"erp-lab: warning: {window} {labels[j]}: {gap}", file=sys.stderr)
     with _stage("writing output"):
         write_text(args.output, report.to_csv())
     return EXIT_OK

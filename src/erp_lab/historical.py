@@ -141,7 +141,7 @@ class ErpReport:
                                                  == (other.windows, other.columns, other.cells))
 
     def column_labels(self) -> list[str]:
-        return [f"{label} {method.label}" for label, method in self.columns]
+        return [_column_label(*column) for column in self.columns]
 
     def to_csv(self) -> str:
         """One row per window; missing cells render as NA.  A header field
@@ -151,6 +151,24 @@ class ErpReport:
             lines.append(f"{window[0]}-{window[1]}," + ",".join(
                 "NA" if (i, j) in self.gaps else format_cell(p) for j, p in enumerate(row)))
         return "\n".join(lines) + "\n"
+
+
+def _column_label(label: str, method: AveragingMethod) -> str:
+    return f"{label} {method.label}"
+
+
+def report_columns(labels: list[str], methods: list[AveragingMethod]
+                   ) -> tuple[tuple[str, AveragingMethod], ...]:
+    """The report's ``(riskfree label, method)`` columns, label-major.
+    Raises :class:`DataError` if two columns would share one header label."""
+    columns = tuple((label, method) for label in labels for method in methods)
+    seen = set()
+    for label, method in columns:
+        column = _column_label(label, method)
+        if column in seen:
+            raise DataError(f"report column {column!r} appears more than once")
+        seen.add(column)
+    return columns
 
 
 def erp_report(
@@ -171,7 +189,7 @@ def erp_report(
     if not riskfree_variants or not windows or not methods:
         raise EmptyInputError("need at least one riskfree variant, window, and method")
     windows = tuple(map(tuple, windows))
-    columns = tuple((label, method) for label, _ in riskfree_variants for method in methods)
+    columns = report_columns([label for label, _ in riskfree_variants], methods)
     premium = np.full((len(windows), len(columns)), np.nan)
     sample_size = np.zeros(premium.shape, dtype=np.int64)
     gaps: dict[tuple[int, int], DataError] = {}

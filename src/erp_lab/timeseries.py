@@ -10,7 +10,7 @@ by exact date intersection.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import Iterable, Sequence
 
@@ -46,18 +46,16 @@ class DatedSeries:
     """Ordered (date, value) observations with strictly increasing dates.
 
     Invariants enforced at construction: non-empty, dates strictly
-    increasing (hence no duplicates), all values finite.  ``dates`` may be
-    given as any sequence of ``date`` or as a ``datetime64`` array; it is
-    stored only as ``days``.  The value array and ``days`` are read-only
-    after construction.
+    increasing (hence no duplicates), all values finite.  ``days`` may be
+    any sequence of ``date`` or a ``datetime64`` array; it is stored as a
+    read-only ``datetime64[D]`` array, and ``values`` as read-only floats.
     """
 
-    dates: InitVar[Sequence[date] | np.ndarray]
+    days: np.ndarray
     values: np.ndarray
-    days: np.ndarray = field(init=False)
 
-    def __post_init__(self, dates):
-        days = _as_days(dates)
+    def __post_init__(self):
+        days = _as_days(self.days)
         object.__setattr__(self, "days", days)
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False
@@ -72,6 +70,11 @@ class DatedSeries:
             raise ValueError("dates and values must have equal length")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite (no NaN or infinity)")
+
+    @property
+    def dates(self) -> tuple[date, ...]:
+        """The calendar as a tuple of ``datetime.date``."""
+        return tuple(self.days.tolist())
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[date, float]]) -> "DatedSeries":
@@ -93,18 +96,12 @@ class DatedSeries:
                    for f in fields(self))
 
 
-# Attached after the class body: inside it, ``dates`` is the constructor's
-# InitVar, and a property there would become that argument's default.
-DatedSeries.dates = property(lambda self: tuple(self.days.tolist()),
-                             doc="The calendar as a tuple of ``datetime.date``.")
-
-
 @dataclass(frozen=True, eq=False)
 class ReturnSeries(DatedSeries):
     """Per-period simple returns; each must exceed -1 (prices are positive)."""
 
-    def __post_init__(self, dates):
-        super().__post_init__(dates)
+    def __post_init__(self):
+        super().__post_init__()
         if np.any(self.values <= -1.0):
             raise ValueError("simple returns must be > -1")
 
@@ -120,9 +117,10 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
     """Intersect any number of series on their common dates.
 
     Accepts any mix of :class:`DatedSeries` and :class:`ReturnSeries`.
-    Returns the common dates as a ``datetime64[D]`` array, as each series
-    stores its ``days`` (``.tolist()`` gives ``datetime.date`` objects),
-    and one value array per input series, all in the same ascending order.
+    Each series' calendar is searched once for the first series' days, and
+    a day is common where every search lands on it.  Returns the common
+    days (``datetime64[D]``, as each series stores them) and one value
+    array per input series, all in the same ascending order.
 
     Raises
     ------
@@ -131,13 +129,12 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
     """
     if not series:
         raise InvalidParametersError("align_many needs at least one series")
-    common = series[0].days
-    for s in series[1:]:
-        common = np.intersect1d(common, s.days, assume_unique=True)
-    if len(common) == 0:
+    days = series[0].days
+    rows = [np.searchsorted(s.days, days).clip(max=len(s) - 1) for s in series]
+    common = np.logical_and.reduce([s.days[r] == days for s, r in zip(series, rows)])
+    if not common.any():
         raise EmptyIntersectionError("series share no common dates")
-    columns = [s.values[np.searchsorted(s.days, common)] for s in series]
-    return common, columns
+    return days[common], [s.values[r[common]] for s, r in zip(series, rows)]
 
 
 def simple_returns(prices: DatedSeries) -> ReturnSeries:

@@ -1,5 +1,6 @@
 """Tests for the deterministic SVG line chart."""
 
+import re
 from datetime import date, timedelta
 from xml.dom import minidom
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from erp_lab.charts import FORMAT_COMMENT, line_chart_svg, write_line_chart
-from erp_lab.errors import NumericalError
+from erp_lab.errors import InvalidParametersError, NumericalError
 from erp_lab.timeseries import DatedSeries
 
 
@@ -89,3 +90,20 @@ def test_text_is_escaped(labels):
     svg = line_chart_svg(series([1.0, -1.0, 2.0]), **labels)
     texts = minidom.parseString(svg).getElementsByTagName("text")
     assert "S&P 500 <ERP>" in [t.firstChild.data for t in texts]
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x0b", "\x1f", "\ufffe", "\ud800"],
+                         ids=["nul", "vt", "us", "fffe", "surrogate"])
+@pytest.mark.parametrize("name", ["title", "y_label"])
+def test_text_xml_forbids_is_refused(name, char):
+    message = f"chart {name} holds U+{ord(char):04X}, which XML 1.0 forbids"
+    with pytest.raises(InvalidParametersError, match=f"^{re.escape(message)}$"):
+        line_chart_svg(series([1.0, 2.0]), **{name: f"a{char}b"})
+
+
+@pytest.mark.parametrize("char", ["\t", "\x7f"], ids=["tab", "del"])
+@pytest.mark.parametrize("name", ["title", "y_label"])
+def test_text_xml_allows_still_parses(name, char):
+    svg = line_chart_svg(series([1.0, 2.0]), **{name: f"a{char}b"})
+    texts = minidom.parseString(svg).getElementsByTagName("text")
+    assert f"a{char}b" in [t.firstChild.data for t in texts]

@@ -453,6 +453,17 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "erp-lab: simulating: overflow encountered in square\n"
 
+    def test_impossible_size_is_one_line_input_error(self, capsys):
+        # 10**17 residuals: far beyond any address space, so the request
+        # fails at allocation without touching memory
+        code = main(["simulate", "--n-assets", "1000000000000", "--n-periods", "100000"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("erp-lab: simulating: Unable to allocate")
+        assert "Traceback" not in captured.err
+
 
 class TestConfig:
     def test_config_fills_missing_flag(self, implied_files, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from erp_lab import historical
 from erp_lab.averaging import AveragingMethod
 from erp_lab.errors import (
+    DataError,
     EmptyInputError,
     EmptyIntersectionError,
     EmptyWindowError,
@@ -22,6 +23,7 @@ from erp_lab.historical import (
     erp_report,
     historical_erp,
     premium_series,
+    report_columns,
 )
 from erp_lab.timeseries import ReturnSeries, align
 
@@ -224,6 +226,18 @@ class TestErpReport:
         est = historical_erp(annual([0.1]), annual([0.0]), (2000, 2000), ARITH)
         assert not ReportCell(est).missing
 
+    @pytest.mark.parametrize("labels, methods, column", [
+        (["a", "a"], [ARITH], "a arithmetic"),
+        (["tbills"], [GEOM, ARITH, GEOM], "tbills geometric"),
+    ], ids=["label-twice", "method-twice"])
+    def test_repeated_column_label_is_data_error(self, labels, methods, column):
+        eq, rf = annual([0.08] * 3), annual([0.03] * 3)
+        message = f"^report column '{column}' appears more than once$"
+        with pytest.raises(DataError, match=message):
+            report_columns(labels, methods)
+        with pytest.raises(DataError, match=message):
+            erp_report(eq, [(label, rf) for label in labels], [(2000, 2002)], methods)
+
     def test_empty_argument_lists_raise(self):
         eq = annual([0.08] * 5)
         tb = annual([0.03] * 5)
@@ -318,6 +332,11 @@ class TestReportAgainstPerCellReference:
     @given(report_inputs())
     def test_matches_reference(self, inputs):
         equity, variants, windows, methods = inputs
+        labels = [f"{label} {method.label}" for label, _ in variants for method in methods]
+        if len(set(labels)) < len(labels):
+            with pytest.raises(DataError, match="appears more than once"):
+                erp_report(*inputs)
+            return
         report = erp_report(*inputs)
         columns, cells = reference_report(*inputs)
         assert (report.windows, report.columns, report.cells) == (tuple(windows), columns, cells)

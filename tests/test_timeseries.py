@@ -1,5 +1,6 @@
 """Tests for dated series containers, alignment, returns, EMA, and step fill."""
 
+import dataclasses
 from bisect import bisect_right
 from datetime import date, timedelta
 
@@ -136,6 +137,19 @@ class TestDatedSeries:
         s = make(days(3))
         assert "dates" not in vars(s)
         assert s.dates == days(3)
+
+    def test_fields_are_the_stored_pair(self):
+        s = DatedSeries(days=np.array(days(3), dtype="datetime64[D]"), values=[1.0, 2.0, 3.0])
+        assert [f.name for f in dataclasses.fields(s)] == ["days", "values"]
+        assert s == DatedSeries(days(3), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("cls", [DatedSeries, ReturnSeries])
+    def test_replace_keeps_the_calendar(self, cls):
+        s = cls(days(3), np.array([0.1, 0.2, 0.3]))
+        out = dataclasses.replace(s, values=np.array([0.4, 0.5, 0.6]))
+        assert type(out) is cls
+        assert out == cls(days(3), np.array([0.4, 0.5, 0.6]))
+        assert not out.days.flags.writeable and not out.values.flags.writeable
 
 
 class TestReturnSeries:
