@@ -21,7 +21,7 @@ DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 
 def load(name: str) -> ReturnSeries:
     s = parse_series(SeriesFileSpec(str(DATA / name), value_column="return"))
-    return ReturnSeries(s.dates, s.values)
+    return ReturnSeries(s.days, s.values)
 
 
 def main() -> None:

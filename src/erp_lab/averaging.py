@@ -95,6 +95,15 @@ def exp_weighted_mean(returns, decay: float) -> float | np.ndarray:
     return _result(dots.reshape(arr.shape[:-1]) / weights.sum())
 
 
+def _parsed(convert, text: str):
+    """``convert(text)``, or ``None`` where it does not parse, so that the
+    method's own check names the parameter it needs."""
+    try:
+        return convert(text)
+    except ValueError:
+        return None
+
+
 @dataclass(frozen=True)
 class AveragingMethod:
     """One of the four averaging schemes, with its parameter if any."""
@@ -140,9 +149,9 @@ class AveragingMethod:
         if name == "geometric" and not param:
             return cls.geometric()
         if name == "blume" and param:
-            return cls.blume(int(param))
+            return cls.blume(_parsed(int, param))
         if name in ("exp", "exp_weighted") and param:
-            return cls.exp_weighted(float(param))
+            return cls.exp_weighted(_parsed(float, param))
         raise ValueError(f"unrecognized averaging method {text!r}")
 
     @property

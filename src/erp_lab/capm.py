@@ -156,9 +156,9 @@ def fit_multifactor(asset, factors, labels=None) -> FactorModelFit:
     if n < k + 1:
         raise TooFewObservationsError(f"{n} observations for {k} factors")
     design = np.column_stack([np.ones(n)] + factor_cols)
-    if np.linalg.matrix_rank(design) < k + 1:
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < k + 1:
         raise RankDeficientError("factor matrix is rank deficient")
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     residuals = y - design @ coef
     residual_sigma = float(np.sqrt(np.mean(residuals**2)))
     return FactorModelFit(tuple(float(c) for c in coef[1:]), float(coef[0]),

@@ -19,6 +19,8 @@ from .timeseries import DatedSeries
 
 FORMAT_COMMENT = "<!-- erp-lab chart format 1 -->"
 
+_WIDTH = 900
+_HEIGHT = 420
 _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 20.0
 _MARGIN_TOP = 34.0
@@ -48,9 +50,8 @@ def _text(x: str, y: str, anchor: str, size: int, body: str, extra: str = "") ->
             f'font-size="{size}"{extra}>{body}</text>')
 
 
-def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
-                   width: int = 900, height: int = 420) -> str:
-    """Render a single dated series as an SVG line chart.
+def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value") -> str:
+    """Render a single dated series as a 900 x 420 SVG line chart.
 
     X is calendar time (labeled with ISO dates), y the series value; a
     dashed zero line is drawn when zero falls inside the y range.
@@ -69,8 +70,8 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
         if bad:
             raise InvalidParametersError(
                 f"chart {name} holds U+{ord(bad.group()):04X}, which XML 1.0 forbids")
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     offsets = (series.days - series.days[0]).astype(np.int64)
     span_days = int(offsets[-1]) or 1
@@ -90,13 +91,13 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
         return _MARGIN_TOP + plot_h * (hi - v) / (hi - lo)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         FORMAT_COMMENT,
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
-        out.append(_text(_coord(width / 2), "20", "middle", 14, title))
+        out.append(_text(_coord(_WIDTH / 2), "20", "middle", 14, title))
 
     axis_bottom = _MARGIN_TOP + plot_h
     axis_right = _MARGIN_LEFT + plot_w
@@ -136,7 +137,7 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value",
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
     )
 
-    out.append(_text(_coord(_MARGIN_LEFT + plot_w / 2), _coord(height - 8), "middle", 12, "date"))
+    out.append(_text(_coord(_MARGIN_LEFT + plot_w / 2), _coord(_HEIGHT - 8), "middle", 12, "date"))
     mid_y = _coord(_MARGIN_TOP + plot_h / 2)
     out.append(_text("14", mid_y, "middle", 12, y_label,
                      extra=f' transform="rotate(-90 14 {mid_y})"'))

@@ -41,6 +41,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # named erp-lab, not after sys.argv[0]; subparsers pass their own name
+    def __init__(self, prog="erp-lab", **kwargs):
+        super().__init__(prog=prog, **kwargs)
+
     # surface usage problems as exit status 1, not argparse's default 2
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
@@ -187,6 +191,15 @@ def _parse_window(text: str) -> tuple[int, int]:
     return window
 
 
+def _parse_method(text: str) -> AveragingMethod:
+    # argparse shows an ArgumentTypeError's message; for a ValueError only
+    # "invalid from_string value"
+    try:
+        return AveragingMethod.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("the path is empty")
@@ -216,7 +229,7 @@ class _Repeatable(argparse.Action):
 
 def build_parser() -> tuple[_Parser, dict]:
     """The parser, and each flag's ``dest`` mapped to its ``(subparser, action)`` pairs."""
-    parser = _Parser(prog="erp-lab", description=__doc__.splitlines()[0])
+    parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="key=value file pre-filling flags "
                         "(default: $ERP_LAB_CONFIG); explicit flags win")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -249,7 +262,7 @@ def build_parser() -> tuple[_Parser, dict]:
          type=_parse_window, metavar="START-END",
          help="inclusive year window, e.g. 1928-2008; repeatable")
     flag(historical, "--method", action=_Repeatable, required=True,
-         type=AveragingMethod.from_string, metavar="METHOD",
+         type=_parse_method, metavar="METHOD",
          help="arithmetic | geometric | blume:N | exp:DECAY; repeatable")
     flag(historical, "--output", required=True, type=_path, help="output CSV path")
     historical.set_defaults(func=run_historical)

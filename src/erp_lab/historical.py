@@ -22,7 +22,7 @@ from .errors import (
     HorizonExceedsSampleError,
 )
 from .io import csv_header, format_cell
-from .timeseries import ReturnSeries, align
+from .timeseries import DatedSeries, ReturnSeries, align
 
 YearWindow = tuple[int, int]
 
@@ -49,15 +49,18 @@ class ErpEstimate:
             raise ValueError(f"window start {self.window[0]} after end {self.window[1]}")
 
 
-def premium_series(equity: ReturnSeries, riskfree: ReturnSeries) -> ReturnSeries:
+def premium_series(equity: ReturnSeries, riskfree: ReturnSeries) -> DatedSeries:
     """Per-date excess return: equity minus riskfree on common dates.
+
+    An excess return is a difference, not the simple return of a positive
+    price, so it may be -1 or lower; it is a plain :class:`DatedSeries`.
 
     A uniform shift applied to both inputs (inflation moving every
     nominal return) cancels in the subtraction, so the premium does not
     depend on working in nominal or real terms.
     """
     days, eq, rf = align(equity, riskfree)
-    return ReturnSeries(days, eq - rf)
+    return DatedSeries(days, eq - rf)
 
 
 def historical_erp(

@@ -189,7 +189,7 @@ def two_stage_price(inputs: TwoStageInputs, k: float) -> float:
     if k <= gl:
         raise NonConvergentError(f"terminal stream diverges for k={k} <= g={gl}")
     ratio = (1.0 + gs) / (1.0 + k)
-    head = d * np.sum(ratio ** np.arange(1, n + 1)) if n else 0.0
+    head = d * np.sum(ratio ** np.arange(1, n + 1))
     try:
         terminal = d * (1.0 + gs) ** n * (1.0 + gl) / (k - gl)
         return float(head + terminal / (1.0 + k) ** n)

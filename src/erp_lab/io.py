@@ -109,8 +109,7 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
     # year); keep only dates that print back as the very string, within
     # date's range.  Python strings, since numpy's drop trailing NULs.
     if (days.astype(str).tolist() != raw_dates
-            or not np.all((days >= _FIRST_DAY) & (days <= _LAST_DAY))
-            or not np.all(np.isfinite(values))):
+            or not np.all((days >= _FIRST_DAY) & (days <= _LAST_DAY))):
         return None
     order = np.argsort(days, kind="stable")
     days, values = days[order], values[order]
@@ -119,6 +118,7 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
     # Python's float product neither warns nor traps; nor may this one
     with np.errstate(all="ignore"):
         values = values * float(spec.value_scale)
+    # also a non-finite value in the file: a positive finite scale keeps it so
     if not np.all(np.isfinite(values)):
         return None
     return DatedSeries(days, values)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from datetime import date
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,10 +46,12 @@ def _as_days(dates) -> np.ndarray:
 class DatedSeries:
     """Ordered (date, value) observations with strictly increasing dates.
 
-    Invariants enforced at construction: non-empty, dates strictly
-    increasing (hence no duplicates), all values finite.  ``days`` may be
-    any sequence of ``date`` or a ``datetime64`` array; it is stored as a
-    read-only ``datetime64[D]`` array, and ``values`` as read-only floats.
+    Invariants enforced at construction: one value per day (``days`` and
+    ``values`` one-dimensional, of equal length), non-empty, dates
+    strictly increasing (hence no duplicates), all values finite.
+    ``days`` may be any sequence of ``date`` or a ``datetime64`` array;
+    it is stored as a read-only ``datetime64[D]`` array, and ``values``
+    as read-only floats.
     """
 
     days: np.ndarray
@@ -60,6 +63,9 @@ class DatedSeries:
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+        for name, array in (("days", days), ("values", values)):
+            if array.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
         if len(days) == 0:
             raise ValueError("series must contain at least one observation")
         bad = np.flatnonzero(np.diff(days) <= np.timedelta64(0, "D"))
@@ -166,13 +172,8 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
     if period_days < 1:
         raise InvalidParametersError("period_days must be >= 1")
     alpha = 2.0 / (period_days + 1.0)
-    out = np.empty_like(series.values)
-    acc = series.values[0]
-    out[0] = acc
-    for i in range(1, len(out)):
-        acc = acc + alpha * (series.values[i] - acc)
-        out[i] = acc
-    return DatedSeries(series.days, out)
+    steps = accumulate(series.values, lambda acc, x: acc + alpha * (x - acc))
+    return DatedSeries(series.days, np.fromiter(steps, float, len(series)))
 
 
 def step_interpolate(sparse: DatedSeries,

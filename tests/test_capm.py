@@ -5,6 +5,8 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erp_lab.capm import (
     FactorModelFit,
@@ -28,7 +30,7 @@ from erp_lab.errors import (
     TooFewObservationsError,
     WeightsNotNormalizedError,
 )
-from erp_lab.timeseries import ReturnSeries
+from erp_lab.timeseries import DatedSeries, ReturnSeries
 
 
 def series(values, start=date(2020, 1, 1)):
@@ -253,6 +255,29 @@ class TestFitMultifactor:
         y = f + rng.normal(0.0, 0.01, 30)
         with pytest.raises(RankDeficientError):
             fit_multifactor(series(y), [series(f), series(f.copy())])
+
+    @given(k=st.integers(1, 4), extra=st.integers(0, 25), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["random", "duplicate", "scaled"]), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_deficient_exactly_when_the_design_is(self, k, extra, seed, kind, data):
+        n = k + 1 + extra
+        rng = np.random.default_rng(seed)
+        design = np.column_stack([np.ones(n), rng.normal(0.0, 0.02, (n, k))])
+        if kind != "random":
+            # a factor column becomes a copy of another column, the intercept's included
+            target = data.draw(st.integers(1, k), label="target")
+            source = data.draw(st.integers(0, k).filter(lambda j: j != target), label="source")
+            scale = 1.0 if kind == "duplicate" else data.draw(
+                st.floats(-5.0, 5.0).filter(bool), label="scale")
+            design[:, target] = scale * design[:, source]
+        calendar = np.arange(n).astype("datetime64[D]")
+        asset = DatedSeries(calendar, rng.normal(0.0, 0.02, n))
+        factors = [DatedSeries(calendar, design[:, j]) for j in range(1, k + 1)]
+        if np.linalg.matrix_rank(design) < k + 1:
+            with pytest.raises(RankDeficientError):
+                fit_multifactor(asset, factors)
+        else:
+            assert len(fit_multifactor(asset, factors).betas) == k
 
     def test_too_few_observations_raises(self):
         with pytest.raises(TooFewObservationsError):

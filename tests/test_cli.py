@@ -258,6 +258,22 @@ class TestHistorical:
         assert code == EXIT_INPUT
         assert "erp-lab" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method, reason", [
+        ("harmonic", "unrecognized averaging method 'harmonic'"),
+        ("blume:0", "blume requires an integer horizon >= 1"),
+        ("exp:2", "exp_weighted requires decay in (0, 1]"),
+        ("blume:x", "blume requires an integer horizon >= 1"),
+    ], ids=["harmonic", "blume:0", "exp:2", "blume:x"])
+    def test_bad_method_names_its_reason(self, method, reason, annual_paths, tmp_path,
+                                         capsys):
+        out = tmp_path / "report.csv"
+        code = main(historical_argv(annual_paths, str(out),
+                                    "--window", "2000-2009", "--method", method))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"erp-lab: erp-lab historical: argument --method: {reason}\n")
+        assert not out.exists()
+
     def test_reversed_window_is_usage_error(self, annual_paths, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = main(historical_argv(annual_paths, str(out),
@@ -740,6 +756,12 @@ class TestUsage:
     def test_missing_required_flag(self, capsys):
         assert main(["simulate"]) == EXIT_INPUT
         assert "--n-assets" in capsys.readouterr().err
+
+    def test_config_pre_parse_is_named_erp_lab(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["cli.py"])
+        assert main(["--config"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "erp-lab: erp-lab: argument --config: expected one argument\n")
 
 
 # -- fuzzing main() on malformed series files ---------------------------------

@@ -25,7 +25,7 @@ from erp_lab.historical import (
     premium_series,
     report_columns,
 )
-from erp_lab.timeseries import ReturnSeries, align
+from erp_lab.timeseries import DatedSeries, ReturnSeries, align
 
 ARITH = AveragingMethod.arithmetic()
 GEOM = AveragingMethod.geometric()
@@ -56,6 +56,14 @@ class TestPremiumSeries:
     def test_disjoint_raises(self):
         with pytest.raises(EmptyIntersectionError):
             premium_series(annual([0.1]), annual([0.01], first_year=2010))
+
+    def test_excess_return_may_reach_minus_one(self):
+        # a difference of returns, not the return of a positive price
+        eq, rf = annual([-0.60, 0.10, 0.20]), annual([0.50, 0.05, 0.05])
+        out = premium_series(eq, rf)
+        assert type(out) is DatedSeries
+        np.testing.assert_allclose(out.values, [-1.10, 0.05, 0.15], atol=1e-15)
+        assert historical_erp(eq, rf, (2000, 2002), ARITH).premium == pytest.approx(-0.30)
 
 
 class TestHistoricalErp:

@@ -1,6 +1,7 @@
 """Tests for dated series containers, alignment, returns, EMA, and step fill."""
 
 import dataclasses
+import re
 from bisect import bisect_right
 from datetime import date, timedelta
 
@@ -109,6 +110,18 @@ class TestDatedSeries:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             DatedSeries(days(3), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("calendar, values, message", [
+        (days(3), [[1, 5], [2, 6], [3, 7]], "values must be one-dimensional, got shape (3, 2)"),
+        (days(3), 5.0, "values must be one-dimensional, got shape ()"),
+        (np.array(days(6), dtype="datetime64[D]").reshape(3, 2), [1.0, 2.0, 3.0],
+         "days must be one-dimensional, got shape (3, 2)"),
+        (np.array(date(2020, 1, 1), dtype="datetime64[D]"), [1.0],
+         "days must be one-dimensional, got shape ()"),
+    ], ids=["2-D values", "scalar values", "2-D days", "0-D days"])
+    def test_holds_one_value_per_day(self, calendar, values, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DatedSeries(calendar, values)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_equal_values_on_other_dates_compare_unequal(self, n):
@@ -269,6 +282,37 @@ class TestEma:
         s = DatedSeries(days(5), np.ones(5))
         with pytest.raises(InvalidParametersError):
             ema(s, 0)
+
+    @given(values=st.lists(st.one_of(st.floats(-1e3, 1e3),
+                                     st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from([-1.7e308, 1.7e308])),
+                           min_size=1, max_size=60),
+           period=st.integers(1, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_docstring_recursion(self, values, period):
+        s = DatedSeries(days(len(values)), values)
+
+        def recursion():
+            # out[0] = in[0]; out[i] = out[i-1] + alpha * (in[i] - out[i-1])
+            alpha = 2.0 / (period + 1.0)
+            out = [s.values[0]]
+            for i in range(1, len(s)):
+                out.append(out[i - 1] + alpha * (s.values[i] - out[i - 1]))
+            return out
+
+        def outcome(run):
+            try:
+                return run()
+            except FloatingPointError as exc:
+                return type(exc), str(exc)
+
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            expected = outcome(recursion)
+            got = outcome(lambda: ema(s, period).values)
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
 
 
 class TestStepInterpolate:
