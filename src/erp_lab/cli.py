@@ -28,7 +28,7 @@ from .errors import DataError, ErpLabError, NumericalError
 from .historical import erp_report, report_columns
 from .implied import implied_erp_series
 from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series, write_rows, write_text
-from .timeseries import ReturnSeries, align, align_many, ema, simple_returns, step_interpolate
+from .timeseries import ReturnSeries, align, ema, simple_returns, step_interpolate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -97,8 +97,11 @@ def run_implied(args) -> int:
         # writing either file, so that a failure leaves neither
         chart = charts.line_chart_svg(erp, title="Implied equity risk premium",
                                       y_label="premium")
+        # erp.days already is the inputs' intersection: look it up in each
+        inputs = [s.values[np.searchsorted(s.days, erp.days)]
+                  for s in (prices, eps_smooth, yields)]
         write_rows(args.output, ("date", "price", "eps_smoothed", "yield", "erp"),
-                   *align_many([prices, eps_smooth, yields, erp]))
+                   erp.days, [*inputs, erp.values])
         write_text(args.svg or Path(args.output).with_suffix(".svg"), chart)
     return EXIT_OK
 
@@ -361,7 +364,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (_UsageError, *_CAUGHT) as exc:
-        print(f"erp-lab: {exc}", file=sys.stderr)
+        # a usage error already starts with its parser's name
+        print(exc if isinstance(exc, _UsageError) else f"erp-lab: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
 
 

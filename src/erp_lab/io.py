@@ -29,7 +29,11 @@ from .timeseries import DatedSeries
 
 ISO_DATE = "%Y-%m-%d"
 _FIRST_DAY = np.datetime64("0001-01-01")
-_LAST_DAY = np.datetime64("9999-12-31")
+_ISO_ROW = [("day", "S11"), ("value", float)]
+# byte i of a date cell lies in [_ISO_LOW[i], _ISO_LOW[i] + _ISO_SPAN[i]]:
+# a digit, "-", or the NUL padding after the tenth byte
+_ISO_LOW = np.frombuffer(b"0000-00-00\0", dtype=np.uint8)
+_ISO_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], dtype=np.uint8)
 CELL_FORMAT = "%.10f"
 _ROWS_PER_WRITE = 4096
 
@@ -62,9 +66,12 @@ def parse_series(spec: SeriesFileSpec) -> DatedSeries:
     Duplicate dates, unparseable dates, and blank or non-numeric values
     are errors; date/value problems carry the offending line number.
 
-    ISO-dated files are read column-wise (:func:`_parse_iso`); a file that
-    path cannot show to give the same series goes through the row loop
-    (:func:`_parse_rows`), which defines what is accepted and every error.
+    ISO-dated files are read by numpy's C tokenizer (:func:`_parse_iso`)
+    where every date cell is exactly the ten ASCII bytes ``YYYY-MM-DD``
+    and the text after the header holds no NUL; any other file, or one
+    that path cannot show to give the same series, goes through the row
+    loop (:func:`_parse_rows`), which defines what is accepted and every
+    error.
 
     Raises
     ------
@@ -80,36 +87,43 @@ def parse_series(spec: SeriesFileSpec) -> DatedSeries:
 
 def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
     """The series :func:`_parse_rows` would return for an ISO-dated file,
-    converted a column at a time, or ``None`` where any check fails: a
-    missing column, a short row, an unparseable or non-finite value, a
-    date numpy reads differently from ``strptime``, a duplicate date, a
+    read in one ``np.loadtxt`` call on the text after the header, or
+    ``None`` where any check fails: a missing column, no data row, a NUL
+    anywhere after the header, a short row, an unparseable or non-finite
+    value, a date cell other than exactly ten ASCII bytes ``YYYY-MM-DD``
+    naming a day from 0001-01-01 to 9999-12-31, a duplicate date, a
     scaled value out of float range, malformed CSV or UTF-8.
     """
     try:
         with open(spec.path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [row for row in reader if row]  # DictReader skips blank lines too
+            header = next(csv.reader(fh), [])
+            body = fh.read()
     except (csv.Error, ValueError):
         return None
-    if not rows or spec.date_column not in header or spec.value_column not in header:
+    # loadtxt warns on a body of blank lines, and the S dtype drops
+    # trailing NULs, so "2020-01-05\0" would read as a date
+    if (spec.date_column not in header or spec.value_column not in header
+            or not body.strip("\r\n") or "\0" in body):
         return None
     # DictReader keeps the last of repeated header names
     last = {name: i for i, name in enumerate(header)}
-    date_at, value_at = last[spec.date_column], last[spec.value_column]
-    if min(map(len, rows)) <= max(date_at, value_at):
-        return None
-    raw_dates = [row[date_at].strip() for row in rows]
     try:
-        days = np.array(raw_dates, dtype="datetime64[D]")
-        values = np.array([float(row[value_at].strip()) for row in rows])
+        # lines end at "\n" only: loadtxt refuses a lone "\r" outside quotes
+        table = np.loadtxt(StringIO(body), dtype=_ISO_ROW, delimiter=",", quotechar='"',
+                           comments=None, ndmin=1,
+                           usecols=(last[spec.date_column], last[spec.value_column]))
+        cells = np.ascontiguousarray(table["day"]).view(np.uint8).reshape(-1, _ISO_LOW.size)
+        # exactly "YYYY-MM-DD" (unsigned bytes wrap below the low end):
+        # strptime reads such a date as numpy does, which refuses month 13
+        # or Feb 30
+        if not np.all(cells - _ISO_LOW <= _ISO_SPAN):
+            return None
+        days = table["day"].astype("datetime64[D]")
     except ValueError:
         return None
-    # numpy also reads '2020-01', '+2020-01-05', 'NaT' and '20200105' (a
-    # year); keep only dates that print back as the very string, within
-    # date's range.  Python strings, since numpy's drop trailing NULs.
-    if (days.astype(str).tolist() != raw_dates
-            or not np.all((days >= _FIRST_DAY) & (days <= _LAST_DAY))):
+    values = table["value"]
+    # date's range: a four-digit year can fall below it only as year 0000
+    if not np.all(days >= _FIRST_DAY):
         return None
     order = np.argsort(days, kind="stable")
     days, values = days[order], values[order]

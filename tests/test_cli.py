@@ -73,7 +73,7 @@ class TestImplied:
             ",".join(["2009-01-04", format_cell(1020.0), format_cell(43.0),
                       format_cell(0.05), format_cell(43.0 / 1020.0 - 0.05)]),
         ]) + "\n"
-        assert open(out).read() == expected
+        assert Path(out).read_text() == expected
         svg = tmp_path / "erp.svg"
         assert svg.exists()
         assert svg.read_text().startswith("<svg ")
@@ -84,7 +84,7 @@ class TestImplied:
         svg = str(tmp_path / "elsewhere.svg")
         code = main(implied_argv(prices, eps, yields, out, extra=("--svg", svg)))
         assert code == EXIT_OK
-        assert open(svg).read().startswith("<svg ")
+        assert Path(svg).read_text().startswith("<svg ")
 
     def test_missing_price_file(self, implied_files, tmp_path, capsys):
         _, eps, yields = implied_files
@@ -99,6 +99,19 @@ class TestImplied:
         code = main(implied_argv(prices, eps, yields, str(tmp_path / "erp.csv")))
         assert code == EXIT_INPUT
         assert "parsing eps" in capsys.readouterr().err
+
+    def test_header_only_prices_file_is_one_stderr_line(self, implied_files, tmp_path,
+                                                         monkeypatch):
+        # a program of its own, so that a library warning would print to stderr
+        _, eps, yields = implied_files
+        prices = write(tmp_path, "empty.csv", "date,close\n")
+        argv = implied_argv(prices, eps, yields, str(tmp_path / "erp.csv"))
+        monkeypatch.setenv("PYTHONPATH", str(Path(erp_lab.__file__).parents[1]),
+                           prepend=os.pathsep)
+        proc = subprocess.run([sys.executable, "-m", "erp_lab.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr == f"erp-lab: parsing prices: {prices}: no data rows\n"
 
     def test_eps_starting_after_prices(self, implied_files, tmp_path, capsys):
         prices, _, yields = implied_files
@@ -148,8 +161,8 @@ class TestImplied:
         monkeypatch.setattr("erp_lab.io._ROWS_PER_WRITE", rows_per_write)
         chunked = str(tmp_path / "chunked.csv")
         assert main(implied_argv(*implied_files, chunked)) == EXIT_OK
-        assert open(chunked).read() == open(whole).read()
-        assert len(open(whole).read().splitlines()) == 4
+        assert Path(chunked).read_text() == Path(whole).read_text()
+        assert len(Path(whole).read_text().splitlines()) == 4
 
     def test_nonpositive_scale_is_one_line_error(self, implied_files, tmp_path, capsys):
         code = main(implied_argv(*implied_files, str(tmp_path / "erp.csv"),
@@ -197,7 +210,7 @@ class TestHistorical:
             "--output", out,
         ])
         assert code == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "window,tbills arithmetic,tbills geometric"
         cells = lines[1].split(",")
         assert cells[0] == "2000-2009"
@@ -216,7 +229,7 @@ class TestHistorical:
         ])
         assert code == EXIT_OK
         assert "1990-1995" in capsys.readouterr().err
-        assert open(out).read().splitlines()[1] == "1990-1995,NA"
+        assert Path(out).read_text().splitlines()[1] == "1990-1995,NA"
 
     def test_price_levels_input(self, tmp_path):
         equity = write(tmp_path, "levels.csv",
@@ -231,7 +244,7 @@ class TestHistorical:
             "--output", out,
         ])
         assert code == EXIT_OK
-        assert open(out).read().splitlines()[1] == "2001-2001,0.0600000000"
+        assert Path(out).read_text().splitlines()[1] == "2001-2001,0.0600000000"
 
     def test_unlabeled_riskfree_uses_file_stem(self, annual_paths, tmp_path):
         out = str(tmp_path / "report.csv")
@@ -245,7 +258,7 @@ class TestHistorical:
             "--output", out,
         ])
         assert code == EXIT_OK
-        assert open(out).read().splitlines()[0] == "window,annual_tbonds arithmetic"
+        assert Path(out).read_text().splitlines()[0] == "window,annual_tbonds arithmetic"
 
     def test_bad_method_is_usage_error(self, annual_paths, tmp_path, capsys):
         code = main([
@@ -271,7 +284,7 @@ class TestHistorical:
                                     "--window", "2000-2009", "--method", method))
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"erp-lab: erp-lab historical: argument --method: {reason}\n")
+            f"erp-lab historical: argument --method: {reason}\n")
         assert not out.exists()
 
     def test_reversed_window_is_usage_error(self, annual_paths, tmp_path, capsys):
@@ -300,7 +313,7 @@ class TestHistorical:
         assert code == EXIT_OK
         assert capsys.readouterr().err.splitlines() == [
             "erp-lab: warning: 2000-2002 tbills blume(5): horizon 5 exceeds sample length 3"]
-        rows = open(out).read().splitlines()
+        rows = Path(out).read_text().splitlines()
         assert rows[1] == "2000-2002,NA"
         assert rows[2].startswith("1990-2009,") and rows[2] != "1990-2009,NA"
 
@@ -491,7 +504,7 @@ class TestConfig:
                                  extra=("--ema-period", "3"))) == EXIT_OK
         assert main(["--config", cfg] +
                     implied_argv(prices, eps, yields, via_config)) == EXIT_OK
-        assert open(via_config).read() == open(explicit).read()
+        assert Path(via_config).read_text() == Path(explicit).read_text()
 
     def test_explicit_flag_beats_config(self, implied_files, tmp_path):
         prices, eps, yields = implied_files
@@ -503,7 +516,7 @@ class TestConfig:
         assert main(["--config", cfg] +
                     implied_argv(prices, eps, yields, overridden,
                                  extra=("--ema-period", "3"))) == EXIT_OK
-        assert open(overridden).read() == open(explicit).read()
+        assert Path(overridden).read_text() == Path(explicit).read_text()
 
     def test_env_var_names_config(self, implied_files, tmp_path, monkeypatch):
         prices, eps, yields = implied_files
@@ -515,7 +528,7 @@ class TestConfig:
         monkeypatch.delenv("ERP_LAB_CONFIG")
         assert main(implied_argv(prices, eps, yields, explicit,
                                  extra=("--ema-period", "3"))) == EXIT_OK
-        assert open(via_env).read() == open(explicit).read()
+        assert Path(via_env).read_text() == Path(explicit).read_text()
 
     def test_config_can_supply_repeatable_flags(self, annual_paths, tmp_path):
         cfg = write(tmp_path, "cfg",
@@ -531,7 +544,7 @@ class TestConfig:
             "--output", out,
         ])
         assert code == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "window,tbills arithmetic,tbills geometric"
         assert [line.split(",")[0] for line in lines[1:]] == ["2000-2004", "2000-2009"]
 
@@ -547,7 +560,7 @@ class TestConfig:
                             "--riskfree-value-column", "return",
                             "--riskfree-scale", "0.5"]) == EXIT_OK
         assert main(["--config", cfg] + argv + [outs[1]]) == EXIT_OK
-        assert open(outs[1]).read() == open(outs[0]).read()
+        assert Path(outs[1]).read_text() == Path(outs[0]).read_text()
 
     def test_explicit_repeatable_flag_replaces_config_list(self, annual_paths, tmp_path):
         cfg = write(tmp_path, "cfg", "window = 2000-2004\nmethod = arithmetic\n")
@@ -555,7 +568,7 @@ class TestConfig:
         code = main(["--config", cfg] +
                     historical_argv(annual_paths, out, "--window", "2000-2009"))
         assert code == EXIT_OK
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "window,tbills arithmetic"
         assert [line.split(",")[0] for line in lines[1:]] == ["2000-2009"]
 
@@ -647,7 +660,7 @@ class TestConfig:
                                  extra=("--ema-period", "3"))) == EXIT_OK
         assert main([word.format(cfg=cfg) for word in flag] +
                     implied_argv(*implied_files, via_config)) == EXIT_OK
-        assert open(via_config).read() == open(explicit).read()
+        assert Path(via_config).read_text() == Path(explicit).read_text()
 
     def test_bare_equals_names_config(self, implied_files, tmp_path, capsys):
         # the pre-parse reads --=PATH as --config PATH and loads it before
@@ -738,7 +751,7 @@ class TestEmptyPath:
             expected = f"erp-lab: {cfg} line 1: {flag}: {reason}\n"
         else:
             argv += [f"--{flag}", value]
-            expected = f"erp-lab: erp-lab {command}: argument --{flag}: {reason}\n"
+            expected = f"erp-lab {command}: argument --{flag}: {reason}\n"
         before = sorted(os.listdir(tmp_path))
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == expected
@@ -761,7 +774,7 @@ class TestUsage:
         monkeypatch.setattr(sys, "argv", ["cli.py"])
         assert main(["--config"]) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            "erp-lab: erp-lab: argument --config: expected one argument\n")
+            "erp-lab: argument --config: expected one argument\n")
 
 
 # -- fuzzing main() on malformed series files ---------------------------------

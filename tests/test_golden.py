@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from erp_lab import cli, implied
 from erp_lab.cli import main
+from erp_lab.timeseries import align_many
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -94,6 +96,21 @@ def test_output_matches_golden(name, tmp_path, monkeypatch):
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], f"{name}/{key} differs"
+
+
+def test_implied_intersects_its_inputs_once(tmp_path, monkeypatch):
+    # erp.csv is written on the premium's own days, looked up in each input
+    calls = []
+
+    def counted(series):
+        calls.append(len(series))
+        return align_many(series)
+
+    monkeypatch.delenv("ERP_LAB_CONFIG", raising=False)
+    monkeypatch.setattr(implied, "align_many", counted)
+    monkeypatch.setattr(cli, "align_many", counted, raising=False)
+    assert run_case("implied", tmp_path)["exit_code"] == b"0\n"
+    assert calls == [3]
 
 
 if __name__ == "__main__":

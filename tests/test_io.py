@@ -3,7 +3,9 @@
 import math
 import os
 import tempfile
+import warnings
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,10 @@ class TestParseSeries:
             SeriesFileSpec("x.csv", value_scale=scale)
 
 
+def hexes(series):
+    return [v.hex() for v in series.values.tolist()]
+
+
 def outcome(parse, spec):
     """What ``parse(spec)`` gives under the CLI's float traps: a series, or
     the type and message of what it raised."""
@@ -128,7 +134,10 @@ def outcome(parse, spec):
 DATE_TRAPS = ["2020-01", "2020", "NaT", "+2020-01-05", "2020-01-05T00", "20200105",
               "0000-01-01", "10000-01-01", "2020-1-5", "\u0662\u0660\u0662\u0660-"
               "\u0660\u0661-\u0660\u0665", "2020-01-05\x00", "2020-02-30", "today", ""]
-VALUE_TRAPS = ["1_0", "nan", "1e400", "1e308", "-0.0", "", "abc", "\u0663"]
+# Values Python's float and numpy's tokenizer might read differently: each
+# must give the row loop's value, or its error.
+VALUE_TRAPS = ["1_0", "nan", "1e400", "1e308", "-0.0", "", "abc", "\u0663", "inf", "Infinity",
+               "iNf", "NaN", "nan(1)", "1_000", "0x10", "1.", ".", "1e+", "1\x00", "\x001"]
 ISO_DAYS = st.one_of(
     st.sampled_from(["0001-01-01", "1969-12-31", "1970-01-01", "2020-02-29",
                      "2020-03-01", "9999-12-31"]),
@@ -139,25 +148,47 @@ DATE_CELLS = st.one_of(ISO_DAYS, ISO_DAYS, ISO_DAYS, ISO_DAYS, ISO_DAYS.map(" {}
 FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 VALUE_CELLS = st.one_of(FINITE, FINITE, st.integers(-10**6, 10**6).map(str),
                         st.sampled_from(VALUE_TRAPS))
+# How a read cell is written.  Both readers read the first few alike for a
+# clean cell: quoted, and a value also padded; the rest are traps.
+DATE_WRAPS = ["{}", '"{}"', " {} ", ' "{}"', '"{}" ', "\xa0{}", "{}#", "#{}"]
+VALUE_WRAPS = ["{}", '"{}"', " {} ", "\t{}\t", "\xa0{}\xa0", '"{}" ', ' "{}"', "{}#", "#{}"]
+# Cells of a column nobody reads: quoted, holding a delimiter or a line break
+UNUSED_CELLS = st.sampled_from(["z", "#", '"a,b"', '"x""y"', '"a\nb"', '"a\r\nb"', '"a\rb"'])
+# Lines between rows: blank ones are skipped, whitespace-only ones are rows
+STRAY_LINES = ["", " ", "\t", "\xa0"]
 HEADERS = st.sampled_from([["date", "value"], ["value", "date"], ["date", "value", "date"],
                            ["value", "date", "value"], ["x", "date", "value", "y"],
                            ["date"], ["day", "value"]])
+HEADERS_OF_BOTH = st.sampled_from([["date", "value"], ["value", "date"], ["date", "value", "date"],
+                                   ["value", "date", "value"], ["x", "date", "value", "y"]])
 
 
 @st.composite
 def series_text(draw):
     """Text of a small series file: header shapes DictReader resolves in its
-    own way (repeated names keep the last), short and blank rows, repeated
-    and unsorted dates, and the date and value traps."""
-    header = draw(HEADERS)
-    cells = {"date": DATE_CELLS, "value": VALUE_CELLS}
+    own way (repeated names keep the last), short, blank and whitespace-only
+    rows, repeated and unsorted dates, quoted and padded cells, quoted line
+    breaks, and the date and value traps."""
+    # half the files hold no trap, so that the fast path's series is
+    # compared with the row loop's often
+    traps = draw(st.booleans())
+    header = draw(HEADERS if traps else HEADERS_OF_BOTH)
+    if traps:
+        cells = {"date": (DATE_CELLS, DATE_WRAPS), "value": (VALUE_CELLS, VALUE_WRAPS)}
+        strays = STRAY_LINES
+    else:
+        cells = {"date": (ISO_DAYS, DATE_WRAPS[:2]), "value": (FINITE, VALUE_WRAPS[:6])}
+        strays = STRAY_LINES[:1]
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 8))):
-        row = [draw(cells.get(name, st.just("z"))) for name in header]
-        if draw(st.integers(0, 9)) == 0:
+        row = [draw(st.sampled_from(cells[name][1])).format(draw(cells[name][0]))
+               if name in cells else draw(UNUSED_CELLS) for name in header]
+        if traps and draw(st.integers(0, 9)) == 0:
             row = row[:draw(st.integers(0, len(row) - 1))]  # short, or blank
         lines.append(",".join(row))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(strays)))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return newline.join(lines) + newline
 
 
@@ -203,9 +234,19 @@ class TestIsoFastPath:
             assert outcome(parse_series, spec) == expected
             fast = _parse_iso(spec)
         if isinstance(expected, DatedSeries):
-            assert fast is None or fast == expected
+            assert fast is None or (fast == expected and hexes(fast) == hexes(expected))
         else:
             assert fast is None
+
+    @pytest.mark.parametrize("body", ["", " \n"], ids=["header-only", "whitespace-line"])
+    def test_no_data_rows_raise_no_warning(self, tmp_path, body):
+        spec = SeriesFileSpec(write(tmp_path, "date,value\n" + body))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = outcome(parse_series, spec)
+        assert [str(w.message) for w in caught] == []
+        assert got == outcome(_parse_rows, spec)
+        assert got[0] is (EmptyInputError if not body else BadDateError)
 
 
 class TestWriteSeries:
@@ -225,7 +266,7 @@ class TestWriteSeries:
         path = str(tmp_path / "out.csv")
         write_series(DatedSeries((date(2009, 1, 2),), np.array([1.5])),
                      path, date_column="day", value_column="close")
-        text = open(path).read()
+        text = Path(path).read_text()
         assert text == "day,close\n2009-01-02,1.5\n"
 
     @pytest.mark.parametrize("name", ["a,b", 'say "x"', "x\ry", "x\ny"],
