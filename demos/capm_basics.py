@@ -41,8 +41,7 @@ def main() -> None:
     print(f"beta {fit.beta:.3f}, intercept {fit.intercept:+.5f}, "
           f"residual sigma {fit.residual_sigma:.4f} over {fit.n_obs} days\n")
 
-    sigma_m = float(market_vals.std())
-    systematic, unsystematic = risk_decomposition(fit, sigma_m)
+    systematic, unsystematic = risk_decomposition(fit)
     print(f"daily systematic risk   {systematic:.4f}  (beta x sigma_m)")
     print(f"daily unsystematic risk {unsystematic:.4f}  (diversifiable)\n")
 

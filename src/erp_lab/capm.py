@@ -17,7 +17,6 @@ from .errors import (
     EmptyInputError,
     InvalidParametersError,
     LengthMismatchError,
-    NegativeSigmaError,
     RankDeficientError,
     TooFewObservationsError,
     WeightsNotNormalizedError,
@@ -29,18 +28,23 @@ from .timeseries import align, align_many
 class MarketModelFit:
     """OLS fit of asset returns on market returns, with intercept.
 
-    ``residual_sigma`` uses the population convention (divide by n), so an
-    exact linear relation yields exactly zero.
+    ``residual_sigma`` and ``market_sigma`` (the standard deviation of the
+    market returns the fit paired with the asset's) use the population
+    convention (divide by n), so an exact linear relation yields a
+    residual of exactly zero.
     """
 
     beta: float
     intercept: float
     residual_sigma: float
     n_obs: int
+    market_sigma: float
 
     def __post_init__(self):
         if self.residual_sigma < 0:
             raise ValueError("residual_sigma must be >= 0")
+        if self.market_sigma < 0:
+            raise ValueError("market_sigma must be >= 0")
         if self.n_obs < 2:
             raise ValueError("n_obs must be >= 2")
 
@@ -90,18 +94,17 @@ def fit_market_model(asset, market) -> MarketModelFit:
     intercept = float(y.mean() - beta * x.mean())
     residuals = y - (intercept + beta * x)
     residual_sigma = float(np.sqrt(np.mean(residuals**2)))
-    return MarketModelFit(beta, intercept, residual_sigma, n)
+    return MarketModelFit(beta, intercept, residual_sigma, n, float(np.sqrt(var_x)))
 
 
-def risk_decomposition(fit: MarketModelFit, sigma_m: float) -> tuple[float, float]:
+def risk_decomposition(fit: MarketModelFit) -> tuple[float, float]:
     """Split total risk into (systematic, unsystematic) components.
 
-    Systematic risk is ``|beta| * sigma_m``; unsystematic risk is the
-    fit's residual standard deviation.
+    Systematic risk is ``|beta| * fit.market_sigma``, the market's
+    standard deviation over the dates the fit used; unsystematic risk is
+    the fit's residual standard deviation.
     """
-    if sigma_m < 0:
-        raise NegativeSigmaError("sigma_m must be >= 0")
-    return abs(fit.beta) * sigma_m, fit.residual_sigma
+    return abs(fit.beta) * fit.market_sigma, fit.residual_sigma
 
 
 def capm_expected_return(rf: float, beta: float, expected_market: float) -> float:

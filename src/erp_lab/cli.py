@@ -28,7 +28,7 @@ from .errors import DataError, ErpLabError, NumericalError
 from .historical import erp_report, report_columns
 from .implied import implied_erp_series
 from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series, write_rows, write_text
-from .timeseries import ReturnSeries, align, ema, simple_returns, step_interpolate
+from .timeseries import ReturnSeries, ema, simple_returns, step_interpolate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -81,6 +81,10 @@ def _read(name: str, spec: SeriesFileSpec, kind: str | None = None):
 def run_implied(args) -> int:
     """Daily pipeline: parse, carry EPS to the price calendar, smooth,
     compute eps/price - yield, write CSV and SVG."""
+    svg = args.svg or Path(args.output).with_suffix(".svg")
+    if Path(svg).resolve() == Path(args.output).resolve():
+        raise DataError(f"the chart path {svg} is the output file {args.output}; "
+                        "give --svg another path")
     prices_spec, eps_spec, yields_spec = (
         _spec_from(args, name) for name in ("prices", "eps", "yields"))
     prices = _read("prices", prices_spec)
@@ -102,7 +106,7 @@ def run_implied(args) -> int:
                   for s in (prices, eps_smooth, yields)]
         write_rows(args.output, ("date", "price", "eps_smoothed", "yield", "erp"),
                    erp.days, [*inputs, erp.values])
-        write_text(args.svg or Path(args.output).with_suffix(".svg"), chart)
+        write_text(svg, chart)
     return EXIT_OK
 
 
@@ -134,14 +138,12 @@ def run_capm(args) -> int:
     market = _read("market", market_spec, args.kind)
     with _stage("fitting market model"):
         fit = fit_market_model(asset, market)
-        _, _, market_aligned = align(asset, market)
-        sigma_m = float(market_aligned.std())
-        systematic, unsystematic = risk_decomposition(fit, sigma_m)
+        systematic, unsystematic = risk_decomposition(fit)
     print(f"n_obs           {fit.n_obs}")
     print(f"beta            {format_cell(fit.beta)}")
     print(f"intercept       {format_cell(fit.intercept)}")
     print(f"residual_sigma  {format_cell(fit.residual_sigma)}")
-    print(f"sigma_m         {format_cell(sigma_m)}")
+    print(f"sigma_m         {format_cell(fit.market_sigma)}")
     print(f"systematic      {format_cell(systematic)}")
     print(f"unsystematic    {format_cell(unsystematic)}")
     return EXIT_OK
@@ -295,7 +297,7 @@ def _load_config(path: str) -> dict[str, tuple[str, str]]:
     and key.  A key given twice is an error, not a silent override."""
     config: dict[str, tuple[str, str]] = {}
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

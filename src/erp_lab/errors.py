@@ -69,10 +69,6 @@ class DecayOutOfRangeError(DataError):
     """An exponential-weighting decay outside (0, 1]."""
 
 
-class NegativeSigmaError(DataError):
-    """A standard deviation argument below zero."""
-
-
 class LengthMismatchError(DataError):
     """Paired lists have different lengths."""
 

@@ -1,10 +1,11 @@
 """CSV ingestion for dated series, and every output file the package writes.
 
-Input files are UTF-8 CSV with a header row; columns are looked up by
-name, dates parsed against a configurable format (ISO by default), and
-values multiplied by a scale factor.  The scale factor is how
-percent-quoted yields become decimal fractions (scale 0.01) -- the
-pipeline's most dangerous silent-unit bug lives here.
+Input files are UTF-8 CSV with a header row (a leading byte-order mark,
+as Excel writes, is skipped); columns are looked up by name, dates
+parsed against a configurable format (ISO by default), and values
+multiplied by a scale factor.  The scale factor is how percent-quoted
+yields become decimal fractions (scale 0.01) -- the pipeline's most
+dangerous silent-unit bug lives here.
 """
 
 from __future__ import annotations
@@ -89,13 +90,14 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
     """The series :func:`_parse_rows` would return for an ISO-dated file,
     read in one ``np.loadtxt`` call on the text after the header, or
     ``None`` where any check fails: a missing column, no data row, a NUL
-    anywhere after the header, a short row, an unparseable or non-finite
-    value, a date cell other than exactly ten ASCII bytes ``YYYY-MM-DD``
-    naming a day from 0001-01-01 to 9999-12-31, a duplicate date, a
-    scaled value out of float range, malformed CSV or UTF-8.
+    anywhere after the header, a short row, an unparseable value, a date
+    cell other than exactly ten ASCII bytes ``YYYY-MM-DD`` naming a day
+    from 0001-01-01 to 9999-12-31, malformed CSV or UTF-8, or a series
+    :class:`DatedSeries` refuses (a duplicate date, a value non-finite in
+    the file or after scaling).
     """
     try:
-        with open(spec.path, newline="", encoding="utf-8") as fh:
+        with open(spec.path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), [])
             body = fh.read()
     except (csv.Error, ValueError):
@@ -119,29 +121,24 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
         if not np.all(cells - _ISO_LOW <= _ISO_SPAN):
             return None
         days = table["day"].astype("datetime64[D]")
+        # date's range: a four-digit year can fall below it only as year 0000
+        if not np.all(days >= _FIRST_DAY):
+            return None
+        order = np.argsort(days, kind="stable")
+        # Python's float product neither warns nor traps; nor may this one
+        with np.errstate(all="ignore"):
+            values = table["value"][order] * float(spec.value_scale)
+        # DatedSeries refuses a repeated date, and a value non-finite in
+        # the file or after scaling; the row loop names which
+        return DatedSeries(days[order], values)
     except ValueError:
         return None
-    values = table["value"]
-    # date's range: a four-digit year can fall below it only as year 0000
-    if not np.all(days >= _FIRST_DAY):
-        return None
-    order = np.argsort(days, kind="stable")
-    days, values = days[order], values[order]
-    if np.any(np.diff(days) <= np.timedelta64(0, "D")):
-        return None
-    # Python's float product neither warns nor traps; nor may this one
-    with np.errstate(all="ignore"):
-        values = values * float(spec.value_scale)
-    # also a non-finite value in the file: a positive finite scale keeps it so
-    if not np.all(np.isfinite(values)):
-        return None
-    return DatedSeries(days, values)
 
 
 def _parse_rows(spec: SeriesFileSpec) -> DatedSeries:
     """:func:`parse_series` one row at a time, for any ``date_format``."""
     observations: dict = {}
-    with open(spec.path, newline="", encoding="utf-8") as fh:
+    with open(spec.path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             header = reader.fieldnames or []

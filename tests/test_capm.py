@@ -23,9 +23,9 @@ from erp_lab.capm import (
 from erp_lab.errors import (
     DegenerateRegressorError,
     EmptyInputError,
+    EmptyIntersectionError,
     InvalidParametersError,
     LengthMismatchError,
-    NegativeSigmaError,
     RankDeficientError,
     TooFewObservationsError,
     WeightsNotNormalizedError,
@@ -85,6 +85,32 @@ class TestFitMarketModel:
         assert fit.n_obs == 3
         np.testing.assert_allclose(fit.beta, 1.0, rtol=1e-12)
 
+    @given(data=st.data(), n=st.integers(2, 60))
+    @settings(max_examples=300, deadline=None)
+    def test_market_sigma_is_the_aligned_market_std(self, data, n):
+        calendar = np.arange(n).astype("datetime64[D]")
+        values = st.floats(-1e3, 1e3, allow_nan=False)
+
+        def drawn(label):
+            # a random part of the calendar, at least one day
+            on = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                                    .filter(any), label=f"{label} days"))
+            size = int(on.sum())
+            vals = data.draw(st.lists(values, min_size=size, max_size=size),
+                             label=f"{label} values")
+            return DatedSeries(calendar[on], vals)
+
+        asset, market = drawn("asset"), drawn("market")
+        aligned = market.values[np.isin(market.days, asset.days)]
+        try:
+            fit = fit_market_model(asset, market)
+        except (TooFewObservationsError, DegenerateRegressorError, EmptyIntersectionError):
+            # a constant market, or one whose variance underflows to zero
+            assert aligned.size < 2 or aligned.std() == 0 or np.all(aligned == aligned[0])
+            return
+        assert fit.n_obs == aligned.size
+        assert float.hex(fit.market_sigma) == float.hex(float(aligned.std()))
+
     def test_residual_sigma_population_convention(self):
         # residuals (-e, +e, -e, +e) around the fitted line have
         # population sigma exactly e
@@ -135,31 +161,30 @@ class TestFitMarketModel:
 
     def test_fit_dataclass_validation(self):
         with pytest.raises(ValueError):
-            MarketModelFit(1.0, 0.0, -0.1, 10)
+            MarketModelFit(1.0, 0.0, -0.1, 10, 0.1)
         with pytest.raises(ValueError):
-            MarketModelFit(1.0, 0.0, 0.1, 1)
+            MarketModelFit(1.0, 0.0, 0.1, 1, 0.1)
 
 
 class TestRiskDecomposition:
     def test_basic_split(self):
-        fit = MarketModelFit(1.2, 0.0, 0.04, 30)
-        sys, unsys = risk_decomposition(fit, 0.15)
+        fit = MarketModelFit(1.2, 0.0, 0.04, 30, 0.15)
+        sys, unsys = risk_decomposition(fit)
         assert sys == pytest.approx(0.18, abs=1e-15)
         assert unsys == 0.04
 
     def test_negative_beta_uses_magnitude(self):
-        fit = MarketModelFit(-0.5, 0.0, 0.02, 30)
-        sys, _ = risk_decomposition(fit, 0.10)
+        fit = MarketModelFit(-0.5, 0.0, 0.02, 30, 0.10)
+        sys, _ = risk_decomposition(fit)
         assert sys == pytest.approx(0.05, abs=1e-15)
 
     def test_zero_beta_all_unsystematic(self):
-        fit = MarketModelFit(0.0, 0.0, 0.07, 30)
-        assert risk_decomposition(fit, 0.2) == (0.0, 0.07)
+        fit = MarketModelFit(0.0, 0.0, 0.07, 30, 0.2)
+        assert risk_decomposition(fit) == (0.0, 0.07)
 
     def test_negative_sigma_raises(self):
-        fit = MarketModelFit(1.0, 0.0, 0.02, 30)
-        with pytest.raises(NegativeSigmaError):
-            risk_decomposition(fit, -0.1)
+        with pytest.raises(ValueError, match="market_sigma must be >= 0"):
+            MarketModelFit(1.0, 0.0, 0.02, 30, -0.1)
 
 
 class TestCapmExpectedReturn:

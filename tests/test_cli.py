@@ -506,6 +506,18 @@ class TestConfig:
                     implied_argv(prices, eps, yields, via_config)) == EXIT_OK
         assert Path(via_config).read_text() == Path(explicit).read_text()
 
+    def test_config_with_byte_order_mark_fills_its_flag(self, implied_files, tmp_path):
+        prices, eps, yields = implied_files
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfema-period = 3\n")
+        explicit = str(tmp_path / "explicit.csv")
+        via_config = str(tmp_path / "config.csv")
+        assert main(implied_argv(prices, eps, yields, explicit,
+                                 extra=("--ema-period", "3"))) == EXIT_OK
+        assert main(["--config", str(cfg)] +
+                    implied_argv(prices, eps, yields, via_config)) == EXIT_OK
+        assert Path(via_config).read_text() == Path(explicit).read_text()
+
     def test_explicit_flag_beats_config(self, implied_files, tmp_path):
         prices, eps, yields = implied_files
         cfg = write(tmp_path, "cfg", "ema-period = 7\n")
@@ -755,6 +767,34 @@ class TestEmptyPath:
         before = sorted(os.listdir(tmp_path))
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == expected
+        assert sorted(os.listdir(tmp_path)) == before
+
+
+# --output and --svg whose chart path resolves to the output file
+COLLISIONS = [("erp.svg", None), ("a.csv", "a.csv"), ("a.csv", "./a.csv")]
+
+
+class TestChartOverwritesOutput:
+    """A chart path that is the output file is refused before any input is read."""
+
+    @pytest.mark.parametrize("output, svg", COLLISIONS,
+                             ids=["default-svg", "same-name", "dot-slash"])
+    @pytest.mark.parametrize("source", ["config", "command line"])
+    def test_collision_is_refused(self, output, svg, source, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "parse_series", None)
+        monkeypatch.chdir(tmp_path)
+        flags = {"output": output, **({"svg": svg} if svg else {})}
+        argv = ["implied", "--prices", "p.csv", "--eps", "e.csv", "--yields", "y.csv"]
+        if source == "config":
+            cfg = write(tmp_path, "cfg", "".join(f"{k} = {v}\n" for k, v in flags.items()))
+            argv = ["--config", cfg, *argv]
+        else:
+            argv += [item for k, v in flags.items() for item in (f"--{k}", v)]
+        before = sorted(os.listdir(tmp_path))
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"erp-lab: the chart path {svg or output} is the output file {output}; "
+            "give --svg another path\n")
         assert sorted(os.listdir(tmp_path)) == before
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from erp_lab import cli, implied
+from erp_lab import cli, implied, timeseries
 from erp_lab.cli import main
 from erp_lab.timeseries import align_many
 
@@ -111,6 +111,20 @@ def test_implied_intersects_its_inputs_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "align_many", counted, raising=False)
     assert run_case("implied", tmp_path)["exit_code"] == b"0\n"
     assert calls == [3]
+
+
+def test_capm_intersects_its_inputs_once(tmp_path, monkeypatch):
+    # the fit carries the market sigma it was fit on; nothing aligns again
+    calls = []
+
+    def counted(series):
+        calls.append(len(series))
+        return align_many(series)
+
+    monkeypatch.delenv("ERP_LAB_CONFIG", raising=False)
+    monkeypatch.setattr(timeseries, "align_many", counted)
+    assert run_case("capm", tmp_path)["exit_code"] == b"0\n"
+    assert calls == [2]
 
 
 if __name__ == "__main__":

@@ -168,7 +168,7 @@ def series_text(draw):
     """Text of a small series file: header shapes DictReader resolves in its
     own way (repeated names keep the last), short, blank and whitespace-only
     rows, repeated and unsorted dates, quoted and padded cells, quoted line
-    breaks, and the date and value traps."""
+    breaks, the date and value traps, and a leading byte-order mark."""
     # half the files hold no trap, so that the fast path's series is
     # compared with the row loop's often
     traps = draw(st.booleans())
@@ -189,7 +189,9 @@ def series_text(draw):
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(strays)))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return newline.join(lines) + newline
+    # a byte-order mark, as Excel's "CSV UTF-8" export writes
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + newline
 
 
 class TestIsoFastPath:
@@ -204,6 +206,15 @@ class TestIsoFastPath:
         fast = _parse_iso(spec)
         assert fast is not None
         assert fast == _parse_rows(spec)
+
+    def test_byte_order_mark_takes_the_fast_path(self, tmp_path):
+        text = "date,value\n2020-01-06,2.5\n2020-01-05,1.0\n"
+        plain = SeriesFileSpec(write(tmp_path, text, "plain.csv"))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        fast = _parse_iso(SeriesFileSpec(str(bom)))
+        assert fast is not None
+        assert fast == _parse_rows(SeriesFileSpec(str(bom))) == parse_series(plain)
 
     def test_other_date_formats_skip_the_fast_path(self, tmp_path):
         path = write(tmp_path, "date,value\n2009-01-02,1.0\n")
