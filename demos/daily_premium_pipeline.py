@@ -12,10 +12,11 @@ from erp_lab import (
     SeriesFileSpec,
     ema,
     implied_erp_series,
+    line_chart_svg,
     parse_series,
     step_interpolate,
-    write_line_chart,
 )
+from erp_lab.io import write_rows, write_text
 
 DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 
@@ -45,14 +46,9 @@ def main() -> None:
         print("prices outran smoothed earnings until the premium vanished,")
         print("then earnings recovered and the premium turned positive again.")
 
-    out_csv = Path("implied_erp.csv")
-    with out_csv.open("w") as fh:
-        fh.write("date,erp\n")
-        for d, v in erp.as_pairs():
-            fh.write(f"{d.isoformat()},{v:.10f}\n")
-    write_line_chart(erp, "implied_erp.svg",
-                     title="Implied equity risk premium", y_label="premium")
-    print(f"wrote {out_csv} and implied_erp.svg")
+    write_rows("implied_erp.csv", ("date", "erp"), erp.days, [erp.values])
+    write_text("implied_erp.svg", line_chart_svg(erp))
+    print("wrote implied_erp.csv and implied_erp.svg")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from .capm import (
     risk_decomposition,
     simulate_diversification,
 )
-from .charts import line_chart_svg, write_line_chart
+from .charts import line_chart_svg
 from .historical import (
     ErpEstimate,
     ErpReport,
@@ -100,6 +100,5 @@ __all__ = [
     "step_interpolate",
     "two_stage_implied_k",
     "two_stage_price",
-    "write_line_chart",
     "write_series",
 ]

@@ -1,20 +1,19 @@
-"""Self-contained SVG line charts.
+"""The implied-premium chart: one dated series as a self-contained SVG.
 
 Hand-rolled on purpose: output must be byte-identical for identical
 inputs (the only free-floating text is a fixed format-version comment),
 which rules out plotting libraries that embed their own version strings
-and generated ids.
+and generated ids.  Every text the chart holds is fixed here or is an
+ISO date or a number, so none of it needs escaping.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 
-from .errors import InvalidParametersError, NumericalError
-from .io import write_text
+from .errors import NumericalError
 from .timeseries import DatedSeries
 
 FORMAT_COMMENT = "<!-- erp-lab chart format 1 -->"
@@ -25,17 +24,10 @@ _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 20.0
 _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 48.0
-
-# characters XML 1.0 forbids outright: no escape can carry them
-_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
-
-
-def _coord(x: float) -> str:
-    return f"{x:.2f}"
-
-
-def _tick_label(v: float) -> str:
-    return f"{v:.6g}"
+_TITLE = "Implied equity risk premium"
+_Y_LABEL = "premium"
+_COORD = "%.2f"
+_coord = _COORD.__mod__
 
 
 def _line(x1: float, y1: float, x2: float, y2: float, stroke="black", extra="") -> str:
@@ -44,32 +36,26 @@ def _line(x1: float, y1: float, x2: float, y2: float, stroke="black", extra="") 
 
 
 def _text(x: str, y: str, anchor: str, size: int, body: str, extra: str = "") -> str:
-    """A text element at already formatted coordinates; ``body`` is escaped."""
-    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """A text element at already formatted coordinates; ``body`` goes in
+    unescaped, as no chart text holds ``&``, ``<`` or ``>``."""
     return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
             f'font-size="{size}"{extra}>{body}</text>')
 
 
-def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value") -> str:
-    """Render a single dated series as a 900 x 420 SVG line chart.
+def line_chart_svg(series: DatedSeries) -> str:
+    """Render a daily implied premium as a 900 x 420 SVG line chart,
+    titled "Implied equity risk premium", its y axis labeled "premium".
 
     X is calendar time (labeled with ISO dates), y the series value; a
     dashed zero line is drawn when zero falls inside the y range.
 
     Raises
     ------
-    InvalidParametersError
-        ``title`` or ``y_label`` holds a character XML 1.0 forbids.
     NumericalError
         The padded y range, or its width scaled to the plot height,
         exceeds float range: the chart would hold ``inf`` or ``nan``
         coordinates.
     """
-    for name, text in (("title", title), ("y_label", y_label)):
-        bad = _NOT_XML.search(text)
-        if bad:
-            raise InvalidParametersError(
-                f"chart {name} holds U+{ord(bad.group()):04X}, which XML 1.0 forbids")
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
@@ -95,9 +81,8 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value")
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         FORMAT_COMMENT,
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        _text(_coord(_WIDTH / 2), "20", "middle", 14, _TITLE),
     ]
-    if title:
-        out.append(_text(_coord(_WIDTH / 2), "20", "middle", 14, title))
 
     axis_bottom = _MARGIN_TOP + plot_h
     axis_right = _MARGIN_LEFT + plot_w
@@ -113,7 +98,7 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value")
         v = lo + (hi - lo) * i / 4
         y = y_at(v)
         out += [_line(_MARGIN_LEFT - 4, y, _MARGIN_LEFT, y),
-                _text(_coord(_MARGIN_LEFT - 8), _coord(y + 4), "end", 11, _tick_label(v))]
+                _text(_coord(_MARGIN_LEFT - 8), _coord(y + 4), "end", 11, f"{v:.6g}")]
 
     # x ticks: up to five dates spread across the sample
     n = len(series)
@@ -128,22 +113,14 @@ def line_chart_svg(series: DatedSeries, title: str = "", y_label: str = "value")
         out.append(_line(_MARGIN_LEFT, zero_y, axis_right, zero_y, stroke="grey",
                          extra=' stroke-dasharray="4 3"'))
 
-    # y_at over the whole array; Python's float arithmetic neither warns
-    # nor traps, so neither may this
-    with np.errstate(all="ignore"):
-        ys = y_at(series.values)
-    points = " ".join(map("%.2f,%.2f".__mod__, zip(xs, ys.tolist())))
+    points = " ".join(map(f"{_COORD},{_COORD}".__mod__, zip(xs, y_at(series.values).tolist())))
     out.append(
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
     )
 
     out.append(_text(_coord(_MARGIN_LEFT + plot_w / 2), _coord(_HEIGHT - 8), "middle", 12, "date"))
     mid_y = _coord(_MARGIN_TOP + plot_h / 2)
-    out.append(_text("14", mid_y, "middle", 12, y_label,
+    out.append(_text("14", mid_y, "middle", 12, _Y_LABEL,
                      extra=f' transform="rotate(-90 14 {mid_y})"'))
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def write_line_chart(series: DatedSeries, path: str, **kwargs) -> None:
-    write_text(path, line_chart_svg(series, **kwargs))

@@ -66,6 +66,21 @@ def _stage(name: str):
         raise (NumericalError if numerical else DataError)(f"{name}: {exc}") from exc
 
 
+def _check_outputs(outputs, inputs) -> None:
+    """Refuse an output ``(flag, role, path)`` whose directory does not exist,
+    or that is an input ``(name, path)`` or an earlier output."""
+    taken = [(name, path, Path(path).resolve()) for name, path in inputs]
+    for flag, role, path in outputs:
+        resolved = Path(path).resolve()
+        if not resolved.parent.is_dir():
+            raise DataError(f"the directory of the {role} path {path} does not exist")
+        for name, other, other_resolved in taken:
+            if resolved == other_resolved:
+                raise DataError(f"the {role} path {path} is the {name} file {other}; "
+                                f"give {flag} another path")
+        taken.append((role, path, resolved))
+
+
 def _read(name: str, spec: SeriesFileSpec, kind: str | None = None):
     """Parse one file in the stage ``parsing {name}``; given a ``kind``, as
     returns, differencing ``levels`` first."""
@@ -82,11 +97,10 @@ def run_implied(args) -> int:
     """Daily pipeline: parse, carry EPS to the price calendar, smooth,
     compute eps/price - yield, write CSV and SVG."""
     svg = args.svg or Path(args.output).with_suffix(".svg")
-    if Path(svg).resolve() == Path(args.output).resolve():
-        raise DataError(f"the chart path {svg} is the output file {args.output}; "
-                        "give --svg another path")
-    prices_spec, eps_spec, yields_spec = (
-        _spec_from(args, name) for name in ("prices", "eps", "yields"))
+    names = ("prices", "eps", "yields")
+    _check_outputs([("--output", "output", args.output), ("--svg", "chart", svg)],
+                   [(name, getattr(args, name)) for name in names])
+    prices_spec, eps_spec, yields_spec = (_spec_from(args, name) for name in names)
     prices = _read("prices", prices_spec)
     eps_sparse = _read("eps", eps_spec)
     yields = _read("yields", yields_spec)
@@ -99,8 +113,7 @@ def run_implied(args) -> int:
     with _stage("writing output"):
         # the chart is the step that can still fail: render it before
         # writing either file, so that a failure leaves neither
-        chart = charts.line_chart_svg(erp, title="Implied equity risk premium",
-                                      y_label="premium")
+        chart = charts.line_chart_svg(erp)
         # erp.days already is the inputs' intersection: look it up in each
         inputs = [s.values[np.searchsorted(s.days, erp.days)]
                   for s in (prices, eps_smooth, yields)]
@@ -116,16 +129,18 @@ def run_historical(args) -> int:
     riskfree_specs = [(label, _spec_from(args, "riskfree", path))
                       for label, path in args.riskfree]
     equity_spec = _spec_from(args, "equity")
+    _check_outputs([("--output", "output", args.output)],
+                   [("equity", args.equity)]
+                   + [(f"riskfree {label!r}", path) for label, path in args.riskfree])
     report_columns([label for label, _ in args.riskfree], args.method)
     equity = _read("equity", equity_spec, args.equity_kind)
     variants = [(label, _read(f"riskfree {label!r}", spec, args.riskfree_kind))
                 for label, spec in riskfree_specs]
     with _stage("building report"):
         report = erp_report(equity, variants, args.window, args.method)
-    labels = report.column_labels()
+    windows, labels = report.window_labels(), report.column_labels()
     for (i, j), gap in sorted(report.gaps.items()):
-        window = "%s-%s" % report.windows[i]
-        print(f"erp-lab: warning: {window} {labels[j]}: {gap}", file=sys.stderr)
+        print(f"erp-lab: warning: {windows[i]} {labels[j]}: {gap}", file=sys.stderr)
     with _stage("writing output"):
         write_text(args.output, report.to_csv())
     return EXIT_OK

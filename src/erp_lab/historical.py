@@ -146,18 +146,25 @@ class ErpReport:
     def column_labels(self) -> list[str]:
         return [_column_label(*column) for column in self.columns]
 
+    def window_labels(self) -> list[str]:
+        return [_window_label(window) for window in self.windows]
+
     def to_csv(self) -> str:
         """One row per window; missing cells render as NA.  A header field
         holding a comma, quote or line break is quoted."""
         lines = [csv_header(["window", *self.column_labels()])]
-        for i, (window, row) in enumerate(zip(self.windows, self.premium.tolist())):
-            lines.append(f"{window[0]}-{window[1]}," + ",".join(
+        for i, (window, row) in enumerate(zip(self.window_labels(), self.premium.tolist())):
+            lines.append(f"{window}," + ",".join(
                 "NA" if (i, j) in self.gaps else format_cell(p) for j, p in enumerate(row)))
         return "\n".join(lines) + "\n"
 
 
 def _column_label(label: str, method: AveragingMethod) -> str:
     return f"{label} {method.label}"
+
+
+def _window_label(window: YearWindow) -> str:
+    return "%s-%s" % window
 
 
 def report_columns(labels: list[str], methods: list[AveragingMethod]
@@ -211,8 +218,8 @@ def erp_report(
         for n in sorted(set(lengths.tolist())):
             group = np.flatnonzero(lengths == n)
             if n <= 0:
-                gaps.update(((i, c), EmptyWindowError("no aligned observations in %s-%s"
-                                                      % windows[i]))
+                gaps.update(((i, c), EmptyWindowError("no aligned observations in "
+                                                      + _window_label(windows[i])))
                             for i in group.tolist() for c in variant)
                 continue
             rows = first[group, None] + np.arange(n)

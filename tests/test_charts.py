@@ -1,14 +1,16 @@
-"""Tests for the deterministic SVG line chart."""
+"""Tests for the deterministic SVG chart of the implied premium."""
 
-import re
+import sys
 from datetime import date, timedelta
 from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from erp_lab.charts import FORMAT_COMMENT, line_chart_svg, write_line_chart
-from erp_lab.errors import InvalidParametersError, NumericalError
+from erp_lab.charts import FORMAT_COMMENT, line_chart_svg
+from erp_lab.errors import NumericalError
 from erp_lab.timeseries import DatedSeries
 
 
@@ -18,11 +20,11 @@ def series(values, start=date(2020, 1, 1)):
 
 
 def test_contains_format_comment_and_axes():
-    svg = line_chart_svg(series([1.0, 2.0, 3.0]), title="demo", y_label="erp")
+    svg = line_chart_svg(series([1.0, 2.0, 3.0]))
     assert svg.startswith("<svg ")
     assert FORMAT_COMMENT in svg
-    assert ">demo</text>" in svg
-    assert ">erp</text>" in svg
+    assert ">Implied equity risk premium</text>" in svg
+    assert ">premium</text>" in svg
     assert ">date</text>" in svg
 
 
@@ -36,7 +38,7 @@ def test_polyline_has_one_point_per_observation():
 
 def test_deterministic_output():
     s = series(list(np.sin(np.arange(100) / 7.0)))
-    assert line_chart_svg(s, title="t") == line_chart_svg(s, title="t")
+    assert line_chart_svg(s) == line_chart_svg(s)
 
 
 def test_zero_line_drawn_only_when_crossing():
@@ -57,26 +59,15 @@ def test_x_tick_labels_are_iso_dates():
     assert ">2021-06-10</text>" in svg
 
 
-def test_write_line_chart(tmp_path):
-    s = series([0.5, -0.5, 0.25])
-    path = tmp_path / "chart.svg"
-    write_line_chart(s, str(path), title="x")
-    assert path.read_text() == line_chart_svg(s, title="x")
-
-
 @pytest.mark.parametrize("values", [
     [-1e308, 1e308],      # the range's width overflows, so both padded ends are infinite
     [-8.5e307, 8.5e307],  # both ends finite, only hi - lo overflows
     [-8e307, 8e307],      # hi - lo finite, only its product with the plot height overflows
     [1.7e308, 1.7e308],   # a constant series padded past the largest float
 ], ids=["infinite-ends", "infinite-width", "infinite-scaled-width", "constant-padded-past-max"])
-def test_range_beyond_float_range_is_numerical_error(values, tmp_path):
+def test_range_beyond_float_range_is_numerical_error(values):
     with pytest.raises(NumericalError, match="spans more than float range"):
         line_chart_svg(series(values))
-    path = tmp_path / "chart.svg"
-    with pytest.raises(NumericalError):
-        write_line_chart(series(values), str(path))
-    assert not path.exists()
 
 
 def test_wide_finite_range_draws_without_nan():
@@ -84,26 +75,42 @@ def test_wide_finite_range_draws_without_nan():
     assert "nan" not in svg and "inf" not in svg
 
 
-@pytest.mark.parametrize("labels", [{"title": "S&P 500 <ERP>"}, {"y_label": "S&P 500 <ERP>"}],
-                         ids=["title", "y_label"])
-def test_text_is_escaped(labels):
-    svg = line_chart_svg(series([1.0, -1.0, 2.0]), **labels)
-    texts = minidom.parseString(svg).getElementsByTagName("text")
-    assert "S&P 500 <ERP>" in [t.firstChild.data for t in texts]
+# each example's values lie within one magnitude, from subnormal to the
+# largest float, so that both drawable and refused ranges come up
+MAGNITUDES = [5e-324, 2.2e-308, 1.0, 1e300, 8e307, 8.5e307, 1.7e308, sys.float_info.max]
 
 
-@pytest.mark.parametrize("char", ["\x00", "\x0b", "\x1f", "\ufffe", "\ud800"],
-                         ids=["nul", "vt", "us", "fffe", "surrogate"])
-@pytest.mark.parametrize("name", ["title", "y_label"])
-def test_text_xml_forbids_is_refused(name, char):
-    message = f"chart {name} holds U+{ord(char):04X}, which XML 1.0 forbids"
-    with pytest.raises(InvalidParametersError, match=f"^{re.escape(message)}$"):
-        line_chart_svg(series([1.0, 2.0]), **{name: f"a{char}b"})
+@st.composite
+def chart_series(draw):
+    # hypothesis draws the distinct values; a seeded generator spreads them
+    # over up to 300 days with gaps of 1-10 days
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    m = draw(st.sampled_from(MAGNITUDES))
+    pool = draw(st.lists(st.one_of(st.floats(-m, m), st.sampled_from([0.0, m, -m])),
+                         min_size=1, max_size=8))
+    days = np.datetime64("2000-01-01") + np.cumsum(rng.integers(1, 11, n))
+    return DatedSeries(days, rng.choice(pool, n))
 
 
-@pytest.mark.parametrize("char", ["\t", "\x7f"], ids=["tab", "del"])
-@pytest.mark.parametrize("name", ["title", "y_label"])
-def test_text_xml_allows_still_parses(name, char):
-    svg = line_chart_svg(series([1.0, 2.0]), **{name: f"a{char}b"})
-    texts = minidom.parseString(svg).getElementsByTagName("text")
-    assert f"a{char}b" in [t.firstChild.data for t in texts]
+@settings(max_examples=300, deadline=None)
+@given(chart_series())
+def test_chart_draws_every_point_or_refuses_the_range(s):
+    # the CLI renders the chart with numpy's float errors raising
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            svg = line_chart_svg(s)
+        except NumericalError as exc:
+            assert str(exc).endswith("spans more than float range")
+            # |v| < 2e305 keeps 338 * 1.1 * (vmax - vmin) below the largest float
+            assert np.abs(s.values).max() >= 2e305
+            return
+    assert "nan" not in svg and "inf" not in svg
+    doc = minidom.parseString(svg)
+    texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert "Implied equity risk premium" in texts and "premium" in texts
+    (polyline,) = doc.getElementsByTagName("polyline")
+    points = [tuple(map(float, p.split(","))) for p in polyline.getAttribute("points").split()]
+    assert len(points) == len(s)
+    # every point inside the plot area (margins 72/20 across, 34/48 down)
+    assert all(72.0 <= x <= 880.0 and 34.0 <= y <= 372.0 for x, y in points)

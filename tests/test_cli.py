@@ -5,7 +5,6 @@ import csv
 import io
 import os
 import re
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -798,6 +797,68 @@ class TestChartOverwritesOutput:
         assert sorted(os.listdir(tmp_path)) == before
 
 
+# each run's inputs, as bare file names in the working directory
+OUTPUT_RUNS = {
+    "implied": {"prices": "p.csv", "eps": "e.csv", "yields": "y.csv", "output": "erp.csv"},
+    "historical": {"equity": "eq.csv", "riskfree": "bills=rf.csv", "window": "2000-2005",
+                   "method": "arithmetic", "output": "report.csv"},
+}
+# (command, input flag, output flag): the output flag names the input's file
+OVERWRITES = [
+    *(("implied", name, out) for name in ("prices", "eps", "yields") for out in ("output", "svg")),
+    ("historical", "equity", "output"),
+    ("historical", "riskfree", "output"),
+]
+INPUT_NAMES = {"riskfree": "riskfree 'bills'"}
+OUTPUT_ROLES = {"output": "output", "svg": "chart"}
+
+
+class TestOutputPaths:
+    """An output path that is an input file, or whose directory does not
+    exist, is refused before any input is read, and no file changes."""
+
+    def refused(self, command, flags, source, tmp_path, monkeypatch, capsys):
+        """Run ``command`` with ``flags`` in ``tmp_path``; its stderr, after
+        checking that it exits 1 and leaves every file as it was."""
+        monkeypatch.setattr(cli, "parse_series", None)
+        monkeypatch.chdir(tmp_path)
+        for name in ("p.csv", "e.csv", "y.csv", "eq.csv", "rf.csv"):
+            write(tmp_path, name, f"date,value\n2000-01-03,{len(name)}\n")
+        argv = [command]
+        if source == "config":
+            cfg = write(tmp_path, "cfg", "".join(f"{k} = {v}\n" for k, v in flags.items()))
+            argv = ["--config", cfg, *argv]
+        else:
+            argv += [item for k, v in flags.items() for item in (f"--{k}", v)]
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code, err = main(argv), capsys.readouterr().err
+        assert code == EXIT_INPUT, err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        return err
+
+    @pytest.mark.parametrize("command, name, out", OVERWRITES,
+                             ids=["-".join(case) for case in OVERWRITES])
+    @pytest.mark.parametrize("source", ["config", "command line"])
+    def test_output_naming_an_input_is_refused(self, command, name, out, source, tmp_path,
+                                               monkeypatch, capsys):
+        flags = dict(OUTPUT_RUNS[command])
+        file = flags[name].partition("=")[2] or flags[name]
+        flags[out] = f"./{file}"
+        assert self.refused(command, flags, source, tmp_path, monkeypatch, capsys) == (
+            f"erp-lab: the {OUTPUT_ROLES[out]} path ./{file} is the "
+            f"{INPUT_NAMES.get(name, name)} file {file}; give --{out} another path\n")
+
+    @pytest.mark.parametrize("command, out", [("implied", "output"), ("implied", "svg"),
+                                              ("historical", "output")])
+    @pytest.mark.parametrize("source", ["config", "command line"])
+    def test_output_in_a_missing_directory_is_refused(self, command, out, source, tmp_path,
+                                                      monkeypatch, capsys):
+        flags = {**OUTPUT_RUNS[command], out: "nodir/out.txt"}
+        assert self.refused(command, flags, source, tmp_path, monkeypatch, capsys) == (
+            f"erp-lab: the directory of the {OUTPUT_ROLES[out]} path nodir/out.txt "
+            "does not exist\n")
+
+
 class TestUsage:
     def test_unknown_flag(self, capsys):
         assert main(["simulate", "--n-assets", "4", "--bogus"]) == EXIT_INPUT
@@ -979,54 +1040,6 @@ class TestMalformedInputFuzz:
         assert [str(w.message) for w in caught] == []
         if code != EXIT_OK:
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
-
-
-def declared_console_script(name):
-    """The ``module:function`` target that pyproject.toml declares for ``name``."""
-    if sys.version_info >= (3, 11):
-        import tomllib
-    else:
-        tomllib = pytest.importorskip("tomli")
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"][name]
-
-
-# The wrapper pip writes into bin/ for a console script (distlib's template).
-CONSOLE_SCRIPT_TEMPLATE = """\
-#!{python}
-# -*- coding: utf-8 -*-
-import re
-import sys
-from {module} import {function}
-if __name__ == '__main__':
-    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])
-    sys.exit({function}())
-"""
-
-
-@pytest.fixture
-def erp_lab_on_path(tmp_path, monkeypatch):
-    """Put an ``erp-lab`` console script on PATH.
-
-    Where the package is installed, PATH already holds the script pip wrote
-    and nothing changes. Run from the source tree, it does not; then write
-    the script pip would install for the ``[project.scripts]`` target in
-    pyproject.toml, for this interpreter, into a fresh bin directory put
-    first on PATH, and point PYTHONPATH at the package under test.
-    """
-    if shutil.which("erp-lab") is not None:
-        return
-    module, _, function = declared_console_script("erp-lab").partition(":")
-    bindir = tmp_path / "bin"
-    bindir.mkdir()
-    script = bindir / "erp-lab"
-    script.write_text(CONSOLE_SCRIPT_TEMPLATE.format(
-        python=sys.executable, module=module, function=function))
-    script.chmod(0o755)
-    monkeypatch.setenv("PATH", str(bindir), prepend=os.pathsep)
-    monkeypatch.setenv("PYTHONPATH", str(Path(erp_lab.__file__).parents[1]),
-                       prepend=os.pathsep)
 
 
 def test_console_script_entry_point(erp_lab_on_path):

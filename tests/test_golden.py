@@ -4,7 +4,8 @@ Each case copies the bundled input files it reads into an empty
 directory, runs ``main(argv)`` there (so that messages name bare file
 names), and compares the exit code, stdout, stderr and every file the
 run wrote with ``golden/<case>/``: ``exit_code``, ``stdout``, ``stderr``
-and ``files/``.
+and ``files/``.  Each case is run once more through the ``erp-lab``
+console script on PATH, in a child process, and compared the same way.
 
 ``python tests/test_golden.py`` (with ``src`` on ``PYTHONPATH``) rewrites
 the golden directory from the code it imports.  Do that only on a commit
@@ -15,6 +16,7 @@ import contextlib
 import io
 import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,22 +63,27 @@ CASES = {
 }
 
 
-def run_case(name: str, workdir: Path) -> dict[str, bytes]:
-    """Run one case in ``workdir``; its exit code, stdout and stderr, and
+def run_case(name: str, workdir: Path, script: bool = False) -> dict[str, bytes]:
+    """Run one case in ``workdir``, in this process or, given ``script``,
+    through the ``erp-lab`` on PATH; its exit code, stdout and stderr, and
     the files it wrote, keyed as in the golden directory."""
     inputs, argv = CASES[name]
     for input_name in inputs:
         shutil.copyfile(DATA / input_name, workdir / input_name)
-    out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        os.chdir(cwd)
-    result = {"exit_code": f"{code}\n".encode(), "stdout": out.getvalue().encode(),
-              "stderr": err.getvalue().encode()}
+    if script:
+        proc = subprocess.run(["erp-lab", *argv], cwd=workdir, capture_output=True)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        out_text, err_text = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(out_text), contextlib.redirect_stderr(err_text):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        out, err = out_text.getvalue().encode(), err_text.getvalue().encode()
+    result = {"exit_code": f"{code}\n".encode(), "stdout": out, "stderr": err}
     for path in sorted(workdir.iterdir()):
         if path.name not in inputs:
             result[f"files/{path.name}"] = path.read_bytes()
@@ -89,13 +96,23 @@ def read_golden(name: str) -> dict[str, bytes]:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_output_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("ERP_LAB_CONFIG", raising=False)
-    got, want = run_case(name, tmp_path), read_golden(name)
+def assert_matches_golden(name: str, got: dict[str, bytes]) -> None:
+    want = read_golden(name)
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], f"{name}/{key} differs"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("ERP_LAB_CONFIG", raising=False)
+    assert_matches_golden(name, run_case(name, tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_console_script_matches_golden(name, tmp_path, monkeypatch, erp_lab_on_path):
+    monkeypatch.delenv("ERP_LAB_CONFIG", raising=False)
+    assert_matches_golden(name, run_case(name, tmp_path, script=True))
 
 
 def test_implied_intersects_its_inputs_once(tmp_path, monkeypatch):

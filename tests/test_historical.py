@@ -189,6 +189,15 @@ class TestErpReport:
         assert lines[2] == "2010-2014,NA"
         assert text.endswith("\n")
 
+    def test_window_labels_name_rows_and_empty_windows(self):
+        eq = annual([0.08] * 5)
+        tb = annual([0.03] * 5)
+        report = erp_report(eq, [("tbills", tb)], [(2000, 2004), (2010, 2014)], [ARITH])
+        assert report.window_labels() == ["2000-2004", "2010-2014"]
+        assert [line.split(",")[0] for line in report.to_csv().splitlines()[1:]] == \
+            report.window_labels()
+        assert str(report.gaps[1, 0]) == "no aligned observations in 2010-2014"
+
     def test_grid_is_arrays_with_the_gaps_keyed_by_cell(self):
         variants = [("tbills", annual([0.03] * 5)),
                     ("later", annual([0.01], first_year=2030))]
