@@ -68,12 +68,15 @@ def _stage(name: str):
 
 def _check_outputs(outputs, inputs) -> None:
     """Refuse an output ``(flag, role, path)`` whose directory does not exist,
-    or that is an input ``(name, path)`` or an earlier output."""
+    that is a directory, or that is an input ``(name, path)`` or an earlier
+    output."""
     taken = [(name, path, Path(path).resolve()) for name, path in inputs]
     for flag, role, path in outputs:
         resolved = Path(path).resolve()
         if not resolved.parent.is_dir():
             raise DataError(f"the directory of the {role} path {path} does not exist")
+        if resolved.is_dir():
+            raise DataError(f"the {role} path {path} is a directory")
         for name, other, other_resolved in taken:
             if resolved == other_resolved:
                 raise DataError(f"the {role} path {path} is the {name} file {other}; "
@@ -352,11 +355,12 @@ def _apply_config(flags: dict, config: dict[str, tuple[str, str]]) -> None:
             action.required = False
 
 
-def _may_name_config(token: str) -> bool:
-    """Whether argparse could read ``token`` as ``--config``: it takes any
-    prefix of a long flag, also before ``=`` (``--c PATH``, ``--conf=PATH``,
-    even ``--=PATH``).  A single-dash token never matches a long flag."""
-    return token.startswith("--") and "--config".startswith(token.partition("=")[0])
+def _may_name(flag: str, token: str) -> bool:
+    """Whether argparse could read ``token`` as the long ``flag``: it takes
+    any prefix of a long flag, also before ``=`` (``--c PATH``,
+    ``--conf=PATH``, even ``--=PATH``).  A single-dash token never matches
+    a long flag."""
+    return token.startswith("--") and flag.startswith(token.partition("=")[0])
 
 
 def _config_path(argv: list[str]) -> str | None:
@@ -364,11 +368,80 @@ def _config_path(argv: list[str]) -> str | None:
     scans every token, so it runs only when some token can name the flag;
     without one it could neither match nor fail."""
     config = None
-    if any(map(_may_name_config, argv)):
+    if any(_may_name("--config", token) for token in argv):
         pre = _Parser(add_help=False)
         pre.add_argument("--config")
         config = pre.parse_known_args(argv)[0].config
     return config or os.environ.get("ERP_LAB_CONFIG")
+
+
+def _historical_start(argv: list[str]) -> int | None:
+    """Where ``historical``'s own flags start, if ``historical`` surely is
+    the subcommand: the first token, or the one after a leading exact
+    ``--config PATH`` or ``--config=PATH``."""
+    if argv[:1] == ["historical"]:
+        return 1
+    if argv[1:2] == ["historical"] and argv[0].startswith("--config="):
+        return 2
+    if argv[:1] == ["--config"] and argv[2:3] == ["historical"]:
+        return 3
+    return None
+
+
+def _flag_values(tokens: list[str], flag: str, convert):
+    """The converted values of the exact ``flag VALUE`` and ``flag=VALUE``
+    uses in ``tokens``, and the indices of their tokens.  None where there
+    is no use, or where argparse must read the flag: a token could
+    abbreviate it (``--`` and ``--=X`` could), the token before a use is an
+    option still waiting for its value, or a value is missing, starts with
+    ``-`` or does not convert."""
+    values, indices = [], []
+    for i, token in enumerate(tokens):
+        if not _may_name(flag, token):
+            continue
+        name, sep, value = token.partition("=")
+        before = tokens[i - 1] if i else ""
+        if name != flag or (before.startswith("-") and "=" not in before):
+            return None
+        if not sep:
+            if i + 1 == len(tokens):
+                return None
+            value = tokens[i + 1]
+            indices.append(i + 1)
+        indices.append(i)
+        if value.startswith("-"):
+            return None
+        try:
+            values.append(convert(value))
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+    return (values, indices) if values else None
+
+
+def _take_repeated(argv: list[str], flags: dict) -> list[str]:
+    """``argv`` less the ``--window``, ``--method`` and ``--riskfree`` uses of
+    a ``historical`` command line, whose values become the flags' defaults,
+    as a config file's do, so they replace a config list.  Before Python
+    3.13, argparse scans the positions of all options once per option, so a
+    line of hundreds of repeated flags parses in quadratic time; this reads
+    them in one pass.  Each flag is taken whole or left whole to argparse
+    (see :func:`_flag_values`); none is taken where a token could ask for
+    help, whose usage line shows which flags are required."""
+    start = _historical_start(argv)
+    if start is None:
+        return argv
+    tokens = argv[start:]
+    if any(t.startswith("-h") or _may_name("--help", t) for t in tokens):
+        return argv
+    taken: set[int] = set()
+    for dest in ("window", "method", "riskfree"):
+        for sub, action in flags[dest]:
+            found = _flag_values(tokens, f"--{dest}", action.type)
+            if found:
+                sub.set_defaults(**{dest: found[0]})
+                action.required = False
+                taken.update(found[1])
+    return argv[:start] + [t for i, t in enumerate(tokens) if i not in taken]
 
 
 def main(argv=None) -> int:
@@ -378,7 +451,7 @@ def main(argv=None) -> int:
         parser, flags = build_parser()
         if config_path:
             _apply_config(flags, _load_config(config_path))
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_take_repeated(argv, flags))
         return args.func(args)
     except (_UsageError, *_CAUGHT) as exc:
         # a usage error already starts with its parser's name

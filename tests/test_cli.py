@@ -814,8 +814,9 @@ OUTPUT_ROLES = {"output": "output", "svg": "chart"}
 
 
 class TestOutputPaths:
-    """An output path that is an input file, or whose directory does not
-    exist, is refused before any input is read, and no file changes."""
+    """An output path that is an input file or a directory, or whose
+    directory does not exist, is refused before any input is read, and no
+    file changes."""
 
     def refused(self, command, flags, source, tmp_path, monkeypatch, capsys):
         """Run ``command`` with ``flags`` in ``tmp_path``; its stderr, after
@@ -830,10 +831,15 @@ class TestOutputPaths:
             argv = ["--config", cfg, *argv]
         else:
             argv += [item for k, v in flags.items() for item in (f"--{k}", v)]
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def contents():
+            return {p.name: p.read_bytes() if p.is_file() else sorted(os.listdir(p))
+                    for p in tmp_path.iterdir()}
+
+        before = contents()
         code, err = main(argv), capsys.readouterr().err
         assert code == EXIT_INPUT, err
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert contents() == before
         return err
 
     @pytest.mark.parametrize("command, name, out", OVERWRITES,
@@ -858,6 +864,16 @@ class TestOutputPaths:
             f"erp-lab: the directory of the {OUTPUT_ROLES[out]} path nodir/out.txt "
             "does not exist\n")
 
+    @pytest.mark.parametrize("command, out", [("implied", "output"), ("implied", "svg"),
+                                              ("historical", "output")])
+    @pytest.mark.parametrize("source", ["config", "command line"])
+    def test_output_that_is_a_directory_is_refused(self, command, out, source, tmp_path,
+                                                   monkeypatch, capsys):
+        (tmp_path / "outdir").mkdir()
+        flags = {**OUTPUT_RUNS[command], out: "outdir"}
+        assert self.refused(command, flags, source, tmp_path, monkeypatch, capsys) == (
+            f"erp-lab: the {OUTPUT_ROLES[out]} path outdir is a directory\n")
+
 
 class TestUsage:
     def test_unknown_flag(self, capsys):
@@ -876,6 +892,157 @@ class TestUsage:
         assert main(["--config"]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             "erp-lab: argument --config: expected one argument\n")
+
+
+# -- the repeated historical flags, read before argparse ------------------------
+
+# each repeatable flag's values: four it accepts, then two it refuses
+REPEATED_VALUES = {
+    "--window": ["2000-2004", "2000-2009", "2003-2003", "2001-2008", "2005-2001", "20x0-2004"],
+    "--method": ["arithmetic", "geometric", "blume:2", "exp:0.9", "harmonic", "blume:x"],
+    "--riskfree": ["bills=rf.csv", "bonds=rb.csv", "rf.csv", "x=y=z.csv", "=rf.csv", "bills="],
+}
+ODD_VALUES = ["", "-1", "--output", "-", "--window"]
+OTHER_TOKENS = [["--"], ["--", "stray"], ["stray"], ["--bogus"], ["--bogus=1"], ["--equity-kind"],
+                ["--equity-kind", "levels"], ["--riskfree-kind=levels"], ["--equity-scale", "-1"],
+                ["--output", "other.csv"], ["-h"], ["--he"], ["--=x"]]
+REPEATED_CONFIGS = ["window = 2000-2004, 2000-2009\n", "method = geometric\n",
+                    "window = 2001-2002\nmethod = arithmetic, exp:0.5\n",
+                    "riskfree = notes=rn.csv\n", "window = 2009-2000\n"]
+# the tokens before the flags; {cfg} is the config file
+HISTORICAL_PREFIXES = [["historical"], ["--config", "{cfg}", "historical"],
+                       ["--config={cfg}", "historical"], ["--c", "{cfg}", "historical"],
+                       ["--config", "{cfg}", "--", "historical"],
+                       ["simulate", "--n-assets", "2"]]
+
+
+@st.composite
+def flag_uses(draw, flag):
+    """Uses of a repeatable ``flag``: accepted values after the exact flag,
+    as the next token or after ``=``, and often one odd use among them:
+    abbreviated, with a value the flag refuses or an odd one, or alone."""
+    values = REPEATED_VALUES[flag]
+
+    def use(name, value):
+        return draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+
+    uses = [use(flag, draw(st.sampled_from(values[:4])))
+            for _ in range(draw(st.sampled_from([0, 1, 1, 2, 3])))]
+    odd = draw(st.sampled_from([None] * 4 + ["abbreviated", "refused", "odd", "alone"]))
+    if odd:
+        name = draw(st.sampled_from([flag[:-2], flag[:3]])) if odd == "abbreviated" else flag
+        value = draw(st.sampled_from({"abbreviated": values[:4], "refused": values[4:],
+                                      "odd": ODD_VALUES, "alone": [None]}[odd]))
+        uses.insert(draw(st.integers(0, len(uses))), [name] if value is None else use(name, value))
+    return uses
+
+
+@st.composite
+def use_after_waiting_option(draw):
+    """An accepted flag use right after an option still waiting for its
+    value, then a token that option could take."""
+    flag = draw(st.sampled_from(sorted(REPEATED_VALUES)))
+    value = draw(st.sampled_from(REPEATED_VALUES[flag][:4]))
+    option = draw(st.sampled_from(["--output", "--equity-kind", "--riskfree", "--method",
+                                   "--bogus", "-1"]))
+    return [option, *draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])),
+            draw(st.sampled_from(["levels", "o.csv"]))]
+
+
+@st.composite
+def historical_line(draw):
+    """A historical command line and the config file text it may name."""
+    chunks = [["--equity", "eq.csv"], ["--output", "out.csv"]]
+    for flag in REPEATED_VALUES:
+        chunks += draw(flag_uses(flag))
+    chunks += draw(st.lists(st.one_of(st.sampled_from(OTHER_TOKENS),
+                                      use_after_waiting_option()), max_size=2))
+    config = draw(st.one_of(st.none(), st.sampled_from(REPEATED_CONFIGS)))
+    prefix = draw(st.sampled_from(HISTORICAL_PREFIXES[:1] * 3 + HISTORICAL_PREFIXES))
+    tokens = [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+    return prefix + tokens, config
+
+
+class TestRepeatedFlags:
+    """``main`` reads the repeated historical flags (``--window``,
+    ``--method``, ``--riskfree``) in one pass before argparse sees the
+    rest; argparse alone must give the same result."""
+
+    @staticmethod
+    def outcome(argv, prepass):
+        """Exit code, stdout, stderr and parsed flags of ``main(argv)``, with
+        the historical command only recording its flags."""
+        parsed, out, err = [], io.StringIO(), io.StringIO()
+
+        def record(args):
+            parsed.append({k: v for k, v in vars(args).items() if k != "func"})
+            return EXIT_OK
+
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            mp.setattr(cli, "run_historical", record)
+            if not prepass:
+                mp.setattr(cli, "_take_repeated", lambda argv, flags: argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # help
+                code = f"exit {exc.code}"
+        return code, out.getvalue(), err.getvalue(), parsed
+
+    @given(line=historical_line())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_argparse_alone(self, line):
+        argv, config = line
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg")
+            if config is not None:
+                Path(cfg).write_text(config)
+            argv = [token.format(cfg=cfg) for token in argv]
+            assert self.outcome(argv, True) == self.outcome(argv, False)
+
+    # lines whose difference only a rare drawn line would show: help lists
+    # required flags unbracketed, and a flag after ``--`` is no flag
+    @pytest.mark.parametrize("tail", [["-h"], ["--he"], ["--", "stray", "--window", "2000-2004"],
+                                      ["--window"]])
+    def test_edge_lines_match_argparse_alone(self, tail):
+        argv = ["historical", "--equity", "eq.csv", "--output", "out.csv", "--riskfree", "rf.csv",
+                "--method", "arithmetic", "--window=2000-2009", *tail]
+        assert self.outcome(argv, True) == self.outcome(argv, False)
+
+    def test_many_windows_bypass_argparse(self, annual_paths, tmp_path, monkeypatch, capsys):
+        # hundreds of windows, some outside the data (NA cells and warnings)
+        windows = [f"{start}-{end}" for start in range(1990, 2010) for end in range(start, 2013)]
+
+        def argv(out):
+            line = ["historical", "--equity", str(annual_paths["equity"]),
+                    "--equity-value-column", "return",
+                    "--riskfree", f"tbills={annual_paths['tbills']}",
+                    f"--riskfree=tbonds={annual_paths['tbonds']}",
+                    "--riskfree-value-column", "return",
+                    "--method", "arithmetic", "--method=geometric", "--output", out]
+            for i, window in enumerate(windows):
+                line += ["--window", window] if i % 2 else [f"--window={window}"]
+            return line
+
+        seen = []
+        parse_args = cli._Parser.parse_args
+
+        def recording(parser, args=None, namespace=None):
+            seen.append(args)
+            return parse_args(parser, args, namespace)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recording)
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        assert main(argv(str(fast))) == EXIT_OK
+        fast_err = capsys.readouterr().err
+        assert len(windows) > 250 and fast_err.count("warning") > 0
+        assert [t for t in seen[0] if t.partition("=")[0] in
+                ("--window", "--method", "--riskfree")] == []
+        monkeypatch.setattr(cli, "_take_repeated", lambda argv, flags: argv)
+        assert main(argv(str(slow))) == EXIT_OK
+        assert seen[1] == argv(str(slow))
+        assert capsys.readouterr().err == fast_err
+        assert fast.read_bytes() == slow.read_bytes()
 
 
 # -- fuzzing main() on malformed series files ---------------------------------
