@@ -253,7 +253,7 @@ class _Repeatable(argparse.Action):
 def build_parser() -> tuple[_Parser, dict]:
     """The parser, and each flag's ``dest`` mapped to its ``(subparser, action)`` pairs."""
     parser = _Parser(description=__doc__.splitlines()[0])
-    parser.add_argument("--config", help="key=value file pre-filling flags "
+    parser.add_argument("--config", type=_path, help="key=value file pre-filling flags "
                         "(default: $ERP_LAB_CONFIG); explicit flags win")
     commands = parser.add_subparsers(dest="command", required=True)
     flags: dict[str, list[tuple[_Parser, argparse.Action]]] = {}
@@ -355,23 +355,21 @@ def _apply_config(flags: dict, config: dict[str, tuple[str, str]]) -> None:
             action.required = False
 
 
-def _may_name(flag: str, token: str) -> bool:
-    """Whether argparse could read ``token`` as the long ``flag``: it takes
-    any prefix of a long flag, also before ``=`` (``--c PATH``,
-    ``--conf=PATH``, even ``--=PATH``).  A single-dash token never matches
-    a long flag."""
-    return token.startswith("--") and flag.startswith(token.partition("=")[0])
-
-
 def _config_path(argv: list[str]) -> str | None:
-    """The ``--config`` argument, else ``$ERP_LAB_CONFIG``.  The pre-parse
-    scans every token, so it runs only when some token can name the flag;
-    without one it could neither match nor fail."""
+    """The ``--config`` argument, else ``$ERP_LAB_CONFIG``.  argparse reads
+    a token as a long flag if it starts with ``--`` and its part before any
+    ``=`` is a prefix of the flag (``--c PATH``, ``--conf=PATH``, even
+    ``--=PATH``).  Its option scan is quadratic, so the pre-parse reads only
+    the tokens that can name ``--config`` and the token after each: any
+    other token is a plain argument or an unknown option, and neither takes
+    a value here.  Without such a token it could neither match nor fail."""
+    names = [t.startswith("--") and "--config".startswith(t.partition("=")[0]) for t in argv]
+    view = [t for t, named, after in zip(argv, names, [False, *names]) if named or after]
     config = None
-    if any(_may_name("--config", token) for token in argv):
+    if view:
         pre = _Parser(add_help=False)
-        pre.add_argument("--config")
-        config = pre.parse_known_args(argv)[0].config
+        pre.add_argument("--config", type=_path)
+        config = pre.parse_known_args(view)[0].config
     return config or os.environ.get("ERP_LAB_CONFIG")
 
 
@@ -388,59 +386,55 @@ def _historical_start(argv: list[str]) -> int | None:
     return None
 
 
-def _flag_values(tokens: list[str], flag: str, convert):
-    """The converted values of the exact ``flag VALUE`` and ``flag=VALUE``
-    uses in ``tokens``, and the indices of their tokens.  None where there
-    is no use, or where argparse must read the flag: a token could
-    abbreviate it (``--`` and ``--=X`` could), the token before a use is an
-    option still waiting for its value, or a value is missing, starts with
-    ``-`` or does not convert."""
-    values, indices = [], []
-    for i, token in enumerate(tokens):
-        if not _may_name(flag, token):
-            continue
-        name, sep, value = token.partition("=")
-        before = tokens[i - 1] if i else ""
-        if name != flag or (before.startswith("-") and "=" not in before):
-            return None
-        if not sep:
-            if i + 1 == len(tokens):
-                return None
-            value = tokens[i + 1]
-            indices.append(i + 1)
-        indices.append(i)
-        if value.startswith("-"):
-            return None
-        try:
-            values.append(convert(value))
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None
-    return (values, indices) if values else None
-
-
 def _take_repeated(argv: list[str], flags: dict) -> list[str]:
     """``argv`` less the ``--window``, ``--method`` and ``--riskfree`` uses of
     a ``historical`` command line, whose values become the flags' defaults,
     as a config file's do, so they replace a config list.  Before Python
     3.13, argparse scans the positions of all options once per option, so a
     line of hundreds of repeated flags parses in quadratic time; this reads
-    them in one pass.  Each flag is taken whole or left whole to argparse
-    (see :func:`_flag_values`); none is taken where a token could ask for
-    help, whose usage line shows which flags are required."""
+    them in one pass.  A flag is taken only if no token abbreviates it
+    (``--win``) and each use is an exact ``--flag VALUE`` or
+    ``--flag=VALUE``, not right after an option still waiting for its
+    value, whose value converts and does not start with ``-``.  None is
+    taken where a token could ask for help (``-h``, ``--he``, even ``--``),
+    whose usage line shows which flags are required."""
     start = _historical_start(argv)
     if start is None:
         return argv
     tokens = argv[start:]
-    if any(t.startswith("-h") or _may_name("--help", t) for t in tokens):
-        return argv
+    # each flag's uses as (value, indices of its tokens); None once left whole
+    uses: dict[str, list | None] = {"--window": [], "--method": [], "--riskfree": []}
+    for i, token in enumerate(tokens):
+        if token.startswith("-h"):
+            return argv
+        if not token.startswith("--"):
+            continue
+        name, sep, value = token.partition("=")
+        if "--help".startswith(name):
+            return argv
+        flag = next((f for f in uses if f.startswith(name)), None)
+        if flag is None or uses[flag] is None:
+            continue
+        before = tokens[i - 1] if i else ""
+        if not sep:  # a lone last flag reads as a value starting with "-"
+            value = tokens[i + 1] if i + 1 < len(tokens) else "-"
+        if name == flag and not value.startswith("-") and not (
+                before.startswith("-") and "=" not in before):
+            uses[flag].append((value, range(i, i + 1 if sep else i + 2)))
+        else:
+            uses[flag] = None
     taken: set[int] = set()
-    for dest in ("window", "method", "riskfree"):
-        for sub, action in flags[dest]:
-            found = _flag_values(tokens, f"--{dest}", action.type)
-            if found:
-                sub.set_defaults(**{dest: found[0]})
-                action.required = False
-                taken.update(found[1])
+    for flag, found in uses.items():
+        if not found:
+            continue
+        (sub, action), = flags[flag[2:]]
+        try:
+            values = [action.type(value) for value, _ in found]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            continue
+        sub.set_defaults(**{action.dest: values})
+        action.required = False
+        taken.update(i for _, span in found for i in span)
     return argv[:start] + [t for i, t in enumerate(tokens) if i not in taken]
 
 

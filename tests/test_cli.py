@@ -681,6 +681,16 @@ class TestConfig:
         assert code == EXIT_INPUT
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--config", ""], ["--config="]])
+    def test_empty_config_path_is_refused(self, flag, implied_files, tmp_path, monkeypatch,
+                                          capsys):
+        # refused as every empty path is, not read as "no --config"
+        monkeypatch.setenv("ERP_LAB_CONFIG", write(tmp_path, "env.cfg", "ema-period = 3\n"))
+        monkeypatch.setattr(cli, "_load_config", lambda path: pytest.fail(f"{path} read"))
+        code = main(flag + implied_argv(*implied_files, str(tmp_path / "x.csv")))
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err == "erp-lab: argument --config: the path is empty\n"
+
     def test_no_config_token_skips_the_pre_parse(self, annual_paths, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("pre-parse ran")
@@ -694,14 +704,15 @@ class TestConfig:
 
     @given(argv=st.lists(st.one_of(
         st.sampled_from(["--config", "--c", "--conf=a", "--=b", "--", "--co", "-c", "-",
-                         "--configs", "---config", "--window", "historical", "x=--c"]),
-        st.text(alphabet="-=cofnigx", max_size=9)), max_size=6),
+                         "--configs", "---config", "--window", "historical", "x=--c",
+                         "--bogus", "--bogus=1", "-1", "x y", "2000-2004", "--config="]),
+        st.text(alphabet="-=cofnigx", max_size=9)), max_size=10),
         env=st.sampled_from([None, "from-env.cfg"]))
     @settings(max_examples=300, deadline=None)
     def test_config_path_matches_an_unconditional_pre_parse(self, argv, env):
         def pre_parsed():
             pre = cli._Parser(add_help=False)
-            pre.add_argument("--config")
+            pre.add_argument("--config", type=cli._path)
             return pre.parse_known_args(argv)[0].config or env
 
         with pytest.MonkeyPatch.context() as mp:
@@ -905,7 +916,7 @@ REPEATED_VALUES = {
 ODD_VALUES = ["", "-1", "--output", "-", "--window"]
 OTHER_TOKENS = [["--"], ["--", "stray"], ["stray"], ["--bogus"], ["--bogus=1"], ["--equity-kind"],
                 ["--equity-kind", "levels"], ["--riskfree-kind=levels"], ["--equity-scale", "-1"],
-                ["--output", "other.csv"], ["-h"], ["--he"], ["--=x"]]
+                ["--output", "other.csv"], ["-h"], ["--he"], ["--=x"], ["--config", "{cfg}"]]
 REPEATED_CONFIGS = ["window = 2000-2004, 2000-2009\n", "method = geometric\n",
                     "window = 2001-2002\nmethod = arithmetic, exp:0.5\n",
                     "riskfree = notes=rn.csv\n", "window = 2009-2000\n"]
@@ -913,6 +924,7 @@ REPEATED_CONFIGS = ["window = 2000-2004, 2000-2009\n", "method = geometric\n",
 HISTORICAL_PREFIXES = [["historical"], ["--config", "{cfg}", "historical"],
                        ["--config={cfg}", "historical"], ["--c", "{cfg}", "historical"],
                        ["--config", "{cfg}", "--", "historical"],
+                       ["--config", "other.cfg", "--config={cfg}", "historical"],
                        ["simulate", "--n-assets", "2"]]
 
 
@@ -1043,6 +1055,30 @@ class TestRepeatedFlags:
         assert seen[1] == argv(str(slow))
         assert capsys.readouterr().err == fast_err
         assert fast.read_bytes() == slow.read_bytes()
+
+    def test_many_windows_after_config_bypass_argparse(self, annual_paths, tmp_path,
+                                                        monkeypatch, capsys):
+        # a leading --config: neither the pre-parse nor the full parse scans
+        # the windows, so neither runs in quadratic time
+        cfg = write(tmp_path, "cfg", "riskfree-value-column = return\n")
+        argv = ["--config", cfg, "historical", "--equity", str(annual_paths["equity"]),
+                "--equity-value-column", "return", "--riskfree", str(annual_paths["tbills"]),
+                "--method", "arithmetic", "--output", str(tmp_path / "r.csv")]
+        argv += [f"--window={start}-{end}" for start in range(1990, 2010)
+                 for end in range(start, 2013)]
+        seen = {"parse_args": [], "parse_known_args": []}
+        for name, calls in seen.items():
+            def recording(parser, args=None, namespace=None, calls=calls,
+                          method=getattr(cli._Parser, name)):
+                calls.append(args)
+                return method(parser, args, namespace)
+
+            monkeypatch.setattr(cli._Parser, name, recording)
+        assert main(argv) == EXIT_OK
+        assert "warning" in capsys.readouterr().err
+        assert len(seen["parse_known_args"][0]) <= 2
+        assert [t for t in seen["parse_args"][0] if t.partition("=")[0] in
+                ("--window", "--method", "--riskfree")] == []
 
 
 # -- fuzzing main() on malformed series files ---------------------------------
