@@ -198,9 +198,10 @@ def simulate_diversification(
 
     Deterministic for a given seed.
     """
-    if n_assets < 1 or n_periods < 30 or sigma_m < 0 or sigma_eps < 0:
+    if not (n_assets >= 1 and n_periods >= 30 and abs(beta) < np.inf
+            and 0 <= sigma_m < np.inf and 0 <= sigma_eps < np.inf):
         raise InvalidParametersError(
-            "need n_assets >= 1, n_periods >= 30, and non-negative sigmas"
+            "need n_assets >= 1, n_periods >= 30, a finite beta, and finite non-negative sigmas"
         )
     rng = np.random.default_rng(seed)
     market = rng.normal(0.0, sigma_m, n_periods)

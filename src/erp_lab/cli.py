@@ -33,7 +33,7 @@ from .timeseries import ReturnSeries, ema, simple_returns, step_interpolate
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
-_CAUGHT = (ErpLabError, OSError, ValueError, FloatingPointError, MemoryError)
+_CAUGHT = (ErpLabError, OSError, ValueError, OverflowError, FloatingPointError, MemoryError)
 
 
 class _UsageError(Exception):
@@ -68,9 +68,9 @@ def _stage(name: str):
 
 def _check_outputs(outputs, inputs) -> None:
     """Refuse an output ``(flag, role, path)`` whose directory does not exist,
-    that is a directory, or that is an input ``(name, path)`` or an earlier
-    output."""
-    taken = [(name, path, Path(path).resolve()) for name, path in inputs]
+    that is a directory, or that is an input ``(name, path)`` (the config
+    file among them, if any) or an earlier output."""
+    taken = [(name, path, Path(path).resolve()) for name, path in inputs if path]
     for flag, role, path in outputs:
         resolved = Path(path).resolve()
         if not resolved.parent.is_dir():
@@ -102,7 +102,7 @@ def run_implied(args) -> int:
     svg = args.svg or Path(args.output).with_suffix(".svg")
     names = ("prices", "eps", "yields")
     _check_outputs([("--output", "output", args.output), ("--svg", "chart", svg)],
-                   [(name, getattr(args, name)) for name in names])
+                   [(name, getattr(args, name)) for name in (*names, "config")])
     prices_spec, eps_spec, yields_spec = (_spec_from(args, name) for name in names)
     prices = _read("prices", prices_spec)
     eps_sparse = _read("eps", eps_spec)
@@ -133,7 +133,7 @@ def run_historical(args) -> int:
                       for label, path in args.riskfree]
     equity_spec = _spec_from(args, "equity")
     _check_outputs([("--output", "output", args.output)],
-                   [("equity", args.equity)]
+                   [("equity", args.equity), ("config", args.config)]
                    + [(f"riskfree {label!r}", path) for label, path in args.riskfree])
     report_columns([label for label, _ in args.riskfree], args.method)
     equity = _read("equity", equity_spec, args.equity_kind)
@@ -355,63 +355,55 @@ def _apply_config(flags: dict, config: dict[str, tuple[str, str]]) -> None:
             action.required = False
 
 
-def _config_path(argv: list[str]) -> str | None:
-    """The ``--config`` argument, else ``$ERP_LAB_CONFIG``.  argparse reads
-    a token as a long flag if it starts with ``--`` and its part before any
-    ``=`` is a prefix of the flag (``--c PATH``, ``--conf=PATH``, even
-    ``--=PATH``).  Its option scan is quadratic, so the pre-parse reads only
-    the tokens that can name ``--config`` and the token after each: any
-    other token is a plain argument or an unknown option, and neither takes
-    a value here.  Without such a token it could neither match nor fail."""
-    names = [t.startswith("--") and "--config".startswith(t.partition("=")[0]) for t in argv]
-    view = [t for t, named, after in zip(argv, names, [False, *names]) if named or after]
-    config = None
-    if view:
+def _top_level(argv: list[str]) -> tuple[str | None, int | None]:
+    """The ``--config`` argument, else ``$ERP_LAB_CONFIG``, and where a
+    ``historical`` subcommand's tokens start, read as the top-level parser
+    reads them: up to the first token that neither starts with ``-`` nor is
+    the value of a ``--config`` use without ``=`` (``--c PATH``, not
+    ``--conf=PATH``).  argparse's option scan is quadratic, so only those
+    tokens are pre-parsed, none if the line starts with its subcommand; the
+    pre-parser's ``command`` and ``rest`` read a plain ``-1``, or what
+    follows ``--``, as the top-level parser does."""
+    stop, waiting = len(argv), False
+    for i, token in enumerate(argv):
+        if not (waiting or token.startswith("-")):
+            stop = i
+            break
+        waiting = not waiting and len(token) > 2 and "--config".startswith(token)
+    config, command = None, argv[0] if argv else None
+    if stop:
         pre = _Parser(add_help=False)
         pre.add_argument("--config", type=_path)
-        config = pre.parse_known_args(view)[0].config
-    return config or os.environ.get("ERP_LAB_CONFIG")
+        pre.add_argument("command", nargs="?")
+        pre.add_argument("rest", nargs=argparse.REMAINDER)
+        known = pre.parse_known_args(argv[:stop + 1])[0]
+        config, command = known.config, known.command
+    start = stop + 1 if command == "historical" else None
+    return config or os.environ.get("ERP_LAB_CONFIG"), start
 
 
-def _historical_start(argv: list[str]) -> int | None:
-    """Where ``historical``'s own flags start, if ``historical`` surely is
-    the subcommand: the first token, or the one after a leading exact
-    ``--config PATH`` or ``--config=PATH``."""
-    if argv[:1] == ["historical"]:
-        return 1
-    if argv[1:2] == ["historical"] and argv[0].startswith("--config="):
-        return 2
-    if argv[:1] == ["--config"] and argv[2:3] == ["historical"]:
-        return 3
-    return None
-
-
-def _take_repeated(argv: list[str], flags: dict) -> list[str]:
-    """``argv`` less the ``--window``, ``--method`` and ``--riskfree`` uses of
-    a ``historical`` command line, whose values become the flags' defaults,
-    as a config file's do, so they replace a config list.  Before Python
-    3.13, argparse scans the positions of all options once per option, so a
-    line of hundreds of repeated flags parses in quadratic time; this reads
-    them in one pass.  A flag is taken only if no token abbreviates it
-    (``--win``) and each use is an exact ``--flag VALUE`` or
+def _take_repeated(tokens: list[str], flags: dict) -> list[str]:
+    """The tokens of a ``historical`` subcommand less their ``--window``,
+    ``--method`` and ``--riskfree`` uses, whose values become the flags'
+    defaults, as a config file's do, so they replace a config list.  Before
+    Python 3.13, argparse scans the positions of all options once per
+    option, so a line of hundreds of repeated flags parses in quadratic
+    time; this reads them in one pass.  A flag is taken only if no token
+    abbreviates it (``--win``) and each use is an exact ``--flag VALUE`` or
     ``--flag=VALUE``, not right after an option still waiting for its
     value, whose value converts and does not start with ``-``.  None is
     taken where a token could ask for help (``-h``, ``--he``, even ``--``),
     whose usage line shows which flags are required."""
-    start = _historical_start(argv)
-    if start is None:
-        return argv
-    tokens = argv[start:]
     # each flag's uses as (value, indices of its tokens); None once left whole
     uses: dict[str, list | None] = {"--window": [], "--method": [], "--riskfree": []}
     for i, token in enumerate(tokens):
         if token.startswith("-h"):
-            return argv
+            return tokens
         if not token.startswith("--"):
             continue
         name, sep, value = token.partition("=")
         if "--help".startswith(name):
-            return argv
+            return tokens
         flag = next((f for f in uses if f.startswith(name)), None)
         if flag is None or uses[flag] is None:
             continue
@@ -435,17 +427,21 @@ def _take_repeated(argv: list[str], flags: dict) -> list[str]:
         sub.set_defaults(**{action.dest: values})
         action.required = False
         taken.update(i for _, span in found for i in span)
-    return argv[:start] + [t for i, t in enumerate(tokens) if i not in taken]
+    return [t for i, t in enumerate(tokens) if i not in taken]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_path = _config_path(argv)
+        config_path, start = _top_level(argv)
         parser, flags = build_parser()
         if config_path:
+            # args.config names the file also when $ERP_LAB_CONFIG does
+            parser.set_defaults(config=config_path)
             _apply_config(flags, _load_config(config_path))
-        args = parser.parse_args(_take_repeated(argv, flags))
+        if start is not None:
+            argv[start:] = _take_repeated(argv[start:], flags)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (_UsageError, *_CAUGHT) as exc:
         # a usage error already starts with its parser's name

@@ -367,3 +367,11 @@ class TestSimulateDiversification:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidParametersError):
             simulate_diversification(**kwargs)
+
+    @pytest.mark.parametrize("name", ["beta", "sigma_m", "sigma_eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_is_refused_before_drawing(self, name, value, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drawn"))
+        kwargs = dict(n_assets=5, beta=1.0, sigma_m=0.1, sigma_eps=0.1, n_periods=100, seed=0)
+        with pytest.raises(InvalidParametersError, match="finite"):
+            simulate_diversification(**{**kwargs, name: value})

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import erp_lab
@@ -137,6 +137,21 @@ class TestImplied:
         assert code == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "erp-lab: smoothing eps: overflow encountered in scalar subtract\n")
+
+    @pytest.mark.parametrize("source", ["config", "command line"])
+    def test_huge_ema_period_is_one_line_input_error(self, source, implied_files, tmp_path,
+                                                     capsys):
+        period = "1" + "0" * 400
+        out = tmp_path / "erp.csv"
+        if source == "config":
+            argv = ["--config", write(tmp_path, "cfg", f"ema-period = {period}\n"),
+                    *implied_argv(*implied_files, str(out))]
+        else:
+            argv = implied_argv(*implied_files, str(out), extra=("--ema-period", period))
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "erp-lab: smoothing eps: int too large to convert to float\n")
+        assert not out.exists()
 
     def test_premium_beyond_float_range_fails_chart_not_nan(self, tmp_path, capsys):
         prices = write(tmp_path, "prices.csv", "date,close\n2009-01-02,1\n2009-01-03,1\n")
@@ -481,6 +496,19 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "erp-lab: simulating: overflow encountered in square\n"
 
+    @pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf"),
+                                             ("--beta", "-inf"), ("--sigma-m", "nan"),
+                                             ("--sigma-m", "inf"), ("--sigma-eps", "nan"),
+                                             ("--sigma-eps", "inf")])
+    def test_non_finite_parameter_is_one_line_input_error(self, flag, value, capsys):
+        code = main(["simulate", "--n-assets", "3", "--n-periods", "30", f"{flag}={value}"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "erp-lab: simulating: need n_assets >= 1, n_periods >= 30, a finite beta, "
+            "and finite non-negative sigmas\n")
+
     def test_impossible_size_is_one_line_input_error(self, capsys):
         # 10**17 residuals: far beyond any address space, so the request
         # fails at allocation without touching memory
@@ -691,6 +719,20 @@ class TestConfig:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == "erp-lab: argument --config: the path is empty\n"
 
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_config_after_the_subcommand_is_not_read(self, exists, tmp_path, monkeypatch,
+                                                     capsys):
+        # only the top-level parser has --config: after the subcommand it is
+        # a usage error, and the file is not opened
+        cfg = str(tmp_path / "x.cfg")
+        if exists:
+            write(tmp_path, "x.cfg", "seed = 3\n")
+        monkeypatch.setattr(cli, "_load_config", lambda path: pytest.fail(f"{path} read"))
+        assert main(["simulate", "--n-assets", "3", "--config", cfg]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"erp-lab: unrecognized arguments: --config {cfg}\n"
+
     def test_no_config_token_skips_the_pre_parse(self, annual_paths, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("pre-parse ran")
@@ -698,9 +740,9 @@ class TestConfig:
         argv = historical_argv(annual_paths, str(tmp_path / "r.csv"), "--method", "arithmetic",
                                "--window=2000-2004", "-c")
         monkeypatch.setattr(cli._Parser, "parse_known_args", refuse)
-        assert cli._config_path(argv) is None
+        assert cli._top_level(argv) == (None, 1)
         monkeypatch.setenv("ERP_LAB_CONFIG", "from-env.cfg")
-        assert cli._config_path(argv) == "from-env.cfg"
+        assert cli._top_level(argv) == ("from-env.cfg", 1)
 
     @given(argv=st.lists(st.one_of(
         st.sampled_from(["--config", "--c", "--conf=a", "--=b", "--", "--co", "-c", "-",
@@ -708,23 +750,47 @@ class TestConfig:
                          "--bogus", "--bogus=1", "-1", "x y", "2000-2004", "--config="]),
         st.text(alphabet="-=cofnigx", max_size=9)), max_size=10),
         env=st.sampled_from([None, "from-env.cfg"]))
+    @example(argv=["--", "historical", "--c", "x"], env=None)
+    @example(argv=["-1", "historical"], env=None)
     @settings(max_examples=300, deadline=None)
     def test_config_path_matches_an_unconditional_pre_parse(self, argv, env):
-        def pre_parsed():
-            pre = cli._Parser(add_help=False)
-            pre.add_argument("--config", type=cli._path)
-            return pre.parse_known_args(argv)[0].config or env
+        # argparse's own top-level shape, with every token of the line a
+        # subcommand, so that no line stops at an invalid choice; the
+        # subcommand's parser records the tokens it is given
+        received = []
+
+        class Subcommand(cli._Parser):
+            def parse_known_args(self, args=None, namespace=None):
+                received.append(args)
+                return super().parse_known_args(args, namespace)
+
+        def top_level():
+            top = cli._Parser(add_help=False)
+            top.add_argument("--config", type=cli._path)
+            commands = top.add_subparsers(dest="command", parser_class=Subcommand)
+            for token in dict.fromkeys(argv):
+                commands.add_parser(token, add_help=False)
+            known = top.parse_known_args(argv)[0]
+            start = len(argv) - len(received[0]) if known.command == "historical" else None
+            return known.config or env, start
 
         with pytest.MonkeyPatch.context() as mp:
             if env is not None:
                 mp.setenv("ERP_LAB_CONFIG", env)
             try:
-                expected = pre_parsed()
+                expected = top_level()
             except cli._UsageError as exc:
                 with pytest.raises(cli._UsageError, match=re.escape(str(exc))):
-                    cli._config_path(argv)
-            else:
-                assert cli._config_path(argv) == expected
+                    cli._top_level(argv)
+                return
+            config, start = cli._top_level(argv)
+        assert config == expected[0]
+        if start != expected[1]:
+            # argparse up to 3.13.0 reads a "--" before the subcommand as
+            # the subcommand (later releases skip it); the full parse then
+            # refuses it
+            assert expected[1] is None and argv[start - 1] == "historical"
+            assert "--" in argv[:start - 1]
 
 
 # command, flag, value, why it is refused
@@ -837,11 +903,14 @@ class TestOutputPaths:
         for name in ("p.csv", "e.csv", "y.csv", "eq.csv", "rf.csv"):
             write(tmp_path, name, f"date,value\n2000-01-03,{len(name)}\n")
         argv = [command]
-        if source == "config":
-            cfg = write(tmp_path, "cfg", "".join(f"{k} = {v}\n" for k, v in flags.items()))
-            argv = ["--config", cfg, *argv]
-        else:
+        if source == "command line":
             argv += [item for k, v in flags.items() for item in (f"--{k}", v)]
+        else:
+            write(tmp_path, "cfg", "".join(f"{k} = {v}\n" for k, v in flags.items()))
+            if source == "config":
+                argv = ["--config", "cfg", *argv]
+            else:
+                monkeypatch.setenv("ERP_LAB_CONFIG", "cfg")
 
         def contents():
             return {p.name: p.read_bytes() if p.is_file() else sorted(os.listdir(p))
@@ -885,6 +954,16 @@ class TestOutputPaths:
         assert self.refused(command, flags, source, tmp_path, monkeypatch, capsys) == (
             f"erp-lab: the {OUTPUT_ROLES[out]} path outdir is a directory\n")
 
+    @pytest.mark.parametrize("command, out", [("implied", "output"), ("implied", "svg"),
+                                              ("historical", "output")])
+    @pytest.mark.parametrize("source", ["config", "environment"])
+    def test_output_naming_the_config_file_is_refused(self, command, out, source, tmp_path,
+                                                      monkeypatch, capsys):
+        flags = {**OUTPUT_RUNS[command], out: "./cfg"}
+        assert self.refused(command, flags, source, tmp_path, monkeypatch, capsys) == (
+            f"erp-lab: the {OUTPUT_ROLES[out]} path ./cfg is the config file cfg; "
+            f"give --{out} another path\n")
+
 
 class TestUsage:
     def test_unknown_flag(self, capsys):
@@ -925,6 +1004,8 @@ HISTORICAL_PREFIXES = [["historical"], ["--config", "{cfg}", "historical"],
                        ["--config={cfg}", "historical"], ["--c", "{cfg}", "historical"],
                        ["--config", "{cfg}", "--", "historical"],
                        ["--config", "other.cfg", "--config={cfg}", "historical"],
+                       ["--conf", "{cfg}", "historical"], ["--bogus", "--c={cfg}", "historical"],
+                       ["-1", "--config", "{cfg}", "historical"], ["--", "historical"],
                        ["simulate", "--n-assets", "2"]]
 
 
@@ -1056,29 +1137,31 @@ class TestRepeatedFlags:
         assert capsys.readouterr().err == fast_err
         assert fast.read_bytes() == slow.read_bytes()
 
-    def test_many_windows_after_config_bypass_argparse(self, annual_paths, tmp_path,
-                                                        monkeypatch, capsys):
-        # a leading --config: neither the pre-parse nor the full parse scans
-        # the windows, so neither runs in quadratic time
+    def test_many_windows_after_config_bypass_argparse(self, annual_paths, tmp_path, capsys):
+        # a leading --config, in any spelling: the pre-parse reads no token
+        # after the subcommand, and the full parse none of the windows, so
+        # neither runs in quadratic time
         cfg = write(tmp_path, "cfg", "riskfree-value-column = return\n")
-        argv = ["--config", cfg, "historical", "--equity", str(annual_paths["equity"]),
+        line = ["historical", "--equity", str(annual_paths["equity"]),
                 "--equity-value-column", "return", "--riskfree", str(annual_paths["tbills"]),
                 "--method", "arithmetic", "--output", str(tmp_path / "r.csv")]
-        argv += [f"--window={start}-{end}" for start in range(1990, 2010)
+        line += [f"--window={start}-{end}" for start in range(1990, 2010)
                  for end in range(start, 2013)]
-        seen = {"parse_args": [], "parse_known_args": []}
-        for name, calls in seen.items():
-            def recording(parser, args=None, namespace=None, calls=calls,
-                          method=getattr(cli._Parser, name)):
-                calls.append(args)
-                return method(parser, args, namespace)
+        for prefix in (["--config", cfg], ["--c", cfg], [f"--conf={cfg}"]):
+            seen = {"parse_args": [], "parse_known_args": []}
+            with pytest.MonkeyPatch.context() as mp:
+                for name, calls in seen.items():
+                    def recording(parser, args=None, namespace=None, calls=calls,
+                                  method=getattr(cli._Parser, name)):
+                        calls.append(args)
+                        return method(parser, args, namespace)
 
-            monkeypatch.setattr(cli._Parser, name, recording)
-        assert main(argv) == EXIT_OK
-        assert "warning" in capsys.readouterr().err
-        assert len(seen["parse_known_args"][0]) <= 2
-        assert [t for t in seen["parse_args"][0] if t.partition("=")[0] in
-                ("--window", "--method", "--riskfree")] == []
+                    mp.setattr(cli._Parser, name, recording)
+                assert main(prefix + line) == EXIT_OK
+            assert "warning" in capsys.readouterr().err
+            assert seen["parse_known_args"][0] == [*prefix, "historical"]
+            assert [t for t in seen["parse_args"][0] if t.partition("=")[0] in
+                    ("--window", "--method", "--riskfree")] == []
 
 
 # -- fuzzing main() on malformed series files ---------------------------------
