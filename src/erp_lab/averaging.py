@@ -115,14 +115,17 @@ class AveragingMethod:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        takes = {"blume": "horizon", "exp_weighted": "decay"}.get(self.kind)
+        for name in ("horizon", "decay"):
+            if name != takes and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} takes no {name}")
         if self.kind == "blume":
-            if self.horizon is None or self.horizon < 1:
+            # a whole number, as TwoStageInputs.short_years; inf % 1 is nan
+            if self.horizon is None or not (self.horizon >= 1 and self.horizon % 1 == 0):
                 raise ValueError("blume requires an integer horizon >= 1")
         elif self.kind == "exp_weighted":
             if self.decay is None or not 0.0 < self.decay <= 1.0:
                 raise ValueError("exp_weighted requires decay in (0, 1]")
-        elif self.horizon is not None or self.decay is not None:
-            raise ValueError(f"{self.kind} takes no parameters")
 
     @classmethod
     def arithmetic(cls) -> "AveragingMethod":

@@ -207,6 +207,7 @@ def simulate_diversification(
     market = rng.normal(0.0, sigma_m, n_periods)
     residuals = rng.normal(0.0, sigma_eps, (n_assets, n_periods))
     portfolio_residual = residuals.mean(axis=0)
-    systematic = abs(beta) * float(market.std())
+    # a numpy product, so that a caller's np.errstate sees its overflow
+    systematic = float(np.abs(beta) * market.std())
     unsystematic = float(portfolio_residual.std())
     return systematic, unsystematic

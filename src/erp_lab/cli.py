@@ -240,6 +240,19 @@ def _parse_riskfree(text: str) -> tuple[str, str]:
     return label, path
 
 
+def _int_at_least(floor: int):
+    """An argparse type: an integer of at least ``floor``."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be >= {floor}, got {text!r}")
+        return value
+    return convert
+
+
 class _Repeatable(argparse.Action):
     """Repeatable flag whose first command-line use replaces a config list."""
 
@@ -266,7 +279,7 @@ def build_parser() -> tuple[_Parser, dict]:
         "implied", help="daily implied-premium pipeline from prices, EPS, and yields")
     for prefix in ("prices", "eps", "yields"):
         _add_series_flags(flag, implied, prefix)
-    flag(implied, "--ema-period", type=int, default=50,
+    flag(implied, "--ema-period", type=_int_at_least(1), default=50,
          help="EPS smoothing period in days (default 50)")
     flag(implied, "--output", required=True, type=_path, help="output CSV path")
     flag(implied, "--svg", type=_path, help="output SVG path (default: output with .svg)")
@@ -304,7 +317,7 @@ def build_parser() -> tuple[_Parser, dict]:
     flag(simulate, "--sigma-m", type=float, default=0.15)
     flag(simulate, "--sigma-eps", type=float, default=0.30)
     flag(simulate, "--n-periods", type=int, default=10000)
-    flag(simulate, "--seed", type=int, default=0)
+    flag(simulate, "--seed", type=_int_at_least(0), default=0)
     simulate.set_defaults(func=run_simulate)
 
     return parser, flags
@@ -383,50 +396,37 @@ def _top_level(argv: list[str]) -> tuple[str | None, int | None]:
 
 
 def _take_repeated(tokens: list[str], flags: dict) -> list[str]:
-    """The tokens of a ``historical`` subcommand less their ``--window``,
-    ``--method`` and ``--riskfree`` uses, whose values become the flags'
-    defaults, as a config file's do, so they replace a config list.  Before
-    Python 3.13, argparse scans the positions of all options once per
-    option, so a line of hundreds of repeated flags parses in quadratic
-    time; this reads them in one pass.  A flag is taken only if no token
-    abbreviates it (``--win``) and each use is an exact ``--flag VALUE`` or
-    ``--flag=VALUE``, not right after an option still waiting for its
-    value, whose value converts and does not start with ``-``.  None is
-    taken where a token could ask for help (``-h``, ``--he``, even ``--``),
-    whose usage line shows which flags are required."""
-    # each flag's uses as (value, indices of its tokens); None once left whole
-    uses: dict[str, list | None] = {"--window": [], "--method": [], "--riskfree": []}
+    """The tokens of a ``historical`` subcommand less their ``--window``
+    uses, whose values become the flag's default, as a config file's do,
+    so they replace a config list.  Before Python 3.13, argparse scans the
+    positions of all options once per option, so hundreds of windows parse
+    in quadratic time; this reads them in one pass.  None is taken if a
+    token could ask for help (``-h``, ``--he``, even ``--``: the usage line
+    shows which flags are required) or abbreviates ``--window`` (``--win``),
+    or if a use follows an option still waiting for its value or has no
+    value that converts (none starting with ``-``, an option to argparse,
+    does)."""
+    windows, taken = [], set()
     for i, token in enumerate(tokens):
-        if token.startswith("-h"):
-            return tokens
-        if not token.startswith("--"):
-            continue
         name, sep, value = token.partition("=")
-        if "--help".startswith(name):
+        if token.startswith("-h") or (token.startswith("--") and "--help".startswith(name)):
             return tokens
-        flag = next((f for f in uses if f.startswith(name)), None)
-        if flag is None or uses[flag] is None:
+        if not (token.startswith("--") and "--window".startswith(name)):
             continue
         before = tokens[i - 1] if i else ""
-        if not sep:  # a lone last flag reads as a value starting with "-"
-            value = tokens[i + 1] if i + 1 < len(tokens) else "-"
-        if name == flag and not value.startswith("-") and not (
-                before.startswith("-") and "=" not in before):
-            uses[flag].append((value, range(i, i + 1 if sep else i + 2)))
-        else:
-            uses[flag] = None
-    taken: set[int] = set()
-    for flag, found in uses.items():
-        if not found:
-            continue
-        (sub, action), = flags[flag[2:]]
+        if not sep:
+            value = tokens[i + 1] if i + 1 < len(tokens) else ""
+        if name != "--window" or (before.startswith("-") and "=" not in before):
+            return tokens
         try:
-            values = [action.type(value) for value, _ in found]
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            continue
-        sub.set_defaults(**{action.dest: values})
+            windows.append(_parse_window(value))
+        except argparse.ArgumentTypeError:
+            return tokens
+        taken.update(range(i, i + 1 if sep else i + 2))
+    if windows:
+        (sub, action), = flags["window"]
+        sub.set_defaults(window=windows)
         action.required = False
-        taken.update(i for _, span in found for i in span)
     return [t for i, t in enumerate(tokens) if i not in taken]
 
 

@@ -177,6 +177,25 @@ class TestAveragingMethod:
         with pytest.raises(ValueError):
             AveragingMethod("harmonic")
 
+    @pytest.mark.parametrize("horizon", [2.5, 0.5, math.inf, math.nan])
+    def test_blume_horizon_must_be_whole(self, horizon):
+        with pytest.raises(ValueError, match="integer horizon"):
+            AveragingMethod("blume", horizon=horizon)
+
+    def test_whole_float_horizon_is_accepted(self):
+        # the rule TwoStageInputs.short_years follows
+        assert AveragingMethod("blume", horizon=5.0).horizon == 5
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("blume", {"horizon": 5, "decay": 0.5}, "decay"),
+        ("exp_weighted", {"decay": 0.9, "horizon": 3}, "horizon"),
+        ("arithmetic", {"horizon": 2}, "horizon"),
+        ("geometric", {"decay": 0.5}, "decay"),
+    ])
+    def test_parameter_the_kind_does_not_take(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"^{kind} takes no {name}$"):
+            AveragingMethod(kind, **params)
+
 
 def one_sample_reference(method, sample):
     """Each scheme's 1-D definition from before stacks were accepted."""

@@ -153,6 +153,29 @@ class TestImplied:
             "erp-lab: smoothing eps: int too large to convert to float\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, value, reason", [
+        ("command line", "0", "must be >= 1, got '0'"),
+        ("command line", "-3", "must be >= 1, got '-3'"),
+        ("command line", "x", "invalid int value: 'x'"),
+        ("config", "0", "must be >= 1, got '0'"),
+        ("config", "x", "invalid int value: 'x'"),
+    ])
+    def test_ema_period_below_one_is_usage_error(self, source, value, reason, implied_files,
+                                                 tmp_path, capsys, monkeypatch):
+        # refused where the flag is read, before any input file is parsed
+        monkeypatch.setattr(cli, "parse_series", None)
+        out = tmp_path / "erp.csv"
+        if source == "config":
+            cfg = write(tmp_path, "cfg", f"# smoothing\nema-period = {value}\n")
+            argv = ["--config", cfg, *implied_argv(*implied_files, str(out))]
+            expected = f"erp-lab: {cfg} line 2: ema-period: {reason}\n"
+        else:
+            argv = implied_argv(*implied_files, str(out), extra=("--ema-period", value))
+            expected = f"erp-lab implied: argument --ema-period: {reason}\n"
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_premium_beyond_float_range_fails_chart_not_nan(self, tmp_path, capsys):
         prices = write(tmp_path, "prices.csv", "date,close\n2009-01-02,1\n2009-01-03,1\n")
         eps = write(tmp_path, "eps.csv", "date,eps\n2009-01-02,1\n2009-01-03,1\n")
@@ -290,7 +313,8 @@ class TestHistorical:
         ("blume:0", "blume requires an integer horizon >= 1"),
         ("exp:2", "exp_weighted requires decay in (0, 1]"),
         ("blume:x", "blume requires an integer horizon >= 1"),
-    ], ids=["harmonic", "blume:0", "exp:2", "blume:x"])
+        ("blume:2.5", "blume requires an integer horizon >= 1"),
+    ], ids=["harmonic", "blume:0", "exp:2", "blume:x", "blume:2.5"])
     def test_bad_method_names_its_reason(self, method, reason, annual_paths, tmp_path,
                                          capsys):
         out = tmp_path / "report.csv"
@@ -508,6 +532,33 @@ class TestSimulate:
         assert captured.err == (
             "erp-lab: simulating: need n_assets >= 1, n_periods >= 30, a finite beta, "
             "and finite non-negative sigmas\n")
+
+    @pytest.mark.parametrize("source", ["command line", "config"])
+    def test_negative_seed_names_its_flag(self, source, tmp_path, capsys):
+        argv = ["simulate", "--n-assets", "3", "--n-periods", "30"]
+        if source == "config":
+            cfg = write(tmp_path, "cfg", "seed = -1\n")
+            argv = ["--config", cfg, *argv]
+            expected = f"erp-lab: {cfg} line 1: seed: must be >= 0, got '-1'\n"
+        else:
+            argv += ["--seed", "-1"]
+            expected = "erp-lab simulate: argument --seed: must be >= 0, got '-1'\n"
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == expected
+
+    @pytest.mark.parametrize("beta, sigma_m", [("1e308", "10"), ("1e200", "1e150")])
+    def test_systematic_overflow_is_one_line_numerical_error(self, beta, sigma_m, capsys):
+        # |beta| * sigma_m overflows though each factor is finite; numpy
+        # names the overflow differently from version to version
+        code = main(["simulate", "--n-assets", "3", "--n-periods", "30",
+                     "--beta", beta, "--sigma-m", sigma_m])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("erp-lab: simulating: overflow encountered in ")
 
     def test_impossible_size_is_one_line_input_error(self, capsys):
         # 10**17 residuals: far beyond any address space, so the request
@@ -1057,8 +1108,8 @@ def historical_line(draw):
 
 
 class TestRepeatedFlags:
-    """``main`` reads the repeated historical flags (``--window``,
-    ``--method``, ``--riskfree``) in one pass before argparse sees the
+    """``main`` reads a historical line's ``--window`` uses, the flag a
+    report repeats by the hundred, in one pass before argparse sees the
     rest; argparse alone must give the same result."""
 
     @staticmethod
@@ -1106,7 +1157,7 @@ class TestRepeatedFlags:
         # hundreds of windows, some outside the data (NA cells and warnings)
         windows = [f"{start}-{end}" for start in range(1990, 2010) for end in range(start, 2013)]
 
-        def argv(out):
+        def argv(out, windows=windows):
             line = ["historical", "--equity", str(annual_paths["equity"]),
                     "--equity-value-column", "return",
                     "--riskfree", f"tbills={annual_paths['tbills']}",
@@ -1129,8 +1180,9 @@ class TestRepeatedFlags:
         assert main(argv(str(fast))) == EXIT_OK
         fast_err = capsys.readouterr().err
         assert len(windows) > 250 and fast_err.count("warning") > 0
-        assert [t for t in seen[0] if t.partition("=")[0] in
-                ("--window", "--method", "--riskfree")] == []
+        # argparse reads every token but the windows, --method and
+        # --riskfree uses unchanged and in order
+        assert seen[0] == argv(str(fast), windows=[])
         monkeypatch.setattr(cli, "_take_repeated", lambda argv, flags: argv)
         assert main(argv(str(slow))) == EXIT_OK
         assert seen[1] == argv(str(slow))
@@ -1145,8 +1197,8 @@ class TestRepeatedFlags:
         line = ["historical", "--equity", str(annual_paths["equity"]),
                 "--equity-value-column", "return", "--riskfree", str(annual_paths["tbills"]),
                 "--method", "arithmetic", "--output", str(tmp_path / "r.csv")]
-        line += [f"--window={start}-{end}" for start in range(1990, 2010)
-                 for end in range(start, 2013)]
+        windows = [f"--window={start}-{end}" for start in range(1990, 2010)
+                   for end in range(start, 2013)]
         for prefix in (["--config", cfg], ["--c", cfg], [f"--conf={cfg}"]):
             seen = {"parse_args": [], "parse_known_args": []}
             with pytest.MonkeyPatch.context() as mp:
@@ -1157,11 +1209,11 @@ class TestRepeatedFlags:
                         return method(parser, args, namespace)
 
                     mp.setattr(cli._Parser, name, recording)
-                assert main(prefix + line) == EXIT_OK
+                assert main(prefix + line + windows) == EXIT_OK
             assert "warning" in capsys.readouterr().err
             assert seen["parse_known_args"][0] == [*prefix, "historical"]
-            assert [t for t in seen["parse_args"][0] if t.partition("=")[0] in
-                    ("--window", "--method", "--riskfree")] == []
+            # --riskfree and --method reach it unchanged and in order
+            assert seen["parse_args"][0] == prefix + line
 
 
 # -- fuzzing main() on malformed series files ---------------------------------
