@@ -123,6 +123,8 @@ class AveragingMethod:
             # a whole number, as TwoStageInputs.short_years; inf % 1 is nan
             if self.horizon is None or not (self.horizon >= 1 and self.horizon % 1 == 0):
                 raise ValueError("blume requires an integer horizon >= 1")
+            # one label and hash for blume(5) and blume(5.0)
+            object.__setattr__(self, "horizon", int(self.horizon))
         elif self.kind == "exp_weighted":
             if self.decay is None or not 0.0 < self.decay <= 1.0:
                 raise ValueError("exp_weighted requires decay in (0, 1]")

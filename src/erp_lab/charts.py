@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError
+from .io import _blocks, _fixed, _rows
 from .timeseries import DatedSeries
 
 FORMAT_COMMENT = "<!-- erp-lab chart format 1 -->"
@@ -61,7 +62,7 @@ def line_chart_svg(series: DatedSeries) -> str:
 
     offsets = (series.days - series.days[0]).astype(np.int64)
     span_days = int(offsets[-1]) or 1
-    xs = (_MARGIN_LEFT + plot_w * offsets / span_days).tolist()
+    xs = _MARGIN_LEFT + plot_w * offsets / span_days
     vmin = float(series.values.min())
     vmax = float(series.values.max())
     if vmin == vmax:
@@ -113,7 +114,10 @@ def line_chart_svg(series: DatedSeries) -> str:
         out.append(_line(_MARGIN_LEFT, zero_y, axis_right, zero_y, stroke="grey",
                          extra=' stroke-dasharray="4 3"'))
 
-    points = " ".join(map(f"{_COORD},{_COORD}".__mod__, zip(xs, y_at(series.values).tolist())))
+    ys = y_at(series.values)
+    # each point is "x,y " and the last space goes
+    points = b"".join(_rows(_fixed(xs[rows], _COORD), b",", _fixed(ys[rows], _COORD), b" ")
+                      for rows in _blocks(n))[:-1].decode()
     out.append(
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
     )

@@ -312,11 +312,11 @@ def build_parser() -> tuple[_Parser, dict]:
 
     simulate = commands.add_parser(
         "simulate", help="diversification experiment for an equal-weight portfolio")
-    flag(simulate, "--n-assets", type=int, required=True)
+    flag(simulate, "--n-assets", type=_int_at_least(1), required=True)
     flag(simulate, "--beta", type=float, default=1.0)
     flag(simulate, "--sigma-m", type=float, default=0.15)
     flag(simulate, "--sigma-eps", type=float, default=0.30)
-    flag(simulate, "--n-periods", type=int, default=10000)
+    flag(simulate, "--n-periods", type=_int_at_least(30), default=10000)
     flag(simulate, "--seed", type=_int_at_least(0), default=0)
     simulate.set_defaults(func=run_simulate)
 

@@ -21,7 +21,7 @@ from .errors import (
     EmptyWindowError,
     HorizonExceedsSampleError,
 )
-from .io import csv_header, format_cell
+from .io import CELL_FORMAT, _fixed, _rows, csv_header
 from .timeseries import DatedSeries, ReturnSeries, align
 
 YearWindow = tuple[int, int]
@@ -152,11 +152,14 @@ class ErpReport:
     def to_csv(self) -> str:
         """One row per window; missing cells render as NA.  A header field
         holding a comma, quote or line break is quoted."""
-        lines = [csv_header(["window", *self.column_labels()])]
-        for i, (window, row) in enumerate(zip(self.window_labels(), self.premium.tolist())):
-            lines.append(f"{window}," + ",".join(
-                "NA" if (i, j) in self.gaps else format_cell(p) for j, p in enumerate(row)))
-        return "\n".join(lines) + "\n"
+        grid = _fixed(self.premium.ravel(), CELL_FORMAT).reshape(self.premium.shape)
+        # a gap reads NA, a filled NaN cell nan
+        for cell in self.gaps:
+            grid[cell] = b"NA"
+        # window,cell,...,cell: a comma after every cell but the last
+        joined = [part for column in grid.T for part in (column, b",")][:-1]
+        body = _rows(np.array(self.window_labels(), dtype="S"), b",", *joined, b"\n")
+        return csv_header(["window", *self.column_labels()]) + "\n" + body.decode()
 
 
 def _column_label(label: str, method: AveragingMethod) -> str:

@@ -44,6 +44,70 @@ def format_cell(x: float) -> str:
     return CELL_FORMAT % x
 
 
+def _fixed(values: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt % v`` for each value ``v`` of a 1-d array, where ``fmt`` is
+    ``"%.<d>f"`` with ``d`` from 1 to 15: an ``S`` array of ASCII texts,
+    each padded to one width with NUL bytes before or after it.
+
+    The digits of ``|v| * 10**d`` rounded to an integer are taken from
+    two eight-digit halves, one digit of every value per step.  A value
+    that is not finite, whose scaled form is ``1e15`` or more, or whose
+    scaled form is exactly a half (``0.125`` at two places, or
+    ``0.015``, whose float product is ``1.5``) is formatted by
+    ``fmt % v`` itself: ``%`` is both the fallback and the definition.
+    """
+    values = np.asarray(values, dtype=float)
+    decimals = int(fmt[2:-1])
+    with np.errstate(over="ignore"):
+        scaled = np.abs(values) * 10.0 ** decimals
+    slow = ~(scaled < 1e15)
+    scaled[slow] = 0.0
+    rounded = np.rint(scaled)
+    # below 1e15 every half is a float and the product rounds monotonically,
+    # so a product off the halves rounds to the integer |v| * 10**d rounds to
+    slow |= np.abs(scaled - rounded) == 0.5
+    # rows: sign, 16 - d integer digits, point, d decimals
+    point = 17 - decimals
+    text = np.empty((18, values.size), dtype=np.uint8)
+    places = [row for row in range(17, 0, -1) if row != point]
+    high = np.floor(rounded / 1e8)
+    for half, rows in ((rounded - high * 1e8, places[:8]), (high, places[8:])):
+        half = half.astype(np.uint32)
+        for row in rows:
+            tens = half // 10
+            text[row] = half - 10 * tens
+            half = tens
+    text += ord("0")
+    # integer digit row r is the 10**(16 - r) place of rounded; the units
+    # digit always shows
+    for row in range(1, point - 1):
+        text[row][rounded < 10.0 ** (16 - row)] = 0
+    text[0] = np.where(np.signbit(values), ord("-"), 0)
+    text[point] = ord(".")
+    text = np.ascontiguousarray(text.T).view("S18")[:, 0]
+    if slow.any():
+        texts = [(fmt % v).encode() for v in values[slow].tolist()]
+        text = text.astype(f"S{max(18, *map(len, texts))}")
+        text[slow] = texts
+    return text
+
+
+def _rows(*columns) -> bytes:
+    """Rows made of ``columns`` side by side, NUL bytes dropped.  A column
+    is an ``S`` array, one text per row, or ``bytes`` that every row
+    repeats."""
+    n = next(len(c) for c in columns if isinstance(c, np.ndarray))
+    parts = [np.ascontiguousarray(np.full(n, c) if isinstance(c, bytes) else c) for c in columns]
+    table = np.concatenate([p.view(np.uint8).reshape(n, p.itemsize) for p in parts], axis=1)
+    return table[table != 0].tobytes()
+
+
+def _blocks(n: int) -> list[slice]:
+    """``range(n)`` as slices of at most ``_ROWS_PER_WRITE``: output is
+    formatted one block at a time, so that no whole-column text is held."""
+    return [slice(start, start + _ROWS_PER_WRITE) for start in range(0, n, _ROWS_PER_WRITE)]
+
+
 @dataclass(frozen=True)
 class SeriesFileSpec:
     """Where and how to read one dated series from a CSV file."""
@@ -189,14 +253,19 @@ def write_rows(path, fields, days, columns, cell: str = CELL_FORMAT) -> None:
     """Write ISO dates and value columns as CSV under the header ``fields``,
     each value rendered with the %-format ``cell``.  Rows are formatted a
     fixed number at a time, so that no whole-column list or whole-file
-    string is held."""
+    string is held; with ``CELL_FORMAT``, a block's columns at once
+    (:func:`_fixed`)."""
     row = ",".join(["%s", *[cell] * len(columns)]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_header(fields) + "\n")
-        for start in range(0, len(days), _ROWS_PER_WRITE):
-            rows = slice(start, start + _ROWS_PER_WRITE)
-            cells = [days[rows].astype(str).tolist(), *(c[rows].tolist() for c in columns)]
-            fh.write("".join(map(row.__mod__, zip(*cells))))
+    with open(path, "wb") as fh:
+        fh.write(csv_header(fields).encode() + b"\n")
+        for rows in _blocks(len(days)):
+            if cell == CELL_FORMAT:
+                fh.write(_rows(days[rows].astype("S"),
+                               *(part for c in columns for part in (b",", _fixed(c[rows], cell))),
+                               b"\n"))
+            else:
+                cells = [days[rows].astype(str).tolist(), *(c[rows].tolist() for c in columns)]
+                fh.write("".join(map(row.__mod__, zip(*cells))).encode())
 
 
 def write_text(path, text: str) -> None:

@@ -186,6 +186,13 @@ class TestAveragingMethod:
         # the rule TwoStageInputs.short_years follows
         assert AveragingMethod("blume", horizon=5.0).horizon == 5
 
+    def test_equal_blume_methods_share_label_and_hash(self):
+        given_float = AveragingMethod("blume", horizon=5.0)
+        assert given_float == AveragingMethod.blume(5)
+        assert given_float.label == AveragingMethod.blume(5).label == "blume(5)"
+        assert hash(given_float) == hash(AveragingMethod.blume(5))
+        assert type(given_float.horizon) is int
+
     @pytest.mark.parametrize("kind, params, name", [
         ("blume", {"horizon": 5, "decay": 0.5}, "decay"),
         ("exp_weighted", {"decay": 0.9, "horizon": 3}, "horizon"),

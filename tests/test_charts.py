@@ -2,6 +2,7 @@
 
 import sys
 from datetime import date, timedelta
+from unittest import mock
 from xml.dom import minidom
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erp_lab import charts
 from erp_lab.charts import FORMAT_COMMENT, line_chart_svg
 from erp_lab.errors import NumericalError
+from erp_lab.io import _fixed
 from erp_lab.timeseries import DatedSeries
 
 
@@ -114,3 +117,39 @@ def test_chart_draws_every_point_or_refuses_the_range(s):
     assert len(points) == len(s)
     # every point inside the plot area (margins 72/20 across, 34/48 down)
     assert all(72.0 <= x <= 880.0 and 34.0 <= y <= 372.0 for x, y in points)
+
+
+def assert_polyline_is_percent_join(s):
+    """The polyline holds ``"%.2f,%.2f"`` of each point, joined by spaces,
+    for the coordinates the chart hands its formatter."""
+    formatted = []
+
+    def recording(values, fmt):
+        formatted.append(values.copy())
+        return _fixed(values, fmt)
+
+    with mock.patch.object(charts, "_fixed", recording):
+        svg = line_chart_svg(s)
+    xs, ys = np.concatenate(formatted[::2]), np.concatenate(formatted[1::2])
+    assert len(xs) == len(ys) == len(s)
+    points = " ".join("%.2f,%.2f" % point for point in zip(xs.tolist(), ys.tolist()))
+    assert f'<polyline points="{points}" ' in svg
+    return xs
+
+
+def test_polyline_matches_percent_join_across_blocks():
+    # over 6,464 days each day's x is 72 + day / 8, so odd days fall on a
+    # tie at two decimals, which only % formats
+    rng = np.random.default_rng(3)
+    days = np.datetime64("2000-01-01") + np.arange(6465)
+    xs = assert_polyline_is_percent_join(DatedSeries(days, rng.normal(0.05, 0.02, days.size)))
+    assert np.count_nonzero(xs * 100 % 1 == 0.5) == 3232
+
+
+@settings(max_examples=200, deadline=None)
+@given(chart_series())
+def test_polyline_matches_percent_join(s):
+    try:
+        assert_polyline_is_percent_join(s)
+    except NumericalError:
+        pass

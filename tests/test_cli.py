@@ -508,7 +508,16 @@ class TestSimulate:
     def test_invalid_parameters_are_input_errors(self, capsys):
         code = main(["simulate", "--n-assets", "4", "--n-periods", "10"])
         assert code == EXIT_INPUT
-        assert "n_periods" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "erp-lab simulate: argument --n-periods: must be >= 30, got '10'\n"
+
+    def test_no_assets_names_its_flag(self, capsys):
+        code = main(["simulate", "--n-assets", "0", "--n-periods", "30"])
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "erp-lab simulate: argument --n-assets: must be >= 1, got '0'\n"
 
     def test_float_overflow_is_one_line_numerical_error(self, capsys):
         with warnings.catch_warnings():

@@ -20,11 +20,15 @@ from erp_lab.errors import (
     MissingColumnError,
 )
 from erp_lab.io import (
+    _ROWS_PER_WRITE,
+    CELL_FORMAT,
     SeriesFileSpec,
+    _fixed,
     _parse_iso,
     _parse_rows,
     format_cell,
     parse_series,
+    write_rows,
     write_series,
 )
 from erp_lab.timeseries import DatedSeries
@@ -299,3 +303,115 @@ class TestFormatCell:
 
     def test_rounding(self):
         assert format_cell(1.0 / 3.0) == "0.3333333333"
+
+
+def fixed_texts(values, fmt):
+    """``_fixed``'s texts with their NUL padding dropped."""
+    texts = _fixed(np.array(values, dtype=float), fmt).tolist()
+    return [t.replace(b"\0", b"").decode() for t in texts]
+
+
+def percent_texts(values, fmt):
+    return [fmt % v for v in values]
+
+
+def ties(decimals):
+    """Exact halves at ``decimals`` places: odd multiples of 2**-(decimals + 1),
+    as 0.125 at 2 places or 0.00048828125 at 10."""
+    return st.integers(-(2 ** 52), 2 ** 52).map(lambda k: (2 * k + 1) * 2.0 ** -(decimals + 1))
+
+
+def with_neighbours(values):
+    """Each value and the floats one ulp either side of it."""
+    return st.tuples(values, st.sampled_from([-math.inf, None, math.inf])).map(
+        lambda pair: pair[0] if pair[1] is None else float(np.nextafter(pair[0], pair[1])))
+
+
+def near_limit(decimals):
+    """Values whose scaled form is near 1e15, where ``_fixed`` hands over
+    to ``%``, or above it up to 2**53 and beyond, where a float product
+    no longer holds every integer."""
+    limit = 1e15 / 10 ** decimals
+    return with_neighbours(st.sampled_from([limit, -limit])
+                           | st.floats(0.9 * limit, 1.1 * limit)
+                           | st.floats(-1.1 * limit, -0.9 * limit)
+                           | st.floats(limit, 20 * limit))
+
+
+class TestFixed:
+    """``_fixed`` gives ``%``'s bytes for every float, ties and the
+    fallback limit included."""
+
+    @pytest.mark.parametrize("decimals", [1, 2, 10, 15])
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_percent(self, decimals, data):
+        fmt = f"%.{decimals}f"
+        values = data.draw(st.lists(st.one_of(
+            st.floats(), st.floats(-1e6, 1e6), with_neighbours(ties(decimals)),
+            near_limit(decimals)), max_size=40))
+        assert fixed_texts(values, fmt) == percent_texts(values, fmt)
+
+    @pytest.mark.parametrize("fmt, value, text", [
+        ("%.2f", 0.125, "0.12"), ("%.2f", 0.375, "0.38"), ("%.2f", -0.125, "-0.12"),
+        # float products that land on a half: 0.005 lies above its half, 0.015 below
+        ("%.2f", 0.005, "0.01"), ("%.2f", 0.015, "0.01"), ("%.2f", -0.015, "-0.01"),
+        ("%.10f", 0.00048828125, "0.0004882812"), ("%.10f", -0.0, "-0.0000000000"),
+        ("%.10f", -1e-12, "-0.0000000000"), ("%.10f", 5e-324, "0.0000000000"),
+        ("%.10f", math.nan, "nan"), ("%.10f", -math.inf, "-inf"),
+        ("%.10f", 1e5, "100000.0000000000"), ("%.2f", 1e300, "%.2f" % 1e300),
+    ])
+    def test_known_texts(self, fmt, value, text):
+        assert fixed_texts([value], fmt) == [text] == percent_texts([value], fmt)
+
+    def test_many_values_with_fallbacks_mixed_in(self):
+        rng = np.random.default_rng(24)
+        values = rng.normal(0.0, 1.0, 20_000) * 10.0 ** rng.integers(-12, 8, 20_000)
+        specials = values[::97]
+        specials[:] = rng.choice([math.nan, math.inf, -math.inf, -0.0, 0.125, 1e20], specials.size)
+        for fmt in ("%.2f", "%.10f"):
+            assert fixed_texts(values, fmt) == percent_texts(values.tolist(), fmt)
+
+
+def row_loop(path, fields, days, columns):
+    """``write_rows`` as it formatted each row with ``%`` alone."""
+    row = ",".join(["%s", *[CELL_FORMAT] * len(columns)]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(fields) + "\n")
+        cells = [days.astype(str).tolist(), *(c.tolist() for c in columns)]
+        fh.write("".join(map(row.__mod__, zip(*cells))))
+
+
+class TestWriteRows:
+    """``write_rows`` with ``CELL_FORMAT`` writes what the row loop wrote."""
+
+    def check(self, days, columns):
+        fields = ["date", *(f"c{i}" for i in range(len(columns)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            fast, slow = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "slow.csv")
+            write_rows(fast, fields, days, columns)
+            row_loop(slow, fields, days, columns)
+            assert Path(fast).read_bytes() == Path(slow).read_bytes()
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_loop(self, data):
+        n = data.draw(st.integers(0, 30))
+        k = data.draw(st.integers(1, 4))
+        cells = st.one_of(st.floats(), with_neighbours(ties(10)), near_limit(10))
+        columns = [np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=float)
+                   for _ in range(k)]
+        # years from about -25,000 to 29,000: ISO dates of other widths too
+        days = np.array(data.draw(st.lists(st.integers(-10 ** 7, 10 ** 7), min_size=n,
+                                           max_size=n)), dtype="datetime64[D]")
+        self.check(days, columns)
+
+    def test_blocks_match_row_loop(self):
+        rng = np.random.default_rng(7)
+        n = 2 * _ROWS_PER_WRITE + 123
+        days = np.datetime64("1900-01-01") + np.arange(n)
+        columns = [rng.normal(100.0, 30.0, n), rng.normal(0.0, 1e-6, n),
+                   (2 * rng.integers(-1000, 1000, n) + 1) * 2.0 ** -11]
+        specials = columns[0][::501]
+        specials[:] = rng.choice([math.nan, math.inf, -0.0, 1e16, -1e300, 0.5], specials.size)
+        self.check(days, columns)
