@@ -400,9 +400,10 @@ def _take_repeated(tokens: list[str], flags: dict) -> list[str]:
     uses, whose values become the flag's default, as a config file's do,
     so they replace a config list.  Before Python 3.13, argparse scans the
     positions of all options once per option, so hundreds of windows parse
-    in quadratic time; this reads them in one pass.  None is taken if a
-    token could ask for help (``-h``, ``--he``, even ``--``: the usage line
-    shows which flags are required) or abbreviates ``--window`` (``--win``),
+    in quadratic time; this reads them in one pass.  An abbreviation
+    (``--win``) is a use, as argparse reads it while no other flag starts
+    with ``--w``.  None is taken if a token could ask for help (``-h``,
+    ``--he``, even ``--``: the usage line shows which flags are required),
     or if a use follows an option still waiting for its value or has no
     value that converts (none starting with ``-``, an option to argparse,
     does)."""
@@ -416,7 +417,7 @@ def _take_repeated(tokens: list[str], flags: dict) -> list[str]:
         before = tokens[i - 1] if i else ""
         if not sep:
             value = tokens[i + 1] if i + 1 < len(tokens) else ""
-        if name != "--window" or (before.startswith("-") and "=" not in before):
+        if before.startswith("-") and "=" not in before:
             return tokens
         try:
             windows.append(_parse_window(value))

@@ -30,6 +30,7 @@ from .timeseries import DatedSeries
 
 ISO_DATE = "%Y-%m-%d"
 _FIRST_DAY = np.datetime64("0001-01-01")
+_LAST_DAY = np.datetime64("9999-12-31")
 _ISO_ROW = [("day", "S11"), ("value", float)]
 # byte i of a date cell lies in [_ISO_LOW[i], _ISO_LOW[i] + _ISO_SPAN[i]]:
 # a digit, "-", or the NUL padding after the tenth byte
@@ -50,44 +51,47 @@ def _fixed(values: np.ndarray, fmt: str) -> np.ndarray:
     each padded to one width with NUL bytes before or after it.
 
     The digits of ``|v| * 10**d`` rounded to an integer are taken from
-    two eight-digit halves, one digit of every value per step.  A value
-    that is not finite, whose scaled form is ``1e15`` or more, or whose
-    scaled form is exactly a half (``0.125`` at two places, or
-    ``0.015``, whose float product is ``1.5``) is formatted by
-    ``fmt % v`` itself: ``%`` is both the fallback and the definition.
+    two eight-digit halves, one digit of every value per step, and only
+    as many digits as the largest value has (at least ``d + 1``).  A
+    value that is not finite, whose scaled form is ``2**53`` or more, or
+    whose scaled form is exactly a half (``0.125`` at two places, or
+    ``0.015``, whose float product is ``1.5``) is formatted by ``fmt % v``
+    itself: ``%`` is both the fallback and the definition.
     """
     values = np.asarray(values, dtype=float)
     decimals = int(fmt[2:-1])
     with np.errstate(over="ignore"):
         scaled = np.abs(values) * 10.0 ** decimals
-    slow = ~(scaled < 1e15)
+    slow = ~(scaled < 2.0 ** 53)
     scaled[slow] = 0.0
     rounded = np.rint(scaled)
-    # below 1e15 every half is a float and the product rounds monotonically,
-    # so a product off the halves rounds to the integer |v| * 10**d rounds to
+    # below 2**52 every half is a float and the product rounds monotonically,
+    # so a product off the halves rounds to the integer |v| * 10**d rounds
+    # to; from 2**52 on every float is an integer, and the product is the
+    # exact one rounded half to even, as % rounds it
     slow |= np.abs(scaled - rounded) == 0.5
-    # rows: sign, 16 - d integer digits, point, d decimals
-    point = 17 - decimals
-    text = np.empty((18, values.size), dtype=np.uint8)
-    places = [row for row in range(17, 0, -1) if row != point]
+    digits = max(decimals + 1, len("%d" % rounded.max(initial=0.0)))
+    # rows: sign, digits - d integer digits, point, d decimals
+    point = digits + 1 - decimals
+    text = np.empty((digits + 2, values.size), dtype=np.uint8)
+    places = [row for row in range(digits + 1, 0, -1) if row != point]
+    # a quotient below 2**27 that is not whole lies 1e-8 or more below the
+    # next whole number, and rounding moves it by at most 2**-27: below
+    # 2**53 the floor is exact, and so is the remainder
     high = np.floor(rounded / 1e8)
-    for half, rows in ((rounded - high * 1e8, places[:8]), (high, places[8:])):
-        half = half.astype(np.uint32)
-        for row in rows:
-            tens = half // 10
-            text[row] = half - 10 * tens
-            half = tens
+    _put_digits(text, rounded - high * 1e8, places[:8])
+    _put_digits(text, high, places[8:])
     text += ord("0")
-    # integer digit row r is the 10**(16 - r) place of rounded; the units
-    # digit always shows
+    # integer digit row r is the 10**(digits - r) place of rounded; the
+    # units digit always shows
     for row in range(1, point - 1):
-        text[row][rounded < 10.0 ** (16 - row)] = 0
-    text[0] = np.where(np.signbit(values), ord("-"), 0)
+        text[row][rounded < 10.0 ** (digits - row)] = 0
+    text[0] = np.signbit(values) * np.uint8(ord("-"))
     text[point] = ord(".")
-    text = np.ascontiguousarray(text.T).view("S18")[:, 0]
+    text = np.ascontiguousarray(text.T).view(f"S{digits + 2}")[:, 0]
     if slow.any():
         texts = [(fmt % v).encode() for v in values[slow].tolist()]
-        text = text.astype(f"S{max(18, *map(len, texts))}")
+        text = text.astype(f"S{max(text.itemsize, *map(len, texts))}")
         text[slow] = texts
     return text
 
@@ -97,9 +101,61 @@ def _rows(*columns) -> bytes:
     is an ``S`` array, one text per row, or ``bytes`` that every row
     repeats."""
     n = next(len(c) for c in columns if isinstance(c, np.ndarray))
-    parts = [np.ascontiguousarray(np.full(n, c) if isinstance(c, bytes) else c) for c in columns]
-    table = np.concatenate([p.view(np.uint8).reshape(n, p.itemsize) for p in parts], axis=1)
+    widths = [len(c) if isinstance(c, bytes) else c.itemsize for c in columns]
+    table = np.empty((n, sum(widths)), dtype=np.uint8)
+    end = 0
+    for column, width in zip(columns, widths):
+        if isinstance(column, bytes):
+            column = np.frombuffer(column, np.uint8)
+        else:
+            column = np.ascontiguousarray(column).view(np.uint8).reshape(n, width)
+        table[:, end:end + width] = column
+        end += width
     return table[table != 0].tobytes()
+
+
+def _put_digits(text: np.ndarray, numbers: np.ndarray, rows) -> None:
+    """Write the decimal digits of ``numbers``, whole and below ``2**32``,
+    into ``text``'s ``rows``, one digit of every number per row, the
+    lowest digit first."""
+    numbers = numbers.astype(np.uint32)
+    for row in rows:
+        tens = numbers // 10
+        text[row] = numbers - 10 * tens
+        numbers = tens
+
+
+def _iso_days(days: np.ndarray) -> np.ndarray:
+    """``days.astype("S")`` for a ``datetime64[D]`` array: ``S10`` texts
+    ``YYYY-MM-DD``, built digit by digit as :func:`_fixed` builds its
+    digits.  An array holding a day outside 0001-01-01 to 9999-12-31, or
+    of another unit, is formatted by ``astype("S")``, which is both the
+    fallback and the definition."""
+    if days.dtype != _FIRST_DAY.dtype or not np.all((days >= _FIRST_DAY) & (days <= _LAST_DAY)):
+        return days.astype("S")
+    # the Gregorian calendar's 400-year cycles of 146,097 days, counted
+    # from 0000-03-01 so that a leap day ends its year; float64 holds each
+    # whole number here exactly, where integer loops would page in numpy
+    # code that nothing else in a run uses, raising its peak memory
+    day = days.view(np.int64).astype(float) + 719_468.0
+    cycle = np.floor(day / 146_097)
+    day -= 146_097 * cycle
+    year = np.floor((day - np.floor(day / 1460) + np.floor(day / 36_524)
+                     - np.floor(day / 146_096)) / 365)
+    day -= 365 * year + np.floor(year / 4) - np.floor(year / 100)
+    # months from March; January and February end the year
+    month = np.floor((5 * day + 2) / 153)
+    day -= np.floor((153 * month + 2) / 5) - 1
+    later = month >= 10
+    month += 3 - 12 * later
+    year += 400 * cycle + later
+    text = np.empty((10, days.size), dtype=np.uint8)
+    _put_digits(text, year, [3, 2, 1, 0])
+    _put_digits(text, month, [6, 5])
+    _put_digits(text, day, [9, 8])
+    text += ord("0")
+    text[4] = text[7] = ord("-")
+    return np.ascontiguousarray(text.T).view("S10")[:, 0]
 
 
 def _blocks(n: int) -> list[slice]:
@@ -260,7 +316,7 @@ def write_rows(path, fields, days, columns, cell: str = CELL_FORMAT) -> None:
         fh.write(csv_header(fields).encode() + b"\n")
         for rows in _blocks(len(days)):
             if cell == CELL_FORMAT:
-                fh.write(_rows(days[rows].astype("S"),
+                fh.write(_rows(_iso_days(days[rows]),
                                *(part for c in columns for part in (b",", _fixed(c[rows], cell))),
                                b"\n"))
             else:

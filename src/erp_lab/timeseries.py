@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from datetime import date
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
 )
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_FLOATS_PER_BLOCK = 4096
 
 
 def _as_days(dates) -> np.ndarray:
@@ -168,12 +169,27 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
 
     The incremental form makes constant inputs exact fixed points.  With
     ``period_days == 1`` the output equals the input.
+
+    The recursion runs on Python floats, converted ``_FLOATS_PER_BLOCK``
+    at a time; their IEEE operations are numpy's, but they neither warn
+    nor raise.  So where an output is not finite, or ``np.errstate``
+    traps underflow, it runs again on numpy scalars, which warn or raise
+    as ``np.errstate`` says: that run is the fallback and the definition.
     """
     if period_days < 1:
         raise InvalidParametersError("period_days must be >= 1")
     alpha = 2.0 / (period_days + 1.0)
-    steps = accumulate(series.values, lambda acc, x: acc + alpha * (x - acc))
-    return DatedSeries(series.days, np.fromiter(steps, float, len(series)))
+
+    def step(acc, x):
+        return acc + alpha * (x - acc)
+
+    values = series.values
+    floats = chain.from_iterable(values[start:start + _FLOATS_PER_BLOCK].tolist()
+                                 for start in range(0, len(values), _FLOATS_PER_BLOCK))
+    out = np.fromiter(accumulate(floats, step), float, len(values))
+    if not np.isfinite(out).all() or np.geterr()["under"] != "ignore":
+        out = np.fromiter(accumulate(values, step), float, len(values))
+    return DatedSeries(series.days, out)
 
 
 def step_interpolate(sparse: DatedSeries,

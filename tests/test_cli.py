@@ -138,6 +138,24 @@ class TestImplied:
         assert capsys.readouterr().err == (
             "erp-lab: smoothing eps: overflow encountered in scalar subtract\n")
 
+    def test_float_overflow_after_the_first_block_is_numerical_error(self, tmp_path, capsys):
+        # eps -1.7e308 from the 50th last day, +1.7e308 from the 10th: the
+        # smoothing overflows past its first block of floats
+        n = timeseries._FLOATS_PER_BLOCK + 100
+        days = (np.datetime64("2000-01-01") + np.arange(n)).astype(str)
+        prices = write(tmp_path, "prices.csv",
+                       "date,close\n" + "".join(f"{d},1000\n" for d in days))
+        eps = write(tmp_path, "eps.csv", f"date,eps\n{days[0]},40\n{days[-50]},-1.7e308\n"
+                                         f"{days[-10]},1.7e308\n")
+        yields = write(tmp_path, "yields.csv",
+                       "date,rate\n" + "".join(f"{d},4.00\n" for d in days))
+        out = tmp_path / "erp.csv"
+        code = main(implied_argv(prices, eps, yields, str(out)))
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "erp-lab: smoothing eps: overflow encountered in scalar subtract\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["config", "command line"])
     def test_huge_ema_period_is_one_line_input_error(self, source, implied_files, tmp_path,
                                                      capsys):
@@ -1161,6 +1179,21 @@ class TestRepeatedFlags:
         argv = ["historical", "--equity", "eq.csv", "--output", "out.csv", "--riskfree", "rf.csv",
                 "--method", "arithmetic", "--window=2000-2009", *tail]
         assert self.outcome(argv, True) == self.outcome(argv, False)
+
+    def test_abbreviated_windows_bypass_argparse(self, monkeypatch):
+        # argparse reads --win and --w as --window, and so does the pre-pass
+        argv = ["historical", "--equity", "eq.csv", "--output", "out.csv", "--riskfree",
+                "rf.csv", "--win", "2000-2004", "--w=2001-2002"]
+        seen = []
+        parse_args = cli._Parser.parse_args
+
+        def recording(parser, args=None, namespace=None):
+            seen.append(list(args))
+            return parse_args(parser, args, namespace)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", recording)
+        assert self.outcome(argv, True) == self.outcome(argv, False)
+        assert seen == [argv[:7], argv]
 
     def test_many_windows_bypass_argparse(self, annual_paths, tmp_path, monkeypatch, capsys):
         # hundreds of windows, some outside the data (NA cells and warnings)

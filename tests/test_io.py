@@ -24,6 +24,7 @@ from erp_lab.io import (
     CELL_FORMAT,
     SeriesFileSpec,
     _fixed,
+    _iso_days,
     _parse_iso,
     _parse_rows,
     format_cell,
@@ -328,11 +329,13 @@ def with_neighbours(values):
 
 
 def near_limit(decimals):
-    """Values whose scaled form is near 1e15, where ``_fixed`` hands over
-    to ``%``, or above it up to 2**53 and beyond, where a float product
-    no longer holds every integer."""
-    limit = 1e15 / 10 ** decimals
-    return with_neighbours(st.sampled_from([limit, -limit])
+    """Values whose scaled form is near 2**53, where ``_fixed`` hands over
+    to ``%`` and a float product no longer holds every integer, or above
+    it up to 20 times it; and near 1e15 and 2**52, inside the digit path,
+    where the float product stops holding every half."""
+    limit = 2.0 ** 53 / 10 ** decimals
+    inside = [1e15 / 10 ** decimals, 2.0 ** 52 / 10 ** decimals]
+    return with_neighbours(st.sampled_from([limit, -limit, *inside, *(-v for v in inside)])
                            | st.floats(0.9 * limit, 1.1 * limit)
                            | st.floats(-1.1 * limit, -0.9 * limit)
                            | st.floats(limit, 20 * limit))
@@ -360,9 +363,17 @@ class TestFixed:
         ("%.10f", -1e-12, "-0.0000000000"), ("%.10f", 5e-324, "0.0000000000"),
         ("%.10f", math.nan, "nan"), ("%.10f", -math.inf, "-inf"),
         ("%.10f", 1e5, "100000.0000000000"), ("%.2f", 1e300, "%.2f" % 1e300),
+        # scaled forms from 1e15 to 2**53: digits, no longer the fallback
+        ("%.10f", 212345.6789012345, "212345.6789012345"),
+        ("%.10f", -987654.3210987654, "-987654.3210987654"),
+        ("%.10f", 899999.99999999995, "900000.0000000000"),
     ])
     def test_known_texts(self, fmt, value, text):
         assert fixed_texts([value], fmt) == [text] == percent_texts([value], fmt)
+
+    @pytest.mark.parametrize("fmt", ["%.2f", "%.10f"])
+    def test_empty_array(self, fmt):
+        assert fixed_texts([], fmt) == []
 
     def test_many_values_with_fallbacks_mixed_in(self):
         rng = np.random.default_rng(24)
@@ -405,6 +416,41 @@ class TestWriteRows:
         days = np.array(data.draw(st.lists(st.integers(-10 ** 7, 10 ** 7), min_size=n,
                                            max_size=n)), dtype="datetime64[D]")
         self.check(days, columns)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_loop_in_years_1_to_9999(self, data):
+        # the days whose texts are built from their digits, now and then
+        # with one day outside them in the block
+        n = data.draw(st.integers(1, 30))
+        first, last = (int(np.datetime64(d).view(np.int64))
+                       for d in ("0001-01-01", "9999-12-31"))
+        day = st.integers(first, last) | st.sampled_from([first, last])
+        days = data.draw(st.lists(day, min_size=n, max_size=n))
+        if data.draw(st.integers(0, 9)) == 0:
+            days[data.draw(st.integers(0, n - 1))] = data.draw(
+                st.sampled_from([first - 1, last + 1, -10 ** 7, 10 ** 7]))
+        column = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=float)
+        self.check(np.array(days, dtype="datetime64[D]"), [column])
+
+    @pytest.mark.parametrize("day", ["0001-01-01", "9999-12-31", "2000-02-29", "1900-02-28",
+                                     "1900-03-01"])
+    def test_known_dates(self, day, tmp_path):
+        path = tmp_path / "out.csv"
+        write_rows(path, ["date", "v"], np.array([day], dtype="datetime64[D]"), [np.ones(1)])
+        assert path.read_text() == f"date,v\n{day},1.0000000000\n"
+
+    def test_block_with_a_day_in_year_10000(self):
+        days = np.array(["2000-01-01", "10000-01-01", "9999-12-31", "0001-01-01"],
+                        dtype="datetime64[D]")
+        self.check(days, [np.arange(4.0)])
+
+    def test_every_day_of_years_1_to_9999(self):
+        # every day the digit path writes, a 400-year cycle of days at a time
+        days = np.arange(np.datetime64("0001-01-01"), np.datetime64("10000-01-01"))
+        for start in range(0, days.size, 146_097):
+            block = days[start:start + 146_097]
+            assert np.array_equal(_iso_days(block), block.astype("S"))
 
     def test_blocks_match_row_loop(self):
         rng = np.random.default_rng(7)

@@ -18,6 +18,7 @@ from erp_lab.errors import (
     TooShortError,
 )
 from erp_lab.timeseries import (
+    _FLOATS_PER_BLOCK,
     DatedSeries,
     ReturnSeries,
     align,
@@ -313,6 +314,36 @@ class TestEma:
             assert got == expected
         else:
             assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
+
+    @staticmethod
+    def numpy_recursion(s, period):
+        """The docstring recursion on numpy scalars."""
+        alpha = 2.0 / (period + 1.0)
+        out = [s.values[0]]
+        for x in s.values[1:]:
+            out.append(out[-1] + alpha * (x - out[-1]))
+        return out
+
+    @pytest.mark.parametrize("errstate", [{"over": "raise"}, {"under": "raise"}])
+    def test_error_after_the_first_block_is_the_recursions(self, errstate):
+        # past the first block of floats: an overflow (-1.7e308 held, then
+        # +1.7e308) or an underflow (1e-300 halving toward zero)
+        n = _FLOATS_PER_BLOCK + 200
+        values = np.zeros(n)
+        if "over" in errstate:
+            values[n - 150:] = -1.7e308
+            values[n - 100:] = 1.7e308
+        else:
+            values[n - 150] = 1e-300
+        s = DatedSeries(days(n), values)
+        with np.errstate(**errstate):
+            with pytest.raises(FloatingPointError) as expected:
+                self.numpy_recursion(s, 3)
+            with pytest.raises(FloatingPointError) as got:
+                ema(s, 3)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(("overflow encountered in scalar",
+                                          "underflow encountered in scalar"))
 
 
 class TestStepInterpolate:
