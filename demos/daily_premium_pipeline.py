@@ -16,7 +16,7 @@ from erp_lab import (
     parse_series,
     step_interpolate,
 )
-from erp_lab.io import write_rows, write_text
+from erp_lab.io import write_bytes, write_rows
 
 DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 
@@ -47,7 +47,7 @@ def main() -> None:
         print("then earnings recovered and the premium turned positive again.")
 
     write_rows("implied_erp.csv", ("date", "erp"), erp.days, [erp.values])
-    write_text("implied_erp.svg", line_chart_svg(erp))
+    write_bytes("implied_erp.svg", [line_chart_svg(erp)])
     print("wrote implied_erp.csv and implied_erp.svg")
 
 

@@ -43,7 +43,7 @@ def _text(x: str, y: str, anchor: str, size: int, body: str, extra: str = "") ->
             f'font-size="{size}"{extra}>{body}</text>')
 
 
-def line_chart_svg(series: DatedSeries) -> str:
+def line_chart_svg(series: DatedSeries) -> bytes:
     """Render a daily implied premium as a 900 x 420 SVG line chart,
     titled "Implied equity risk premium", its y axis labeled "premium".
 
@@ -115,16 +115,16 @@ def line_chart_svg(series: DatedSeries) -> str:
                          extra=' stroke-dasharray="4 3"'))
 
     ys = y_at(series.values)
-    # each point is "x,y " and the last space goes
-    points = b"".join(_rows(_fixed(xs[rows], _COORD), b",", _fixed(ys[rows], _COORD), b" ")
-                      for rows in _blocks(n))[:-1].decode()
-    out.append(
-        f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
-    )
-
-    out.append(_text(_coord(_MARGIN_LEFT + plot_w / 2), _coord(_HEIGHT - 8), "middle", 12, "date"))
+    # each point is "x,y " and the last one's space goes
+    points = [_rows(_fixed(xs[rows], _COORD), b",", _fixed(ys[rows], _COORD), b" ")
+              for rows in _blocks(n)]
+    points[-1] = points[-1][:-1]
+    out.append('<polyline points="')
     mid_y = _coord(_MARGIN_TOP + plot_h / 2)
-    out.append(_text("14", mid_y, "middle", 12, _Y_LABEL,
-                     extra=f' transform="rotate(-90 14 {mid_y})"'))
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    tail = [
+        '" fill="none" stroke="steelblue" stroke-width="1.5"/>',
+        _text(_coord(_MARGIN_LEFT + plot_w / 2), _coord(_HEIGHT - 8), "middle", 12, "date"),
+        _text("14", mid_y, "middle", 12, _Y_LABEL, extra=f' transform="rotate(-90 14 {mid_y})"'),
+        "</svg>\n",
+    ]
+    return b"".join(["\n".join(out).encode(), *points, "\n".join(tail).encode()])

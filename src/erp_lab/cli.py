@@ -27,7 +27,7 @@ from .capm import fit_market_model, risk_decomposition, simulate_diversification
 from .errors import DataError, ErpLabError, NumericalError
 from .historical import erp_report, report_columns
 from .implied import implied_erp_series
-from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series, write_rows, write_text
+from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series, write_bytes, write_rows
 from .timeseries import ReturnSeries, ema, simple_returns, step_interpolate
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def run_implied(args) -> int:
                   for s in (prices, eps_smooth, yields)]
         write_rows(args.output, ("date", "price", "eps_smoothed", "yield", "erp"),
                    erp.days, [*inputs, erp.values])
-        write_text(svg, chart)
+        write_bytes(svg, [chart])
     return EXIT_OK
 
 
@@ -145,7 +145,7 @@ def run_historical(args) -> int:
     for (i, j), gap in sorted(report.gaps.items()):
         print(f"erp-lab: warning: {windows[i]} {labels[j]}: {gap}", file=sys.stderr)
     with _stage("writing output"):
-        write_text(args.output, report.to_csv())
+        write_bytes(args.output, [report.to_csv().encode()])
     return EXIT_OK
 
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from io import StringIO
+from itertools import chain
 
 import numpy as np
 
@@ -305,29 +306,23 @@ def csv_header(fields) -> str:
     return line.getvalue()[:-2]
 
 
-def write_rows(path, fields, days, columns, cell: str = CELL_FORMAT) -> None:
-    """Write ISO dates and value columns as CSV under the header ``fields``,
-    each value rendered with the %-format ``cell``.  Rows are formatted a
-    fixed number at a time, so that no whole-column list or whole-file
-    string is held; with ``CELL_FORMAT``, a block's columns at once
-    (:func:`_fixed`)."""
-    row = ",".join(["%s", *[cell] * len(columns)]) + "\n"
+def write_bytes(path, chunks) -> None:
+    """Write the ``bytes`` of ``chunks`` to ``path`` in order: the one
+    place the package opens an output file."""
     with open(path, "wb") as fh:
-        fh.write(csv_header(fields).encode() + b"\n")
-        for rows in _blocks(len(days)):
-            if cell == CELL_FORMAT:
-                fh.write(_rows(_iso_days(days[rows]),
-                               *(part for c in columns for part in (b",", _fixed(c[rows], cell))),
-                               b"\n"))
-            else:
-                cells = [days[rows].astype(str).tolist(), *(c[rows].tolist() for c in columns)]
-                fh.write("".join(map(row.__mod__, zip(*cells))).encode())
+        fh.writelines(chunks)
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` as UTF-8, line endings as they are."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def write_rows(path, fields, days, columns) -> None:
+    """Write ISO dates and value columns as CSV under the header ``fields``,
+    each value rendered with ``CELL_FORMAT``.  Rows are formatted a fixed
+    number at a time, a block's columns at once (:func:`_fixed`), so that
+    no whole-column list or whole-file text is held."""
+    blocks = (_rows(_iso_days(days[rows]),
+                    *(part for c in columns for part in (b",", _fixed(c[rows], CELL_FORMAT))),
+                    b"\n")
+              for rows in _blocks(len(days)))
+    write_bytes(path, chain([csv_header(fields).encode() + b"\n"], blocks))
 
 
 def write_series(series: DatedSeries, path: str, date_column: str = "date",
@@ -337,4 +332,8 @@ def write_series(series: DatedSeries, path: str, date_column: str = "date",
     ``parse_series`` on the result with default settings reproduces the
     series exactly.
     """
-    write_rows(path, [date_column, value_column], series.days, [series.values], "%r")
+    days, values = series.days, series.values
+    blocks = ("".join(map("%s,%r\n".__mod__, zip(days[rows].astype(str).tolist(),
+                                                 values[rows].tolist()))).encode()
+              for rows in _blocks(len(days)))
+    write_bytes(path, chain([csv_header([date_column, value_column]).encode() + b"\n"], blocks))

@@ -24,16 +24,16 @@ def series(values, start=date(2020, 1, 1)):
 
 def test_contains_format_comment_and_axes():
     svg = line_chart_svg(series([1.0, 2.0, 3.0]))
-    assert svg.startswith("<svg ")
-    assert FORMAT_COMMENT in svg
-    assert ">Implied equity risk premium</text>" in svg
-    assert ">premium</text>" in svg
-    assert ">date</text>" in svg
+    assert svg.startswith(b"<svg ")
+    assert FORMAT_COMMENT.encode() in svg
+    assert b">Implied equity risk premium</text>" in svg
+    assert b">premium</text>" in svg
+    assert b">date</text>" in svg
 
 
 def test_polyline_has_one_point_per_observation():
     n = 37
-    svg = line_chart_svg(series(list(np.linspace(0.0, 1.0, n))))
+    svg = line_chart_svg(series(list(np.linspace(0.0, 1.0, n)))).decode()
     polyline = [line for line in svg.splitlines() if line.startswith("<polyline")][0]
     points = polyline.split('points="')[1].split('"')[0]
     assert len(points.split()) == n
@@ -45,19 +45,19 @@ def test_deterministic_output():
 
 
 def test_zero_line_drawn_only_when_crossing():
-    crossing = line_chart_svg(series([-1.0, 1.0]))
-    positive = line_chart_svg(series([1.0, 2.0]))
+    crossing = line_chart_svg(series([-1.0, 1.0])).decode()
+    positive = line_chart_svg(series([1.0, 2.0])).decode()
     assert "stroke-dasharray" in crossing
     assert "stroke-dasharray" not in positive
 
 
 def test_constant_series_has_padded_range():
-    svg = line_chart_svg(series([2.0, 2.0, 2.0]))
+    svg = line_chart_svg(series([2.0, 2.0, 2.0])).decode()
     assert "<polyline" in svg
 
 
 def test_x_tick_labels_are_iso_dates():
-    svg = line_chart_svg(series([1.0] * 10, start=date(2021, 6, 1)))
+    svg = line_chart_svg(series([1.0] * 10, start=date(2021, 6, 1))).decode()
     assert ">2021-06-01</text>" in svg
     assert ">2021-06-10</text>" in svg
 
@@ -74,7 +74,7 @@ def test_range_beyond_float_range_is_numerical_error(values):
 
 
 def test_wide_finite_range_draws_without_nan():
-    svg = line_chart_svg(series([-1e305, 1e305]))
+    svg = line_chart_svg(series([-1e305, 1e305])).decode()
     assert "nan" not in svg and "inf" not in svg
 
 
@@ -102,7 +102,7 @@ def test_chart_draws_every_point_or_refuses_the_range(s):
     # the CLI renders the chart with numpy's float errors raising
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            svg = line_chart_svg(s)
+            svg = line_chart_svg(s).decode()
         except NumericalError as exc:
             assert str(exc).endswith("spans more than float range")
             # |v| < 2e305 keeps 338 * 1.1 * (vmax - vmin) below the largest float
@@ -129,7 +129,7 @@ def assert_polyline_is_percent_join(s):
         return _fixed(values, fmt)
 
     with mock.patch.object(charts, "_fixed", recording):
-        svg = line_chart_svg(s)
+        svg = line_chart_svg(s).decode()
     xs, ys = np.concatenate(formatted[::2]), np.concatenate(formatted[1::2])
     assert len(xs) == len(ys) == len(s)
     points = " ".join("%.2f,%.2f" % point for point in zip(xs.tolist(), ys.tolist()))

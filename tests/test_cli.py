@@ -218,6 +218,11 @@ class TestImplied:
         assert main(implied_argv(*implied_files, chunked)) == EXIT_OK
         assert Path(chunked).read_text() == Path(whole).read_text()
         assert len(Path(whole).read_text().splitlines()) == 4
+        # the polyline is cut into the same blocks; at one row a block the
+        # last block is a single point
+        chunked_svg, whole_svg = (Path(p).with_suffix(".svg").read_bytes()
+                                  for p in (chunked, whole))
+        assert chunked_svg == whole_svg
 
     def test_nonpositive_scale_is_one_line_error(self, implied_files, tmp_path, capsys):
         code = main(implied_argv(*implied_files, str(tmp_path / "erp.csv"),
@@ -432,6 +437,20 @@ class TestHistorical:
         assert rows[1].startswith("2000-2009,0.0210000000,")
         assert rows[2] == "1990-1995,NA,NA"
         assert rows[3].startswith("2000-2002,") and rows[3].endswith(",NA")
+
+    def test_report_is_utf_8(self, annual_paths, tmp_path):
+        out = tmp_path / "report.csv"
+        code = main([
+            "historical",
+            "--equity", str(annual_paths["equity"]),
+            "--equity-value-column", "return",
+            "--riskfree", f"bund\u20ac={annual_paths['tbills']}",
+            "--riskfree-value-column", "return",
+            "--window", "2000-2009", "--method", "arithmetic",
+            "--output", str(out),
+        ])
+        assert code == EXIT_OK
+        assert out.read_bytes().startswith(b"window,bund\xe2\x82\xac arithmetic\n")
 
     def test_riskfree_labels_are_quoted_in_the_header(self, annual_paths, tmp_path):
         labels = ["a,b", 'say "hi"', "two\nlines", "bare\rreturn"]

@@ -6,6 +6,7 @@ import tempfile
 import warnings
 from datetime import date, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from erp_lab.io import (
     _iso_days,
     _parse_iso,
     _parse_rows,
+    csv_header,
     format_cell,
     parse_series,
     write_rows,
@@ -265,7 +267,41 @@ class TestIsoFastPath:
         assert got[0] is (EmptyInputError if not body else BadDateError)
 
 
+def series_row_loop(path, series, fields):
+    """``write_series`` as it wrote through ``write_rows(..., "%r")``: each
+    row formatted with ``%``, the file written as UTF-8 text."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_header(fields) + "\n")
+        fh.writelines("%s,%r\n" % row
+                      for row in zip(series.days.astype(str).tolist(), series.values.tolist()))
+
+
+# plain header names, ones csv_header must quote, and one beyond ASCII
+HEADER_NAMES = st.sampled_from(["date", "value", "a,b", 'say "x"', "x\ry", "x\ny", "bund\u20ac"])
+
+
 class TestWriteSeries:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_loop(self, data):
+        n = data.draw(st.integers(1, 30))
+        # years from about -25,000 to 29,000: ISO dates of other widths too
+        days = sorted(data.draw(st.lists(st.integers(-10 ** 7, 10 ** 7), min_size=n,
+                                         max_size=n, unique=True)))
+        value = (st.floats(allow_nan=False, allow_infinity=False)
+                 | st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308]))
+        values = data.draw(st.lists(value, min_size=n, max_size=n))
+        series = DatedSeries(np.array(days, dtype="datetime64[D]"), np.array(values))
+        fields = [data.draw(HEADER_NAMES), data.draw(HEADER_NAMES)]
+        # blocks of a few rows, so that most series span several
+        rows_per_write = data.draw(st.sampled_from([1, 2, 7, _ROWS_PER_WRITE]))
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch("erp_lab.io._ROWS_PER_WRITE", rows_per_write):
+            fast, slow = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "slow.csv")
+            write_series(series, fast, *fields)
+            series_row_loop(slow, series, fields)
+            assert Path(fast).read_bytes() == Path(slow).read_bytes()
+
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(41)
         values = rng.uniform(-1.0, 1.0, 50) * math.pi
@@ -285,8 +321,8 @@ class TestWriteSeries:
         text = Path(path).read_text()
         assert text == "day,close\n2009-01-02,1.5\n"
 
-    @pytest.mark.parametrize("name", ["a,b", 'say "x"', "x\ry", "x\ny"],
-                             ids=["comma", "quote", "carriage-return", "newline"])
+    @pytest.mark.parametrize("name", ["a,b", 'say "x"', "x\ry", "x\ny", "bund\u20ac"],
+                             ids=["comma", "quote", "carriage-return", "newline", "non-ascii"])
     def test_header_needing_quotes_round_trips(self, tmp_path, name):
         original = DatedSeries((date(2009, 1, 2), date(2009, 1, 5)), np.array([1.5, -0.25]))
         path = str(tmp_path / "out.csv")
