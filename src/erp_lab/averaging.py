@@ -91,7 +91,8 @@ def exp_weighted_mean(returns, decay: float) -> float | np.ndarray:
         raise DecayOutOfRangeError(f"decay must lie in (0, 1], got {decay}")
     t = arr.shape[-1]
     weights = np.power(decay, np.arange(t - 1, -1, -1, dtype=float))
-    dots = np.array([np.dot(weights, row) for row in arr.reshape(-1, t)])
+    rows = arr.reshape(-1, t)
+    dots = np.fromiter(map(weights.dot, rows), float, len(rows))
     return _result(dots.reshape(arr.shape[:-1]) / weights.sum())
 
 

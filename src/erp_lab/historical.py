@@ -45,8 +45,12 @@ class ErpEstimate:
     def __post_init__(self):
         if self.sample_size < 1:
             raise ValueError("sample_size must be >= 1")
-        if self.window[0] > self.window[1]:
-            raise ValueError(f"window start {self.window[0]} after end {self.window[1]}")
+        _check_window(self.window)
+
+
+def _check_window(window: YearWindow) -> None:
+    if window[0] > window[1]:
+        raise ValueError(f"window start {window[0]} after end {window[1]}")
 
 
 def premium_series(equity: ReturnSeries, riskfree: ReturnSeries) -> DatedSeries:
@@ -81,6 +85,8 @@ def historical_erp(
 
     Raises
     ------
+    ValueError
+        The window starts after it ends.
     EmptyIntersectionError
         The series share no dates at all.
     EmptyWindowError
@@ -94,11 +100,16 @@ def historical_erp(
     return report.cells[0][0].estimate
 
 
+def _years(days: np.ndarray) -> np.ndarray:
+    """The calendar year of each ``datetime64[D]`` day."""
+    return days.astype("datetime64[Y]").astype(np.int64) + 1970
+
+
 def _aligned_years(equity: ReturnSeries, riskfree: ReturnSeries
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The common dates' years (ascending) and both legs' values on them."""
     days, eq, rf = align(equity, riskfree)
-    return days.astype("datetime64[Y]").astype(np.int64) + 1970, eq, rf
+    return _years(days), eq, rf
 
 
 @dataclass(frozen=True)
@@ -196,41 +207,64 @@ def erp_report(
     horizon, are flagged with the reason instead of failing the whole
     report: the report is a diagnostic artifact.  Each riskfree variant
     is aligned with the equity series once; a window's observations are
-    the aligned rows whose year lies inside it.  Windows with the same
-    row count are averaged together, one ``apply`` per method and leg.
+    the aligned rows whose year lies inside it.  Variants aligned on the
+    same days share one equity leg, and the windows with the same row
+    count are averaged together: one ``apply`` per method over a stack
+    of the equity leg and every variant on its days.
+
+    Raises ``ValueError`` for a window that starts after it ends, before
+    any series is aligned.
     """
     if not riskfree_variants or not windows or not methods:
         raise EmptyInputError("need at least one riskfree variant, window, and method")
     windows = tuple(map(tuple, windows))
+    for window in windows:
+        _check_window(window)
     columns = report_columns([label for label, _ in riskfree_variants], methods)
     premium = np.full((len(windows), len(columns)), np.nan)
     sample_size = np.zeros(premium.shape, dtype=np.int64)
     gaps: dict[tuple[int, int], DataError] = {}
     starts, ends = zip(*windows)
+    # one (days, equity leg, [(first column, riskfree leg), ...]) per calendar
+    calendars: list[tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]] = []
     for v, (_, riskfree) in enumerate(riskfree_variants):
-        variant = range(v * len(methods), (v + 1) * len(methods))
+        first_column = v * len(methods)
         try:
-            years, eq, rf = _aligned_years(equity, riskfree)
+            days, eq, rf = align(equity, riskfree)
         except EmptyIntersectionError as exc:
             exc = exc.with_traceback(None)
-            gaps.update(((i, c), exc) for i in range(len(windows)) for c in variant)
+            gaps.update(((i, first_column + m), exc)
+                        for i in range(len(windows)) for m in range(len(methods)))
             continue
+        # equal days, not equal years: several rows a year can share years
+        same = next((c for c in calendars if np.array_equal(c[0], days)), None)
+        if same is None:
+            calendars.append((days, eq, [(first_column, rf)]))
+        else:
+            same[2].append((first_column, rf))
+    for days, eq, members in calendars:
+        years = _years(days)
         first = np.searchsorted(years, starts, side="left")
         lengths = np.searchsorted(years, ends, side="right") - first
-        sample_size[:, variant.start:variant.stop] = np.maximum(lengths, 0)[:, None]
+        member_columns = [c + m for c, _ in members for m in range(len(methods))]
+        sample_size[:, member_columns] = np.maximum(lengths, 0)[:, None]
         for n in sorted(set(lengths.tolist())):
             group = np.flatnonzero(lengths == n)
             if n <= 0:
                 gaps.update(((i, c), EmptyWindowError("no aligned observations in "
                                                       + _window_label(windows[i])))
-                            for i in group.tolist() for c in variant)
+                            for i in group.tolist() for c in member_columns)
                 continue
             rows = first[group, None] + np.arange(n)
-            eq_in, rf_in = eq[rows], rf[rows]
-            for c, method in zip(variant, methods):
+            # np.stack of C-ordered parts keeps each row's reduction order
+            stack = np.stack([eq[rows], *(leg[rows] for _, leg in members)]).reshape(-1, n)
+            for m, method in enumerate(methods):
                 try:
-                    premium[group, c] = method.apply(eq_in) - method.apply(rf_in)
+                    means = method.apply(stack).reshape(1 + len(members), len(group))
                 except HorizonExceedsSampleError as exc:
                     exc = exc.with_traceback(None)
-                    gaps.update(((i, c), exc) for i in group.tolist())
+                    gaps.update(((i, c + m), exc) for i in group.tolist() for c, _ in members)
+                    continue
+                for j, (c, _) in enumerate(members, 1):
+                    premium[group, c + m] = means[0] - means[j]
     return ErpReport(windows, columns, premium, sample_size, gaps)

@@ -1,7 +1,9 @@
 """Tests for historical premium estimation and the report grid."""
 
 import math
+from collections import Counter
 from datetime import date, timedelta
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -139,6 +141,10 @@ class TestHistoricalErp:
         g = historical_erp(annual(eq_vals), rf, (2000, 2029), GEOM)
         assert g.premium <= a.premium + 1e-12
 
+    def test_reversed_window_raises_as_the_estimate_does(self):
+        with pytest.raises(ValueError, match="^window start 2003 after end 2001$"):
+            historical_erp(annual([0.1] * 5), annual([0.0] * 5), (2003, 2001), ARITH)
+
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             ErpEstimate(0.05, (2005, 2000), "tbills", ARITH, 5)
@@ -255,6 +261,15 @@ class TestErpReport:
         with pytest.raises(DataError, match=message):
             erp_report(eq, [(label, rf) for label in labels], [(2000, 2002)], methods)
 
+    def test_reversed_window_raises_before_any_alignment(self, monkeypatch):
+        def refused(a, b):
+            raise AssertionError("aligned a report with a reversed window")
+
+        monkeypatch.setattr(historical, "align", refused)
+        eq, rf = annual([0.08] * 5), annual([0.03] * 5)
+        with pytest.raises(ValueError, match="^window start 2003 after end 2001$"):
+            erp_report(eq, [("rf", rf)], [(2000, 2004), (2003, 2001)], [ARITH])
+
     def test_empty_argument_lists_raise(self):
         eq = annual([0.08] * 5)
         tb = annual([0.03] * 5)
@@ -302,6 +317,14 @@ def reference_csv(windows, columns, cells):
     return "\n".join(lines) + "\n"
 
 
+AVERAGING_METHODS = st.one_of(
+    st.just(ARITH),
+    st.just(GEOM),
+    st.integers(1, 12).map(AveragingMethod.blume),
+    st.floats(0.05, 1.0).map(AveragingMethod.exp_weighted),
+)
+
+
 @st.composite
 def report_inputs(draw):
     """An equity series, riskfree variants (one possibly sharing no date
@@ -335,12 +358,7 @@ def report_inputs(draw):
     years = st.integers(grid[0].year - 3, grid[-1].year + 3)
     windows = draw(st.lists(st.tuples(years, years).map(sorted).map(tuple),
                             min_size=1, max_size=8))
-    methods = draw(st.lists(st.one_of(
-        st.just(ARITH),
-        st.just(GEOM),
-        st.integers(1, 12).map(AveragingMethod.blume),
-        st.floats(0.05, 1.0).map(AveragingMethod.exp_weighted),
-    ), min_size=1, max_size=4))
+    methods = draw(st.lists(AVERAGING_METHODS, min_size=1, max_size=4))
     return equity, variants, windows, methods
 
 
@@ -388,7 +406,7 @@ class TestReportAgainstPerCellReference:
         assert all(cell.note == "series share no common dates"
                    for row in report.cells for cell in row[6:])
 
-    def test_one_apply_per_variant_leg_row_count_and_method(self, monkeypatch):
+    def test_one_apply_per_calendar_row_count_and_method(self, monkeypatch):
         calls = []
         apply = AveragingMethod.apply
 
@@ -398,17 +416,79 @@ class TestReportAgainstPerCellReference:
 
         monkeypatch.setattr(AveragingMethod, "apply", counted)
         eq = annual(np.linspace(-0.2, 0.3, 20))
+        # tbills and tips share the equity series' 20 days, tbonds has 15
         variants = [("tbills", annual([0.03] * 20)), ("tbonds", annual([0.05] * 15)),
-                    ("disjoint", annual([0.01, 0.02], first_year=2030))]
+                    ("disjoint", annual([0.01, 0.02], first_year=2030)),
+                    ("tips", annual(np.linspace(0.0, 0.02, 20)))]
         # twelve 5-year windows (two of them repeated), three 10-year
         # windows, one single year and one window outside the data
         windows = ([(2000 + i, 2004 + i) for i in range(10)] + [(2003, 2007), (2003, 2007)]
                    + [(2000, 2009), (2005, 2014), (2002, 2011), (2012, 2012), (1990, 1995)])
         methods = [ARITH, GEOM, AveragingMethod.blume(1), AveragingMethod.exp_weighted(0.9)]
         report = erp_report(eq, variants, windows, methods)
-        # per aligned variant, leg and method: one (12, 5), one (3, 10) and one (1, 1) stack
-        stacks = sorted([(12, 5), (3, 10), (1, 1)] * 2 * 2)
+        # per calendar and method: one ((1 + members) * k, n) stack for
+        # each row count n shared by k windows, the equity leg stacked once
+        stacks = sorted(((1 + members) * k, n) for members in (2, 1)
+                        for k, n in [(12, 5), (3, 10), (1, 1)])
         assert len(calls) == len(stacks) * len(methods)
         for method in methods:
             assert sorted(shape for m, shape in calls if m == method) == stacks
         assert report.cells == reference_report(eq, variants, windows, methods)[1]
+
+
+@st.composite
+def shared_calendar_inputs(draw):
+    """An equity series with several rows in some years, two or three
+    variants on its own days, one on a subset of them and one on as many
+    of them each year, perhaps the disjoint one, in any order; windows
+    and methods as ``report_inputs``."""
+    first = draw(st.integers(1950, 2000))
+    per_year = draw(st.lists(st.integers(1, 3), min_size=1, max_size=15))
+    days = [date(first + y, 12, 31) - timedelta(days=40 * k)
+            for y, count in enumerate(per_year) for k in reversed(range(count))]
+    n = len(days)
+    returns = st.floats(-0.9, 2.0, allow_nan=False)
+
+    def on(dates):
+        values = draw(st.lists(returns, min_size=len(dates), max_size=len(dates)))
+        return ReturnSeries(dates, np.array(values))
+
+    equity = on(days)
+    variants = [(f"same{i}", on(days)) for i in range(draw(st.integers(2, 3)))]
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                .filter(lambda keep: any(keep) and not all(keep)) if n > 1 else st.just([True]))
+    kept = [d for d, k in zip(days, keep) if k]
+    # each year's last rows, as many as the subset keeps: the same
+    # years, on other days unless they are the subset's own
+    counts = Counter(d.year for d in kept)
+    moved = []
+    for year, in_year in groupby(days, key=lambda d: d.year):
+        in_year = list(in_year)
+        moved += in_year[len(in_year) - counts[year]:]
+    variants += [("subset", on(kept)), ("moved", on(moved))]
+    if draw(st.booleans()):
+        variants.append(("disjoint", ReturnSeries([days[-1] + timedelta(days=1)], np.ones(1))))
+    variants = draw(st.permutations(variants))
+
+    years = st.integers(first - 2, first + len(per_year) + 2)
+    windows = draw(st.lists(st.tuples(years, years).map(sorted).map(tuple),
+                            min_size=1, max_size=8))
+    methods = draw(st.lists(AVERAGING_METHODS, min_size=1, max_size=4,
+                            unique_by=lambda method: method.label))
+    return equity, variants, windows, methods
+
+
+class TestSharedCalendars:
+    @settings(max_examples=200, deadline=None)
+    @given(shared_calendar_inputs())
+    def test_every_cell_matches_reference_bit_for_bit(self, inputs):
+        report = erp_report(*inputs)
+        columns, cells = reference_report(*inputs)
+        assert report.columns == columns
+        for i, row in enumerate(cells):
+            for j, expected in enumerate(row):
+                want = (expected.note, float.hex(math.nan) if expected.missing else
+                        float.hex(expected.estimate.premium))
+                assert (report.cells[i][j].note, float.hex(report.premium[i, j])) == want
+                if not expected.missing:
+                    assert report.sample_size[i, j] == expected.estimate.sample_size
