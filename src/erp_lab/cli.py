@@ -28,7 +28,7 @@ from .errors import DataError, ErpLabError, NumericalError
 from .historical import erp_report, report_columns
 from .implied import implied_erp_series
 from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series, write_bytes, write_rows
-from .timeseries import ReturnSeries, ema, simple_returns, step_interpolate
+from .timeseries import DatedSeries, ReturnSeries, ema, simple_returns, step_interpolate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -96,6 +96,16 @@ def _read(name: str, spec: SeriesFileSpec, kind: str | None = None):
 
 # -- commands -----------------------------------------------------------------
 
+def _inputs_on(days: np.ndarray, prices: DatedSeries, eps_smooth: DatedSeries,
+               yields: DatedSeries) -> list[np.ndarray]:
+    """Each input's values on ``days``, the inputs' intersection, so every
+    calendar holds each of them.  ``eps_smooth`` is on the prices calendar:
+    one membership mask serves both, and one more serves the yields."""
+    on_prices, on_yields = (np.isin(s.days.view(np.int64), days.view(np.int64))
+                            for s in (prices, yields))
+    return [prices.values[on_prices], eps_smooth.values[on_prices], yields.values[on_yields]]
+
+
 def run_implied(args) -> int:
     """Daily pipeline: parse, carry EPS to the price calendar, smooth,
     compute eps/price - yield, write CSV and SVG."""
@@ -117,11 +127,8 @@ def run_implied(args) -> int:
         # the chart is the step that can still fail: render it before
         # writing either file, so that a failure leaves neither
         chart = charts.line_chart_svg(erp)
-        # erp.days already is the inputs' intersection: look it up in each
-        inputs = [s.values[np.searchsorted(s.days, erp.days)]
-                  for s in (prices, eps_smooth, yields)]
         write_rows(args.output, ("date", "price", "eps_smoothed", "yield", "erp"),
-                   erp.days, [*inputs, erp.values])
+                   erp.days, [*_inputs_on(erp.days, prices, eps_smooth, yields), erp.values])
         write_bytes(svg, [chart])
     return EXIT_OK
 

@@ -48,8 +48,8 @@ class DatedSeries:
     """Ordered (date, value) observations with strictly increasing dates.
 
     Invariants enforced at construction: one value per day (``days`` and
-    ``values`` one-dimensional, of equal length), non-empty, dates
-    strictly increasing (hence no duplicates), all values finite.
+    ``values`` one-dimensional, of equal length), non-empty, no NaT,
+    dates strictly increasing (hence no duplicates), all values finite.
     ``days`` may be any sequence of ``date`` or a ``datetime64`` array;
     it is stored as a read-only ``datetime64[D]`` array, and ``values``
     as read-only floats.
@@ -69,6 +69,9 @@ class DatedSeries:
                 raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
         if len(days) == 0:
             raise ValueError("series must contain at least one observation")
+        nat = np.isnat(days)
+        if nat.any():
+            raise ValueError(f"dates must not be NaT, got NaT at position {int(np.argmax(nat))}")
         bad = np.flatnonzero(np.diff(days) <= np.timedelta64(0, "D"))
         if bad.size:
             a, b = days[bad[0]], days[bad[0] + 1]
@@ -124,10 +127,12 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
     """Intersect any number of series on their common dates.
 
     Accepts any mix of :class:`DatedSeries` and :class:`ReturnSeries`.
-    Each series' calendar is searched once for the first series' days, and
-    a day is common where every search lands on it.  Returns the common
-    days (``datetime64[D]``, as each series stores them) and one value
-    array per input series, all in the same ascending order.
+    Each other series' calendar is searched once for the first series'
+    days, and a day is common where every search lands on it.  A series
+    on the first series' own calendar (the same array, or an equal one)
+    is not searched: the common mask picks its values.  Returns the
+    common days (``datetime64[D]``, as each series stores them) and one
+    value array per input series, all in the same ascending order.
 
     Raises
     ------
@@ -137,11 +142,16 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
     if not series:
         raise InvalidParametersError("align_many needs at least one series")
     days = series[0].days
-    rows = [np.searchsorted(s.days, days).clip(max=len(s) - 1) for s in series]
-    common = np.logical_and.reduce([s.days[r] == days for s, r in zip(series, rows)])
+    rows = [None if s.days is days or np.array_equal(s.days, days)
+            else np.searchsorted(s.days, days).clip(max=len(s) - 1) for s in series]
+    common = np.ones(len(days), dtype=bool)
+    for s, r in zip(series, rows):
+        if r is not None:
+            common &= s.days[r] == days
     if not common.any():
         raise EmptyIntersectionError("series share no common dates")
-    return days[common], [s.values[r[common]] for s, r in zip(series, rows)]
+    return days[common], [s.values[common] if r is None else s.values[r[common]]
+                          for s, r in zip(series, rows)]
 
 
 def simple_returns(prices: DatedSeries) -> ReturnSeries:
@@ -170,26 +180,34 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
     The incremental form makes constant inputs exact fixed points.  With
     ``period_days == 1`` the output equals the input.
 
-    The recursion runs on Python floats, converted ``_FLOATS_PER_BLOCK``
-    at a time; their IEEE operations are numpy's, but they neither warn
-    nor raise.  So where an output is not finite, or ``np.errstate``
-    traps underflow, it runs again on numpy scalars, which warn or raise
-    as ``np.errstate`` says: that run is the fallback and the definition.
+    The recursion runs as one generator loop on Python floats, converted
+    ``_FLOATS_PER_BLOCK`` at a time; their IEEE operations are numpy's,
+    but they neither warn nor raise.  So where an output is not finite,
+    or ``np.errstate`` traps underflow, it runs again on numpy scalars
+    (one ``itertools.accumulate``), which warn or raise as
+    ``np.errstate`` says: that run is the fallback and the definition.
     """
     if period_days < 1:
         raise InvalidParametersError("period_days must be >= 1")
     alpha = 2.0 / (period_days + 1.0)
-
-    def step(acc, x):
-        return acc + alpha * (x - acc)
-
     values = series.values
+    out = np.fromiter(_ema_floats(values, alpha), float, len(values))
+    if not np.isfinite(out).all() or np.geterr()["under"] != "ignore":
+        out = np.fromiter(accumulate(values, lambda acc, x: acc + alpha * (x - acc)),
+                          float, len(values))
+    return DatedSeries(series.days, out)
+
+
+def _ema_floats(values: np.ndarray, alpha: float):
+    """Yield the recursion of :func:`ema` on Python floats, without a call
+    per day; the first output is ``values[0]`` as is (``-0.0`` included)."""
     floats = chain.from_iterable(values[start:start + _FLOATS_PER_BLOCK].tolist()
                                  for start in range(0, len(values), _FLOATS_PER_BLOCK))
-    out = np.fromiter(accumulate(floats, step), float, len(values))
-    if not np.isfinite(out).all() or np.geterr()["under"] != "ignore":
-        out = np.fromiter(accumulate(values, step), float, len(values))
-    return DatedSeries(series.days, out)
+    acc = next(floats)
+    yield acc
+    for x in floats:
+        acc += alpha * (x - acc)
+        yield acc
 
 
 def step_interpolate(sparse: DatedSeries,

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 import erp_lab
 from erp_lab import cli, historical, timeseries
 from erp_lab.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from erp_lab.errors import EmptyIntersectionError
+from erp_lab.implied import implied_erp_series
 from erp_lab.io import format_cell
 
 
@@ -496,6 +499,35 @@ class TestCalendarStaysDays:
         assert received
         assert [type(dates).__name__ for dates in received
                 if not (isinstance(dates, np.ndarray) and dates.dtype == "datetime64[D]")] == []
+
+
+class TestWriterLookup:
+    """erp.csv takes each input's values on the premium's days through one
+    membership mask per calendar; it must pick what a search would."""
+
+    @given(base=st.sampled_from([date(1, 1, 1), date(1969, 12, 20), date(9999, 10, 1)]),
+           price_days=st.sets(st.integers(0, 60), min_size=1, max_size=45),
+           yield_days=st.sets(st.integers(0, 60), min_size=1, max_size=45),
+           eps_days=st.sets(st.integers(0, 60), min_size=1, max_size=5),
+           period=st.integers(1, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_search(self, base, price_days, yield_days, eps_days, period):
+        def series(offsets, scale):
+            offsets = sorted(offsets)
+            return timeseries.DatedSeries([base + timedelta(days=k) for k in offsets],
+                                          scale + np.arange(len(offsets)))
+
+        prices, yields = series(price_days, 100.0), series(yield_days, 0.01)
+        eps = series({min(price_days)} | {k for k in eps_days if k > min(price_days)}, 5.0)
+        eps_smooth = timeseries.ema(timeseries.step_interpolate(eps, prices.days), period)
+        try:
+            erp = implied_erp_series(prices, eps_smooth, yields)
+        except EmptyIntersectionError:
+            return
+        got = cli._inputs_on(erp.days, prices, eps_smooth, yields)
+        expected = [s.values[np.searchsorted(s.days, erp.days)]
+                    for s in (prices, eps_smooth, yields)]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
 
 
 class TestCapm:

@@ -7,7 +7,7 @@ from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erp_lab.errors import (
@@ -107,6 +107,17 @@ class TestDatedSeries:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             DatedSeries(days(2), np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("calendar, position", [
+        (["2020-01-01", "NaT", "2020-01-03"], 1),
+        (["NaT"], 0),
+        (["2020-01-01", "2020-01-02", "NaT"], 2),
+    ])
+    def test_rejects_nat(self, calendar, position):
+        # NaT compares False against every day, so the order check alone
+        # would let it through
+        with pytest.raises(ValueError, match=f"^dates must not be NaT, got NaT at position {position}$"):
+            DatedSeries(np.array(calendar, dtype="datetime64[D]"), np.arange(len(calendar)))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -315,6 +326,30 @@ class TestEma:
         else:
             assert [float(v).hex() for v in got] == [float(v).hex() for v in expected]
 
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=1, max_size=40),
+           first=st.sampled_from([None, -0.0, 0.0]),
+           period=st.integers(1, 400),
+           block=st.integers(1, 7))
+    @example(values=[-0.0], first=None, period=9, block=1)
+    @example(values=[-0.0, 2.0, -3.5, 0.25, 1e-3, 7.0, -7.0, 8.0], first=None, period=3, block=7)
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_match_the_docstring_recursion(self, values, first, period, block):
+        # blocks of 1-7 floats, so lengths up to 40 cross several of them
+        if first is not None:
+            values[0] = first
+        s = DatedSeries(days(len(values)), values)
+        alpha = 2.0 / (period + 1.0)
+        expected = [float(s.values[0])]
+        for x in s.values[1:].tolist():
+            expected.append(expected[-1] + alpha * (x - expected[-1]))
+        if not all(np.isfinite(expected)):
+            return  # the numpy-scalar fallback runs; the test above covers it
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("erp_lab.timeseries._FLOATS_PER_BLOCK", block)
+            got = ema(s, period).values
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+
     @staticmethod
     def numpy_recursion(s, period):
         """The docstring recursion on numpy scalars."""
@@ -400,10 +435,21 @@ class TestCalendarAgainstReference:
             assert str(info.value) == expected
 
     @given(base=st.sampled_from(BASES),
-           offsets=st.lists(OFFSETS, min_size=1, max_size=4))
+           offsets=st.lists(OFFSETS, min_size=1, max_size=4),
+           own=st.lists(st.booleans(), max_size=3),
+           order=st.randoms(use_true_random=False))
     @settings(max_examples=150, deadline=None)
-    def test_align_many_matches_reference(self, base, offsets):
+    def test_align_many_matches_reference(self, base, offsets, own, order):
+        # some series may be on the first series' own calendar, anywhere
+        # after it: the first series again (the same days array), or
+        # other values on an equal copy of its days
         series = [series_on(base, o, shift=100.0 * i) for i, o in enumerate(offsets)]
+        first = series[0]
+        rest = series[1:] + [first if same else
+                             DatedSeries(first.days.copy(), first.values - 100.0 * (i + 1))
+                             for i, same in enumerate(own)]
+        order.shuffle(rest)
+        series = [first, *rest]
         expected = reference_align_many(series)
         if expected is None:
             with pytest.raises(EmptyIntersectionError):
