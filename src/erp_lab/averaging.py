@@ -83,8 +83,10 @@ def exp_weighted_mean(returns, decay: float) -> float | np.ndarray:
     The most recent observation gets weight proportional to 1, the one
     before it ``decay``, then ``decay**2``, and so on; weights are
     normalized to sum to one.  ``decay == 1`` reduces to the arithmetic
-    mean.  A stack takes one ``np.dot`` per row: one matrix product
-    would sum in another order and change the last bits.
+    mean.  Each row's sum is ``weights.dot(row)``, the definition; a
+    matrix product would sum in another order and change the last bits.
+    On numpy 2, one ``np.vecdot(weights, rows)`` runs that dot function on
+    every row of a C-ordered stack, so each row keeps its bits.
     """
     arr = _as_returns(returns)
     if not 0.0 < decay <= 1.0:
@@ -92,7 +94,13 @@ def exp_weighted_mean(returns, decay: float) -> float | np.ndarray:
     t = arr.shape[-1]
     weights = np.power(decay, np.arange(t - 1, -1, -1, dtype=float))
     rows = arr.reshape(-1, t)
-    dots = np.fromiter(map(weights.dot, rows), float, len(rows))
+    # np.dot takes a one-value row as a scalar product (keeping -0.0) and
+    # copies a reversed row; vecdot does neither, so it serves C-ordered
+    # rows of two or more
+    if t > 1 and rows.flags.c_contiguous and hasattr(np, "vecdot"):
+        dots = np.vecdot(weights, rows)
+    else:
+        dots = np.fromiter(map(weights.dot, rows), float, len(rows))
     return _result(dots.reshape(arr.shape[:-1]) / weights.sum())
 
 

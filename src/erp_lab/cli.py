@@ -407,35 +407,41 @@ def _take_repeated(tokens: list[str], flags: dict) -> list[str]:
     uses, whose values become the flag's default, as a config file's do,
     so they replace a config list.  Before Python 3.13, argparse scans the
     positions of all options once per option, so hundreds of windows parse
-    in quadratic time; this reads them in one pass.  An abbreviation
-    (``--win``) is a use, as argparse reads it while no other flag starts
-    with ``--w``.  None is taken if a token could ask for help (``-h``,
-    ``--he``, even ``--``: the usage line shows which flags are required),
-    or if a use follows an option still waiting for its value or has no
-    value that converts (none starting with ``-``, an option to argparse,
-    does)."""
-    windows, taken = [], set()
-    for i, token in enumerate(tokens):
+    in quadratic time; this reads them in one pass, keeping the other
+    tokens as it goes.  An abbreviation (``--win``) is a use, as argparse
+    reads it while no other flag starts with ``--w``.  None is taken if a
+    token could ask for help (``-h``, ``--he``, even ``--``: the usage line
+    shows which flags are required), or if a use follows an option still
+    waiting for its value or has no value that converts (none starting
+    with ``-``, an option to argparse, does)."""
+    kept, windows, i = [], [], 0
+    while i < len(tokens):
+        token = tokens[i]
+        i += 1
+        if not token.startswith("-"):
+            kept.append(token)
+            continue
         name, sep, value = token.partition("=")
         if token.startswith("-h") or (token.startswith("--") and "--help".startswith(name)):
             return tokens
         if not (token.startswith("--") and "--window".startswith(name)):
+            kept.append(token)
             continue
-        before = tokens[i - 1] if i else ""
-        if not sep:
-            value = tokens[i + 1] if i + 1 < len(tokens) else ""
+        before = tokens[i - 2] if i > 1 else ""
         if before.startswith("-") and "=" not in before:
             return tokens
+        if not sep:
+            value = tokens[i] if i < len(tokens) else ""
+            i += 1
         try:
             windows.append(_parse_window(value))
         except argparse.ArgumentTypeError:
             return tokens
-        taken.update(range(i, i + 1 if sep else i + 2))
     if windows:
         (sub, action), = flags["window"]
         sub.set_defaults(window=windows)
         action.required = False
-    return [t for i, t in enumerate(tokens) if i not in taken]
+    return kept
 
 
 def main(argv=None) -> int:

@@ -272,3 +272,56 @@ class TestStackedSamples:
                       lambda r: exp_weighted_mean(r, 0.9)):
             with pytest.raises(EmptyInputError, match="no returns to average"):
                 apply(np.empty((3, 0)))
+
+
+@st.composite
+def exp_weighted_stacks(draw):
+    """A (k, T) stack of 1-40 rows of 1-300 returns, with signed zeros,
+    subnormals and values near 1e305 among them, a decay in (0, 1], and the
+    stack C-ordered, Fortran-ordered, strided or reversed along its rows."""
+    k, t = draw(st.integers(1, 40)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a scale of 0 gives rows of +0.0 and -0.0; 300 values of 1e305 stay finite
+    scale = draw(st.sampled_from([0.0, 1e-310, 1e-3, 1.0, 1e300]))
+    stack = rng.normal(0.0, 1.0, (k, 2 * t)) * scale
+    for i, j, value in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, 2 * t - 1),
+                                               st.sampled_from([-0.0, 5e-324, -1e-310, 1e305,
+                                                                -1e305])), max_size=8)):
+        stack[i, j] = value
+    layout = draw(st.sampled_from(["C", "F", "strided", "reversed"]))
+    stack = {"C": stack[:, :t].copy(), "F": np.asfortranarray(stack[:, :t]),
+             "strided": stack[:, ::2], "reversed": stack[:, t - 1::-1]}[layout]
+    decay = draw(st.floats(0.0, 1.0, exclude_min=True) | st.sampled_from([5e-324, 0.5, 1.0]))
+    return stack, decay
+
+
+class TestExpWeightedRows:
+    """The stacked exponential weighting against its definition, one
+    ``weights.dot(row)`` per row, on numpy's ``vecdot`` path (numpy 2) and
+    with ``vecdot`` removed, the path numpy < 2 takes."""
+
+    @pytest.mark.parametrize("vecdot_removed", [False, True])
+    @given(drawn=exp_weighted_stacks())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_row_definition(self, vecdot_removed, drawn):
+        stack, decay = drawn
+        t = stack.shape[1]
+        weights = np.power(decay, np.arange(t - 1, -1, -1, dtype=float))
+        expected = [float.hex(float(weights.dot(row) / weights.sum())) for row in stack]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            if vecdot_removed:
+                mp.delattr(np, "vecdot", raising=False)
+            elif hasattr(np, "vecdot"):
+                vecdot = np.vecdot
+                mp.setattr(np, "vecdot", lambda *args: calls.append(args) or vecdot(*args))
+            stacked = exp_weighted_mean(stack, decay)
+            stack_calls = len(calls)
+            rows = [exp_weighted_mean(row, decay) for row in stack]
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(stack),)
+        assert [float.hex(v) for v in stacked.tolist()] == expected
+        assert all(type(v) is float for v in rows)
+        assert [float.hex(v) for v in rows] == expected
+        # a C-ordered stack of rows longer than one takes one vecdot call
+        fast = not vecdot_removed and hasattr(np, "vecdot")
+        assert stack_calls == int(fast and t > 1 and stack.flags.c_contiguous)

@@ -294,6 +294,24 @@ class TestHistorical:
         assert "1990-1995" in capsys.readouterr().err
         assert Path(out).read_text().splitlines()[1] == "1990-1995,NA"
 
+    def test_exp_column_overflow_is_one_line_numerical_error(self, tmp_path, capsys):
+        # the weighted sum of returns near the float maximum overflows; numpy
+        # names the operation by the path it takes (dot per row, or vecdot)
+        years = (2000, 2001, 2002)
+        equity = write(tmp_path, "eq.csv",
+                       "date,value\n" + "".join(f"{y}-12-31,1.7e308\n" for y in years))
+        riskfree = write(tmp_path, "rf.csv",
+                         "date,value\n" + "".join(f"{y}-12-31,0.01\n" for y in years))
+        out = tmp_path / "report.csv"
+        code = main(["historical", "--equity", equity, "--riskfree", f"tbills={riskfree}",
+                     "--window", "2000-2002", "--method", "exp:0.9", "--output", str(out)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("erp-lab: building report: overflow encountered in ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not out.exists()
+
     def test_price_levels_input(self, tmp_path):
         equity = write(tmp_path, "levels.csv",
                        "date,value\n2000-12-31,100\n2001-12-31,110\n")
@@ -1225,7 +1243,9 @@ class TestRepeatedFlags:
     # lines whose difference only a rare drawn line would show: help lists
     # required flags unbracketed, and a flag after ``--`` is no flag
     @pytest.mark.parametrize("tail", [["-h"], ["--he"], ["--", "stray", "--window", "2000-2004"],
-                                      ["--window"]])
+                                      ["--window"], ["--window", "--window", "2000-2004"],
+                                      ["--window="], ["--output", "--window", "2000-2004"],
+                                      ["--w", "2000-2004", "--window", "-1-2"]])
     def test_edge_lines_match_argparse_alone(self, tail):
         argv = ["historical", "--equity", "eq.csv", "--output", "out.csv", "--riskfree", "rf.csv",
                 "--method", "arithmetic", "--window=2000-2009", *tail]
