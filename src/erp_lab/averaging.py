@@ -62,7 +62,7 @@ def blume_blend(returns, horizon_n: int) -> float | np.ndarray:
     With sample length T and horizon N, the weights are (T-N)/(T-1) on the
     arithmetic mean and (N-1)/(T-1) on the geometric mean, so N=1 gives
     the pure arithmetic mean and N=T the pure geometric mean.  A sample of
-    length one returns its single element.
+    length one, whose horizon can only be 1, gives its arithmetic mean.
     """
     arr = _as_returns(returns)
     if horizon_n < 1:
@@ -71,7 +71,7 @@ def blume_blend(returns, horizon_n: int) -> float | np.ndarray:
     if horizon_n > t:
         raise HorizonExceedsSampleError(f"horizon {horizon_n} exceeds sample length {t}")
     if t == 1:
-        return _result(arr[..., 0])
+        return arithmetic_mean(arr)
     w_arith = (t - horizon_n) / (t - 1)
     w_geom = (horizon_n - 1) / (t - 1)
     return w_arith * arithmetic_mean(arr) + w_geom * geometric_mean(arr)
@@ -83,10 +83,10 @@ def exp_weighted_mean(returns, decay: float) -> float | np.ndarray:
     The most recent observation gets weight proportional to 1, the one
     before it ``decay``, then ``decay**2``, and so on; weights are
     normalized to sum to one.  ``decay == 1`` reduces to the arithmetic
-    mean.  Each row's sum is ``weights.dot(row)``, the definition; a
-    matrix product would sum in another order and change the last bits.
-    On numpy 2, one ``np.vecdot(weights, rows)`` runs that dot function on
-    every row of a C-ordered stack, so each row keeps its bits.
+    mean.  Each row's sum is ``weights.dot(row)`` from ``+0.0``, the
+    definition; a matrix product would sum in another order and change the
+    last bits.  On numpy 2, one ``np.vecdot(weights, rows)`` runs that dot
+    function on every row of a C-ordered stack, so each row keeps its bits.
     """
     arr = _as_returns(returns)
     if not 0.0 < decay <= 1.0:
@@ -94,13 +94,13 @@ def exp_weighted_mean(returns, decay: float) -> float | np.ndarray:
     t = arr.shape[-1]
     weights = np.power(decay, np.arange(t - 1, -1, -1, dtype=float))
     rows = arr.reshape(-1, t)
-    # np.dot takes a one-value row as a scalar product (keeping -0.0) and
-    # copies a reversed row; vecdot does neither, so it serves C-ordered
-    # rows of two or more
-    if t > 1 and rows.flags.c_contiguous and hasattr(np, "vecdot"):
+    # np.dot copies a reversed row and vecdot does not, so vecdot serves
+    # C-ordered rows; np.dot takes a one-value row as a scalar product,
+    # keeping -0.0, so + 0.0 sums from +0.0, as vecdot and np.mean do
+    if rows.flags.c_contiguous and hasattr(np, "vecdot"):
         dots = np.vecdot(weights, rows)
     else:
-        dots = np.fromiter(map(weights.dot, rows), float, len(rows))
+        dots = np.fromiter(map(weights.dot, rows), float, len(rows)) + 0.0
     return _result(dots.reshape(arr.shape[:-1]) / weights.sum())
 
 

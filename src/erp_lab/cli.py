@@ -152,7 +152,7 @@ def run_historical(args) -> int:
     for (i, j), gap in sorted(report.gaps.items()):
         print(f"erp-lab: warning: {windows[i]} {labels[j]}: {gap}", file=sys.stderr)
     with _stage("writing output"):
-        write_bytes(args.output, [report.to_csv().encode()])
+        write_bytes(args.output, [report.csv_bytes()])
     return EXIT_OK
 
 
@@ -270,62 +270,66 @@ class _Repeatable(argparse.Action):
         setattr(namespace, self.dest, [*items, values])
 
 
-def build_parser() -> tuple[_Parser, dict]:
-    """The parser, and each flag's ``dest`` mapped to its ``(subparser, action)`` pairs."""
+def build_parser(command: str | None = None) -> tuple[_Parser, dict]:
+    """The parser, and each flag's ``dest`` mapped to its ``(subparser, action)``
+    pairs.  Given a ``command``, only the subcommand it names gets flags
+    (none, if it names none: the top-level parse refuses the line first),
+    since argparse builds a help formatter for each flag."""
     parser = _Parser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", type=_path, help="key=value file pre-filling flags "
                         "(default: $ERP_LAB_CONFIG); explicit flags win")
     commands = parser.add_subparsers(dest="command", required=True)
     flags: dict[str, list[tuple[_Parser, argparse.Action]]] = {}
 
+    def sub(name, text) -> _Parser | None:  # the parser, if it gets flags
+        added = commands.add_parser(name, help=text)
+        return added if command in (None, name) else None
+
     def flag(sub, *names, **kwargs) -> None:
         action = sub.add_argument(*names, **kwargs)
         flags.setdefault(action.dest, []).append((sub, action))
 
-    implied = commands.add_parser(
-        "implied", help="daily implied-premium pipeline from prices, EPS, and yields")
-    for prefix in ("prices", "eps", "yields"):
-        _add_series_flags(flag, implied, prefix)
-    flag(implied, "--ema-period", type=_int_at_least(1), default=50,
-         help="EPS smoothing period in days (default 50)")
-    flag(implied, "--output", required=True, type=_path, help="output CSV path")
-    flag(implied, "--svg", type=_path, help="output SVG path (default: output with .svg)")
-    implied.set_defaults(func=run_implied)
+    if implied := sub("implied", "daily implied-premium pipeline from prices, EPS, and yields"):
+        for prefix in ("prices", "eps", "yields"):
+            _add_series_flags(flag, implied, prefix)
+        flag(implied, "--ema-period", type=_int_at_least(1), default=50,
+             help="EPS smoothing period in days (default 50)")
+        flag(implied, "--output", required=True, type=_path, help="output CSV path")
+        flag(implied, "--svg", type=_path, help="output SVG path (default: output with .svg)")
+        implied.set_defaults(func=run_implied)
 
-    historical = commands.add_parser(
-        "historical", help="windowed historical premium report")
-    _add_series_flags(flag, historical, "equity")
-    flag(historical, "--equity-kind", choices=("returns", "levels"), default="returns",
-         help="whether the equity file holds returns or price levels")
-    _add_series_flags(flag, historical, "riskfree", action=_Repeatable,
-                      type=_parse_riskfree, metavar="LABEL=PATH",
-                      help="riskfree instrument file; repeatable")
-    flag(historical, "--riskfree-kind", choices=("returns", "levels"), default="returns")
-    flag(historical, "--window", action=_Repeatable, required=True,
-         type=_parse_window, metavar="START-END",
-         help="inclusive year window, e.g. 1928-2008; repeatable")
-    flag(historical, "--method", action=_Repeatable, required=True,
-         type=_parse_method, metavar="METHOD",
-         help="arithmetic | geometric | blume:N | exp:DECAY; repeatable")
-    flag(historical, "--output", required=True, type=_path, help="output CSV path")
-    historical.set_defaults(func=run_historical)
+    if historical := sub("historical", "windowed historical premium report"):
+        _add_series_flags(flag, historical, "equity")
+        flag(historical, "--equity-kind", choices=("returns", "levels"), default="returns",
+             help="whether the equity file holds returns or price levels")
+        _add_series_flags(flag, historical, "riskfree", action=_Repeatable,
+                          type=_parse_riskfree, metavar="LABEL=PATH",
+                          help="riskfree instrument file; repeatable")
+        flag(historical, "--riskfree-kind", choices=("returns", "levels"), default="returns")
+        flag(historical, "--window", action=_Repeatable, required=True,
+             type=_parse_window, metavar="START-END",
+             help="inclusive year window, e.g. 1928-2008; repeatable")
+        flag(historical, "--method", action=_Repeatable, required=True,
+             type=_parse_method, metavar="METHOD",
+             help="arithmetic | geometric | blume:N | exp:DECAY; repeatable")
+        flag(historical, "--output", required=True, type=_path, help="output CSV path")
+        historical.set_defaults(func=run_historical)
 
-    capm = commands.add_parser("capm", help="market-model regression of asset on market")
-    _add_series_flags(flag, capm, "asset")
-    _add_series_flags(flag, capm, "market")
-    flag(capm, "--kind", choices=("returns", "levels"), default="returns",
-         help="whether both files hold returns or price levels")
-    capm.set_defaults(func=run_capm)
+    if capm := sub("capm", "market-model regression of asset on market"):
+        _add_series_flags(flag, capm, "asset")
+        _add_series_flags(flag, capm, "market")
+        flag(capm, "--kind", choices=("returns", "levels"), default="returns",
+             help="whether both files hold returns or price levels")
+        capm.set_defaults(func=run_capm)
 
-    simulate = commands.add_parser(
-        "simulate", help="diversification experiment for an equal-weight portfolio")
-    flag(simulate, "--n-assets", type=_int_at_least(1), required=True)
-    flag(simulate, "--beta", type=float, default=1.0)
-    flag(simulate, "--sigma-m", type=float, default=0.15)
-    flag(simulate, "--sigma-eps", type=float, default=0.30)
-    flag(simulate, "--n-periods", type=_int_at_least(30), default=10000)
-    flag(simulate, "--seed", type=_int_at_least(0), default=0)
-    simulate.set_defaults(func=run_simulate)
+    if simulate := sub("simulate", "diversification experiment for an equal-weight portfolio"):
+        flag(simulate, "--n-assets", type=_int_at_least(1), required=True)
+        flag(simulate, "--beta", type=float, default=1.0)
+        flag(simulate, "--sigma-m", type=float, default=0.15)
+        flag(simulate, "--sigma-eps", type=float, default=0.30)
+        flag(simulate, "--n-periods", type=_int_at_least(30), default=10000)
+        flag(simulate, "--seed", type=_int_at_least(0), default=0)
+        simulate.set_defaults(func=run_simulate)
 
     return parser, flags
 
@@ -375,9 +379,9 @@ def _apply_config(flags: dict, config: dict[str, tuple[str, str]]) -> None:
             action.required = False
 
 
-def _top_level(argv: list[str]) -> tuple[str | None, int | None]:
-    """The ``--config`` argument, else ``$ERP_LAB_CONFIG``, and where a
-    ``historical`` subcommand's tokens start, read as the top-level parser
+def _top_level(argv: list[str]) -> tuple[str | None, str | None, int | None]:
+    """The ``--config`` argument, else ``$ERP_LAB_CONFIG``, the subcommand and
+    where a ``historical`` one's tokens start, read as the top-level parser
     reads them: up to the first token that neither starts with ``-`` nor is
     the value of a ``--config`` use without ``=`` (``--c PATH``, not
     ``--conf=PATH``).  argparse's option scan is quadratic, so only those
@@ -399,7 +403,7 @@ def _top_level(argv: list[str]) -> tuple[str | None, int | None]:
         known = pre.parse_known_args(argv[:stop + 1])[0]
         config, command = known.config, known.command
     start = stop + 1 if command == "historical" else None
-    return config or os.environ.get("ERP_LAB_CONFIG"), start
+    return config or os.environ.get("ERP_LAB_CONFIG"), command, start
 
 
 def _take_repeated(tokens: list[str], flags: dict) -> list[str]:
@@ -418,15 +422,18 @@ def _take_repeated(tokens: list[str], flags: dict) -> list[str]:
     while i < len(tokens):
         token = tokens[i]
         i += 1
-        if not token.startswith("-"):
+        if token == "--window":  # the common spelling needs no check below
+            sep = ""
+        elif not token.startswith("-"):
             kept.append(token)
             continue
-        name, sep, value = token.partition("=")
-        if token.startswith("-h") or (token.startswith("--") and "--help".startswith(name)):
-            return tokens
-        if not (token.startswith("--") and "--window".startswith(name)):
-            kept.append(token)
-            continue
+        else:
+            name, sep, value = token.partition("=")
+            if token.startswith("-h") or (token.startswith("--") and "--help".startswith(name)):
+                return tokens
+            if not (token.startswith("--") and "--window".startswith(name)):
+                kept.append(token)
+                continue
         before = tokens[i - 2] if i > 1 else ""
         if before.startswith("-") and "=" not in before:
             return tokens
@@ -447,8 +454,9 @@ def _take_repeated(tokens: list[str], flags: dict) -> list[str]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config_path, start = _top_level(argv)
-        parser, flags = build_parser()
+        config_path, command, start = _top_level(argv)
+        # a config file may fill the flags of any subcommand
+        parser, flags = build_parser(None if config_path else command)
         if config_path:
             # args.config names the file also when $ERP_LAB_CONFIG does
             parser.set_defaults(config=config_path)

@@ -161,8 +161,12 @@ class ErpReport:
         return [_window_label(window) for window in self.windows]
 
     def to_csv(self) -> str:
-        """One row per window; missing cells render as NA.  A header field
-        holding a comma, quote or line break is quoted."""
+        """:meth:`csv_bytes` as text."""
+        return self.csv_bytes().decode()
+
+    def csv_bytes(self) -> bytes:
+        """The report as UTF-8 CSV: one row per window; missing cells render
+        as NA.  A header field holding a comma, quote or line break is quoted."""
         grid = _fixed(self.premium.ravel(), CELL_FORMAT).reshape(self.premium.shape)
         # a gap reads NA, a filled NaN cell nan
         for cell in self.gaps:
@@ -170,7 +174,7 @@ class ErpReport:
         # window,cell,...,cell: a comma after every cell but the last
         joined = [part for column in grid.T for part in (column, b",")][:-1]
         body = _rows(np.array(self.window_labels(), dtype="S"), b",", *joined, b"\n")
-        return csv_header(["window", *self.column_labels()]) + "\n" + body.decode()
+        return (csv_header(["window", *self.column_labels()]) + "\n").encode() + body
 
 
 def _column_label(label: str, method: AveragingMethod) -> str:

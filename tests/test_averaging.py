@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erp_lab.averaging import (
@@ -88,6 +88,28 @@ class TestBlume:
 
     def test_single_observation(self):
         assert blume_blend(np.array([0.07]), 1) == 0.07
+
+    # k rows of t returns above -1; a scale of 0 gives rows of +0.0 and -0.0
+    @given(st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-3, 0.5, 2.0]))
+    @example(t=1, k=8, seed=0, scale=0.0)
+    @example(t=2, k=8, seed=0, scale=0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_horizon_one_is_arithmetic_bit_for_bit(self, t, k, seed, scale):
+        # one sign of zero for a sample of -0.0, as a sum from +0.0 gives;
+        # a one-value row's exponential weighting too, on either dot path
+        stack = np.expm1(np.random.default_rng(seed).normal(0.0, 1.0, (k, t)) * scale)
+        expected = [float.hex(v) for v in arithmetic_mean(stack).tolist()]
+        assert [float.hex(v) for v in blume_blend(stack, 1).tolist()] == expected
+        assert [float.hex(blume_blend(row, 1)) for row in stack] == expected
+        if stack.shape[1] == 1:
+            for vecdot_removed in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    if vecdot_removed:
+                        mp.delattr(np, "vecdot", raising=False)
+                    got = [exp_weighted_mean(stack, 0.5).tolist(),
+                           [exp_weighted_mean(row, 0.5) for row in stack]]
+                assert [[float.hex(v) for v in values] for values in got] == [expected] * 2
 
     def test_horizon_beyond_sample_raises(self):
         with pytest.raises(HorizonExceedsSampleError):
@@ -213,12 +235,12 @@ def one_sample_reference(method, sample):
     t = sample.size
     if method.kind == "blume":
         if t == 1:
-            return float(sample[0])
+            return one_sample_reference(AveragingMethod.arithmetic(), sample)
         n = method.horizon
         return ((t - n) / (t - 1) * one_sample_reference(AveragingMethod.arithmetic(), sample)
                 + (n - 1) / (t - 1) * one_sample_reference(AveragingMethod.geometric(), sample))
     weights = np.power(method.decay, np.arange(t - 1, -1, -1, dtype=float))
-    return float(np.dot(weights, sample) / weights.sum())
+    return float((np.dot(weights, sample) + 0.0) / weights.sum())
 
 
 def outcome(apply, returns):
@@ -297,8 +319,8 @@ def exp_weighted_stacks(draw):
 
 class TestExpWeightedRows:
     """The stacked exponential weighting against its definition, one
-    ``weights.dot(row)`` per row, on numpy's ``vecdot`` path (numpy 2) and
-    with ``vecdot`` removed, the path numpy < 2 takes."""
+    ``weights.dot(row)`` per row summed from ``+0.0``, on numpy's ``vecdot``
+    path (numpy 2) and with ``vecdot`` removed, the path numpy < 2 takes."""
 
     @pytest.mark.parametrize("vecdot_removed", [False, True])
     @given(drawn=exp_weighted_stacks())
@@ -307,7 +329,7 @@ class TestExpWeightedRows:
         stack, decay = drawn
         t = stack.shape[1]
         weights = np.power(decay, np.arange(t - 1, -1, -1, dtype=float))
-        expected = [float.hex(float(weights.dot(row) / weights.sum())) for row in stack]
+        expected = [float.hex(float((weights.dot(row) + 0.0) / weights.sum())) for row in stack]
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             if vecdot_removed:
@@ -322,6 +344,6 @@ class TestExpWeightedRows:
         assert [float.hex(v) for v in stacked.tolist()] == expected
         assert all(type(v) is float for v in rows)
         assert [float.hex(v) for v in rows] == expected
-        # a C-ordered stack of rows longer than one takes one vecdot call
+        # a C-ordered stack takes one vecdot call
         fast = not vecdot_removed and hasattr(np, "vecdot")
-        assert stack_calls == int(fast and t > 1 and stack.flags.c_contiguous)
+        assert stack_calls == int(fast and stack.flags.c_contiguous)

@@ -490,6 +490,18 @@ class TestHistorical:
         assert header == ["window", *columns]
         assert [len(row) for row in rows] == [1 + len(columns)] * 2
 
+    def test_one_row_window_of_negative_zero_reads_zero_in_every_column(self, tmp_path):
+        # an excess return of -0.0 over one year: every mean sums from +0.0
+        equity = write(tmp_path, "eq.csv", "date,value\n1999-12-31,0.1\n2000-12-31,-0.0\n")
+        riskfree = write(tmp_path, "rf.csv", "date,value\n1999-12-31,0.01\n2000-12-31,0.0\n")
+        out = tmp_path / "report.csv"
+        argv = ["historical", "--equity", equity, "--riskfree", f"rf={riskfree}",
+                "--window", "2000-2000", "--output", str(out)]
+        for method in ("arithmetic", "geometric", "blume:1", "exp:0.5"):
+            argv += ["--method", method]
+        assert main(argv) == EXIT_OK
+        assert out.read_text().splitlines()[1] == "2000-2000" + ",0.0000000000" * 4
+
 
 class TestCalendarStaysDays:
     """On ISO-dated inputs every series is built from a ``datetime64[D]``
@@ -887,9 +899,9 @@ class TestConfig:
         argv = historical_argv(annual_paths, str(tmp_path / "r.csv"), "--method", "arithmetic",
                                "--window=2000-2004", "-c")
         monkeypatch.setattr(cli._Parser, "parse_known_args", refuse)
-        assert cli._top_level(argv) == (None, 1)
+        assert cli._top_level(argv) == (None, "historical", 1)
         monkeypatch.setenv("ERP_LAB_CONFIG", "from-env.cfg")
-        assert cli._top_level(argv) == ("from-env.cfg", 1)
+        assert cli._top_level(argv) == ("from-env.cfg", "historical", 1)
 
     @given(argv=st.lists(st.one_of(
         st.sampled_from(["--config", "--c", "--conf=a", "--=b", "--", "--co", "-c", "-",
@@ -899,6 +911,8 @@ class TestConfig:
         env=st.sampled_from([None, "from-env.cfg"]))
     @example(argv=["--", "historical", "--c", "x"], env=None)
     @example(argv=["-1", "historical"], env=None)
+    @example(argv=["--config", "historical", "--", "historical"], env=None)
+    @example(argv=["--config", "x", "--", "x"], env=None)
     @settings(max_examples=300, deadline=None)
     def test_config_path_matches_an_unconditional_pre_parse(self, argv, env):
         # argparse's own top-level shape, with every token of the line a
@@ -919,7 +933,7 @@ class TestConfig:
                 commands.add_parser(token, add_help=False)
             known = top.parse_known_args(argv)[0]
             start = len(argv) - len(received[0]) if known.command == "historical" else None
-            return known.config or env, start
+            return known.config or env, known.command, start
 
         with pytest.MonkeyPatch.context() as mp:
             if env is not None:
@@ -930,14 +944,17 @@ class TestConfig:
                 with pytest.raises(cli._UsageError, match=re.escape(str(exc))):
                     cli._top_level(argv)
                 return
-            config, start = cli._top_level(argv)
+            config, command, start = cli._top_level(argv)
         assert config == expected[0]
-        if start != expected[1]:
+        if (command, start) != expected[1:]:
             # argparse up to 3.13.0 reads a "--" before the subcommand as
             # the subcommand (later releases skip it); the full parse then
             # refuses it
-            assert expected[1] is None and argv[start - 1] == "historical"
-            assert "--" in argv[:start - 1]
+            assert expected[1:] == ("--", None)
+            if command == "historical":  # its tokens start after it
+                assert argv[start - 1] == command and "--" in argv[:start - 1]
+            else:
+                assert start is None and command in argv[argv.index("--") + 1:]
 
 
 # command, flag, value, why it is refused
@@ -1491,6 +1508,123 @@ class TestMalformedInputFuzz:
         assert [str(w.message) for w in caught] == []
         if code != EXIT_OK:
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+# -- the parser built for the one subcommand a line runs ---------------------
+
+SUBCOMMANDS = ("implied", "historical", "capm", "simulate")
+
+
+@st.composite
+def any_command_line(draw):
+    """A command line of any subcommand, with placeholders for the files it
+    names, those files' bytes, and the ``$ERP_LAB_CONFIG`` value (or None).
+    The config file is named by ``--config`` or by the environment;
+    top-level tokens (``-``, ``-1``, ``--``, help) may precede the
+    subcommand and a help token follow it, or the subcommand is dropped or
+    unknown."""
+    files, argv = draw(st.one_of(
+        maybe_config(st.one_of(implied_run(), historical_run(), capm_run(), simulate_run())),
+        historical_line().map(
+            lambda line: ({} if line[1] is None else {"cfg": line[1].encode()}, line[0]))))
+    env = draw(st.sampled_from([None] * 4 + ["{cfg}"]))
+    if argv[:2] == ["--config", "{config}"] and draw(st.booleans()):
+        argv, env = argv[2:], "{config}"
+    at = next((i for i, token in enumerate(argv) if token in SUBCOMMANDS), len(argv))
+    head, tail = argv[:at], argv[at:]
+    change = draw(st.sampled_from([None, None, None, "drop", "unknown"]))
+    if tail and change:
+        tail = tail[1:] if change == "drop" else ["bogus", *tail[1:]]
+    help_at = draw(st.integers(min(1, len(tail)), len(tail)))
+    tail[help_at:help_at] = draw(st.sampled_from([[]] * 6 + [["-h"], ["--he"]]))
+    top = draw(st.sampled_from([[]] * 6 + [["-"], ["-1"], ["--"], ["-h"], ["--he"], ["--bogus"],
+                                           ["--", "-1"]]))
+    return files, head + top + tail, env
+
+
+class TestLazyParser:
+    """``main`` gives only the subcommand a line runs its flags, unless a
+    config file is read or the line names no subcommand; the parser with
+    every subcommand's flags (``build_parser()``) must give the same
+    result."""
+
+    @staticmethod
+    def outcome(argv, env, full):
+        """Exit code, stdout, stderr and parsed flags of ``main(argv)``, with
+        every command only recording its flags; ``full`` builds every
+        subcommand's flags whatever the line runs."""
+        parsed, out, err = [], io.StringIO(), io.StringIO()
+
+        def record(args):
+            # repr, so that a nan flag value equals itself
+            parsed.append(repr({k: v for k, v in vars(args).items() if k != "func"}))
+            return EXIT_OK
+
+        build = cli.build_parser
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            for name in SUBCOMMANDS:
+                mp.setattr(cli, f"run_{name}", record)
+            if env is not None:
+                mp.setenv("ERP_LAB_CONFIG", env)
+            if full:
+                mp.setattr(cli, "build_parser", lambda command=None: build())
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # help
+                code = f"exit {exc.code}"
+        return code, out.getvalue(), err.getvalue(), parsed
+
+    @given(line=any_command_line())
+    @example(line=({}, ["--", "historical", "--window", "2000-2004"], None))
+    @example(line=({}, ["-1", "simulate", "--n-assets", "2"], None))
+    @example(line=({}, ["-h", "capm"], None))
+    @example(line=({}, ["implied", "--he"], None))
+    @example(line=({"cfg": b"seed = 4\n"}, ["simulate", "--n-assets", "2"], "{cfg}"))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_parser(self, line):
+        files, argv, env = line
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: os.path.join(tmp, name)
+                     for name in ("out", "cfg", "config", "prices", "eps", "yields", "equity",
+                                  "riskfree", "asset", "market")}
+            for name, data in files.items():
+                with open(paths[name], "wb") as fh:
+                    fh.write(data)
+            argv = [token.format(**paths) for token in argv]
+            env = env and env.format(**paths)
+            assert self.outcome(argv, env, False) == self.outcome(argv, env, True)
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    @pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+    def test_help_is_unchanged(self, command, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        argv = ["--help"] if command is None else [command, "--help"]
+        lazy = self.outcome(argv, None, False)
+        assert lazy[0] == "exit 0" and lazy[1].startswith("usage: erp-lab")
+        assert lazy == self.outcome(argv, None, True)
+
+    def test_builds_only_the_subcommand_that_runs(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command)
+                            or build(command))
+        cfg = write(tmp_path, "cfg", "seed = 4\n")
+        lines = [["simulate", "--n-assets", "2"], ["--config", cfg, "simulate", "--n-assets", "2"],
+                 ["-1", "simulate"], []]
+        for argv in lines:
+            self.outcome(argv, None, False)
+        monkeypatch.setenv("ERP_LAB_CONFIG", cfg)
+        self.outcome(lines[0], None, False)
+        assert built == ["simulate", None, "-1", None, None]
+        assert build("-1")[1] == {}  # the top-level parse refuses the line
+        _, flags = build("historical")
+        assert {dest for dest in flags if dest.startswith("equity")} == {
+            "equity", "equity_date_column", "equity_value_column", "equity_date_format",
+            "equity_scale", "equity_kind"}
+        assert all(sub.prog == "erp-lab historical" for pairs in flags.values()
+                   for sub, _ in pairs)
+        assert len(flags) < len(build()[1])
 
 
 def test_console_script_entry_point(erp_lab_on_path):
