@@ -105,13 +105,6 @@ def _years(days: np.ndarray) -> np.ndarray:
     return days.astype("datetime64[Y]").astype(np.int64) + 1970
 
 
-def _aligned_years(equity: ReturnSeries, riskfree: ReturnSeries
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The common dates' years (ascending) and both legs' values on them."""
-    days, eq, rf = align(equity, riskfree)
-    return _years(days), eq, rf
-
-
 @dataclass(frozen=True)
 class ReportCell:
     """One report cell: an estimate, or a flagged gap with a reason."""
@@ -228,25 +221,24 @@ def erp_report(
     premium = np.full((len(windows), len(columns)), np.nan)
     sample_size = np.zeros(premium.shape, dtype=np.int64)
     gaps: dict[tuple[int, int], DataError] = {}
+
+    def gap(at_windows, at_columns, exc: DataError) -> None:
+        exc = exc.with_traceback(None)
+        gaps.update(((i, c), exc) for i in at_windows for c in at_columns)
+
     starts, ends = zip(*windows)
-    # one (days, equity leg, [(first column, riskfree leg), ...]) per calendar
-    calendars: list[tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]] = []
+    # (days, equity leg, [(first column, riskfree leg), ...]) keyed on the
+    # days: equal days, not equal years, as several rows a year share years
+    calendars: dict[bytes, tuple[np.ndarray, np.ndarray, list[tuple[int, np.ndarray]]]] = {}
     for v, (_, riskfree) in enumerate(riskfree_variants):
         first_column = v * len(methods)
         try:
             days, eq, rf = align(equity, riskfree)
         except EmptyIntersectionError as exc:
-            exc = exc.with_traceback(None)
-            gaps.update(((i, first_column + m), exc)
-                        for i in range(len(windows)) for m in range(len(methods)))
+            gap(range(len(windows)), range(first_column, first_column + len(methods)), exc)
             continue
-        # equal days, not equal years: several rows a year can share years
-        same = next((c for c in calendars if np.array_equal(c[0], days)), None)
-        if same is None:
-            calendars.append((days, eq, [(first_column, rf)]))
-        else:
-            same[2].append((first_column, rf))
-    for days, eq, members in calendars:
+        calendars.setdefault(days.tobytes(), (days, eq, []))[2].append((first_column, rf))
+    for days, eq, members in calendars.values():
         years = _years(days)
         first = np.searchsorted(years, starts, side="left")
         lengths = np.searchsorted(years, ends, side="right") - first
@@ -255,9 +247,9 @@ def erp_report(
         for n in sorted(set(lengths.tolist())):
             group = np.flatnonzero(lengths == n)
             if n <= 0:
-                gaps.update(((i, c), EmptyWindowError("no aligned observations in "
-                                                      + _window_label(windows[i])))
-                            for i in group.tolist() for c in member_columns)
+                for i in group.tolist():
+                    gap([i], member_columns, EmptyWindowError(
+                        "no aligned observations in " + _window_label(windows[i])))
                 continue
             rows = first[group, None] + np.arange(n)
             # np.stack of C-ordered parts keeps each row's reduction order
@@ -266,8 +258,7 @@ def erp_report(
                 try:
                     means = method.apply(stack).reshape(1 + len(members), len(group))
                 except HorizonExceedsSampleError as exc:
-                    exc = exc.with_traceback(None)
-                    gaps.update(((i, c + m), exc) for i in group.tolist() for c, _ in members)
+                    gap(group.tolist(), [c + m for c, _ in members], exc)
                     continue
                 for j, (c, _) in enumerate(members, 1):
                     premium[group, c + m] = means[0] - means[j]

@@ -71,10 +71,9 @@ class TestPremiumSeries:
 class TestHistoricalErp:
     @given(st.lists(st.dates(), min_size=1, max_size=20, unique=True).map(sorted))
     @settings(max_examples=150, deadline=None)
-    def test_aligned_years_are_the_dates_years(self, dates):
+    def test_years_are_the_dates_years(self, dates):
         series = ReturnSeries(dates, np.zeros(len(dates)))
-        years, _, _ = historical._aligned_years(series, series)
-        assert years.tolist() == [d.year for d in dates]
+        assert historical._years(series.days).tolist() == [d.year for d in dates]
 
     def test_constant_series_all_methods(self):
         eq = annual([0.08] * 10)
@@ -284,12 +283,13 @@ class TestErpReport:
 CELL_GAPS = (EmptyWindowError, EmptyIntersectionError, HorizonExceedsSampleError)
 
 
-def reference_report(equity, riskfree_variants, windows, methods):
+def reference_report(equity, riskfree_variants, windows, methods, gaps=None):
     """The report's columns and cells, one cell at a time: align, a
-    per-date year mask, then ``apply`` on each leg."""
+    per-date year mask, then ``apply`` on each leg.  A ``gaps`` dict
+    receives each missing cell's exception, keyed like ``ErpReport.gaps``."""
     columns = tuple((label, method) for label, _ in riskfree_variants for method in methods)
     rows = []
-    for start, end in windows:
+    for i, (start, end) in enumerate(windows):
         row = []
         for label, riskfree in riskfree_variants:
             for method in methods:
@@ -303,9 +303,16 @@ def reference_report(equity, riskfree_variants, windows, methods):
                     row.append(ReportCell(ErpEstimate(
                         premium, (start, end), label, method, len(eq_in))))
                 except CELL_GAPS as exc:
+                    if gaps is not None:
+                        gaps[i, len(row)] = exc
                     row.append(ReportCell(None, note=str(exc)))
         rows.append(tuple(row))
     return columns, tuple(rows)
+
+
+def gap_types(gaps):
+    """Each missing cell's exception type, keyed by its (window, column)."""
+    return {cell: type(exc) for cell, exc in gaps.items()}
 
 
 def reference_csv(windows, columns, cells):
@@ -373,17 +380,21 @@ class TestReportAgainstPerCellReference:
                 erp_report(*inputs)
             return
         report = erp_report(*inputs)
-        columns, cells = reference_report(*inputs)
+        expected_gaps = {}
+        columns, cells = reference_report(*inputs, gaps=expected_gaps)
         assert (report.windows, report.columns, report.cells) == (tuple(windows), columns, cells)
+        assert gap_types(report.gaps) == gap_types(expected_gaps)
         assert report.to_csv() == reference_csv(windows, columns, cells)
         assert report == erp_report(*inputs)
-        for window, row, expected_row in zip(windows, report.cells, cells):
-            for (label, method), cell, expected_cell in zip(report.columns, row, expected_row):
+        for i, (window, row, expected_row) in enumerate(zip(windows, report.cells, cells)):
+            for j, ((label, method), cell, expected_cell) in enumerate(
+                    zip(report.columns, row, expected_row)):
                 assert cell.note == expected_cell.note
                 one_cell = (equity, dict(variants)[label], window, method, label)
                 if cell.missing:
                     with pytest.raises(CELL_GAPS) as gap:
                         historical_erp(*one_cell)
+                    assert type(gap.value) is type(expected_gaps[i, j])
                     assert str(gap.value) == cell.note
                 else:
                     assert cell.estimate.sample_size == expected_cell.estimate.sample_size
@@ -492,3 +503,10 @@ class TestSharedCalendars:
                 assert (report.cells[i][j].note, float.hex(report.premium[i, j])) == want
                 if not expected.missing:
                     assert report.sample_size[i, j] == expected.estimate.sample_size
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_calendar_inputs())
+    def test_every_gap_has_the_reference_type(self, inputs):
+        expected_gaps = {}
+        reference_report(*inputs, gaps=expected_gaps)
+        assert gap_types(erp_report(*inputs).gaps) == gap_types(expected_gaps)

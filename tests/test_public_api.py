@@ -1,4 +1,8 @@
-"""The package root exports what it promises."""
+"""The package root exports what it promises, and keeps no dead private code."""
+
+import ast
+import re
+from pathlib import Path
 
 import erp_lab
 
@@ -15,3 +19,24 @@ def test_all_is_sorted_and_unique():
 def test_version_string():
     major, minor, patch = erp_lab.__version__.split(".")
     assert all(part.isdigit() for part in (major, minor, patch))
+
+
+def test_every_private_module_function_and_class_is_used():
+    """A module-level ``_name`` function or class is named somewhere in the
+    package beyond its own definition (decorators included)."""
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted(Path(erp_lab.__file__).parent.glob("*.py"))}
+    unused = []
+    for path, text in sources.items():
+        lines = text.splitlines(keepends=True)
+        for node in ast.parse(text).body:
+            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                continue
+            start = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
+            elsewhere = [other if other_path != path else
+                         "".join(lines[:start] + lines[node.end_lineno:])
+                         for other_path, other in sources.items()]
+            if not any(re.search(rf"\b{node.name}\b", other) for other in elsewhere):
+                unused.append(f"{path.name}::{node.name}")
+    assert unused == []
