@@ -14,8 +14,8 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .io import _blocks, _fixed, _rows
-from .timeseries import DatedSeries
+from .io import _fixed, _rows
+from .timeseries import DatedSeries, _blocks
 
 FORMAT_COMMENT = "<!-- erp-lab chart format 1 -->"
 

@@ -243,10 +243,10 @@ def erp_report(
         first = np.searchsorted(years, starts, side="left")
         lengths = np.searchsorted(years, ends, side="right") - first
         member_columns = [c + m for c, _ in members for m in range(len(methods))]
-        sample_size[:, member_columns] = np.maximum(lengths, 0)[:, None]
+        sample_size[:, member_columns] = lengths[:, None]
         for n in sorted(set(lengths.tolist())):
             group = np.flatnonzero(lengths == n)
-            if n <= 0:
+            if n == 0:
                 for i in group.tolist():
                     gap([i], member_columns, EmptyWindowError(
                         "no aligned observations in " + _window_label(windows[i])))

@@ -27,7 +27,7 @@ from .errors import (
     MalformedCsvError,
     MissingColumnError,
 )
-from .timeseries import DatedSeries
+from .timeseries import DatedSeries, _blocks
 
 ISO_DATE = "%Y-%m-%d"
 _FIRST_DAY = np.datetime64("0001-01-01")
@@ -38,7 +38,6 @@ _ISO_ROW = [("day", "S11"), ("value", float)]
 _ISO_LOW = np.frombuffer(b"0000-00-00\0", dtype=np.uint8)
 _ISO_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], dtype=np.uint8)
 CELL_FORMAT = "%.10f"
-_ROWS_PER_WRITE = 4096
 
 
 def format_cell(x: float) -> str:
@@ -128,41 +127,23 @@ def _put_digits(text: np.ndarray, numbers: np.ndarray, rows) -> None:
 
 def _iso_days(days: np.ndarray) -> np.ndarray:
     """``days.astype("S")`` for a ``datetime64[D]`` array: ``S10`` texts
-    ``YYYY-MM-DD``, built digit by digit as :func:`_fixed` builds its
-    digits.  An array holding a day outside 0001-01-01 to 9999-12-31, or
-    of another unit, is formatted by ``astype("S")``, which is both the
-    fallback and the definition."""
+    ``YYYY-MM-DD``, the year, month and day taken from numpy's own
+    ``datetime64[M]`` cast and written digit by digit as :func:`_fixed`
+    writes its digits.  An array holding a day outside 0001-01-01 to
+    9999-12-31, or of another unit, is formatted by ``astype("S")``,
+    which is both the fallback and the definition."""
     if days.dtype != _FIRST_DAY.dtype or not np.all((days >= _FIRST_DAY) & (days <= _LAST_DAY)):
         return days.astype("S")
-    # the Gregorian calendar's 400-year cycles of 146,097 days, counted
-    # from 0000-03-01 so that a leap day ends its year; float64 holds each
-    # whole number here exactly, where integer loops would page in numpy
-    # code that nothing else in a run uses, raising its peak memory
-    day = days.view(np.int64).astype(float) + 719_468.0
-    cycle = np.floor(day / 146_097)
-    day -= 146_097 * cycle
-    year = np.floor((day - np.floor(day / 1460) + np.floor(day / 36_524)
-                     - np.floor(day / 146_096)) / 365)
-    day -= 365 * year + np.floor(year / 4) - np.floor(year / 100)
-    # months from March; January and February end the year
-    month = np.floor((5 * day + 2) / 153)
-    day -= np.floor((153 * month + 2) / 5) - 1
-    later = month >= 10
-    month += 3 - 12 * later
-    year += 400 * cycle + later
+    months = days.astype("datetime64[M]")
+    year, month = np.divmod(months.view(np.int64), 12)
+    day = (days - months).view(np.int64) + 1
     text = np.empty((10, days.size), dtype=np.uint8)
-    _put_digits(text, year, [3, 2, 1, 0])
-    _put_digits(text, month, [6, 5])
+    _put_digits(text, year + 1970, [3, 2, 1, 0])
+    _put_digits(text, month + 1, [6, 5])
     _put_digits(text, day, [9, 8])
     text += ord("0")
     text[4] = text[7] = ord("-")
     return np.ascontiguousarray(text.T).view("S10")[:, 0]
-
-
-def _blocks(n: int) -> list[slice]:
-    """``range(n)`` as slices of at most ``_ROWS_PER_WRITE``: output is
-    formatted one block at a time, so that no whole-column text is held."""
-    return [slice(start, start + _ROWS_PER_WRITE) for start in range(0, n, _ROWS_PER_WRITE)]
 
 
 @dataclass(frozen=True)
@@ -333,7 +314,7 @@ def write_series(series: DatedSeries, path: str, date_column: str = "date",
     series exactly.
     """
     days, values = series.days, series.values
-    blocks = ("".join(map("%s,%r\n".__mod__, zip(days[rows].astype(str).tolist(),
-                                                 values[rows].tolist()))).encode()
+    blocks = (b"".join(map(b"%s,%r\n".__mod__, zip(_iso_days(days[rows]).tolist(),
+                                                   values[rows].tolist())))
               for rows in _blocks(len(days)))
     write_bytes(path, chain([csv_header([date_column, value_column]).encode() + b"\n"], blocks))

@@ -26,7 +26,14 @@ from .errors import (
 )
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-_FLOATS_PER_BLOCK = 4096
+_BLOCK = 4096
+
+
+def _blocks(n: int) -> list[slice]:
+    """``range(n)`` as slices of at most ``_BLOCK``: long arrays are
+    converted and formatted one block at a time, so that no whole-column
+    list or text is held."""
+    return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
 
 
 def _as_days(dates) -> np.ndarray:
@@ -181,8 +188,8 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
     ``period_days == 1`` the output equals the input.
 
     The recursion runs as one generator loop on Python floats, converted
-    ``_FLOATS_PER_BLOCK`` at a time; their IEEE operations are numpy's,
-    but they neither warn nor raise.  So where an output is not finite,
+    ``_BLOCK`` at a time; their IEEE operations are numpy's, but they
+    neither warn nor raise.  So where an output is not finite,
     or ``np.errstate`` traps underflow, it runs again on numpy scalars
     (one ``itertools.accumulate``), which warn or raise as
     ``np.errstate`` says: that run is the fallback and the definition.
@@ -201,8 +208,7 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
 def _ema_floats(values: np.ndarray, alpha: float):
     """Yield the recursion of :func:`ema` on Python floats, without a call
     per day; the first output is ``values[0]`` as is (``-0.0`` included)."""
-    floats = chain.from_iterable(values[start:start + _FLOATS_PER_BLOCK].tolist()
-                                 for start in range(0, len(values), _FLOATS_PER_BLOCK))
+    floats = chain.from_iterable(values[rows].tolist() for rows in _blocks(len(values)))
     acc = next(floats)
     yield acc
     for x in floats:

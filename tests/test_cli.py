@@ -144,7 +144,7 @@ class TestImplied:
     def test_float_overflow_after_the_first_block_is_numerical_error(self, tmp_path, capsys):
         # eps -1.7e308 from the 50th last day, +1.7e308 from the 10th: the
         # smoothing overflows past its first block of floats
-        n = timeseries._FLOATS_PER_BLOCK + 100
+        n = timeseries._BLOCK + 100
         days = (np.datetime64("2000-01-01") + np.arange(n)).astype(str)
         prices = write(tmp_path, "prices.csv",
                        "date,close\n" + "".join(f"{d},1000\n" for d in days))
@@ -216,7 +216,7 @@ class TestImplied:
                                                    monkeypatch, rows_per_write):
         whole = str(tmp_path / "whole.csv")
         assert main(implied_argv(*implied_files, whole)) == EXIT_OK
-        monkeypatch.setattr("erp_lab.io._ROWS_PER_WRITE", rows_per_write)
+        monkeypatch.setattr("erp_lab.timeseries._BLOCK", rows_per_write)
         chunked = str(tmp_path / "chunked.csv")
         assert main(implied_argv(*implied_files, chunked)) == EXIT_OK
         assert Path(chunked).read_text() == Path(whole).read_text()

@@ -21,7 +21,6 @@ from erp_lab.errors import (
     MissingColumnError,
 )
 from erp_lab.io import (
-    _ROWS_PER_WRITE,
     CELL_FORMAT,
     SeriesFileSpec,
     _fixed,
@@ -34,7 +33,7 @@ from erp_lab.io import (
     write_rows,
     write_series,
 )
-from erp_lab.timeseries import DatedSeries
+from erp_lab.timeseries import _BLOCK, DatedSeries
 
 
 def write(tmp_path, text, name="in.csv"):
@@ -294,9 +293,9 @@ class TestWriteSeries:
         series = DatedSeries(np.array(days, dtype="datetime64[D]"), np.array(values))
         fields = [data.draw(HEADER_NAMES), data.draw(HEADER_NAMES)]
         # blocks of a few rows, so that most series span several
-        rows_per_write = data.draw(st.sampled_from([1, 2, 7, _ROWS_PER_WRITE]))
+        rows_per_write = data.draw(st.sampled_from([1, 2, 7, _BLOCK]))
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch("erp_lab.io._ROWS_PER_WRITE", rows_per_write):
+                mock.patch("erp_lab.timeseries._BLOCK", rows_per_write):
             fast, slow = os.path.join(tmp, "fast.csv"), os.path.join(tmp, "slow.csv")
             write_series(series, fast, *fields)
             series_row_loop(slow, series, fields)
@@ -490,7 +489,7 @@ class TestWriteRows:
 
     def test_blocks_match_row_loop(self):
         rng = np.random.default_rng(7)
-        n = 2 * _ROWS_PER_WRITE + 123
+        n = 2 * _BLOCK + 123
         days = np.datetime64("1900-01-01") + np.arange(n)
         columns = [rng.normal(100.0, 30.0, n), rng.normal(0.0, 1e-6, n),
                    (2 * rng.integers(-1000, 1000, n) + 1) * 2.0 ** -11]

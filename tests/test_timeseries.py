@@ -18,7 +18,7 @@ from erp_lab.errors import (
     TooShortError,
 )
 from erp_lab.timeseries import (
-    _FLOATS_PER_BLOCK,
+    _BLOCK,
     DatedSeries,
     ReturnSeries,
     align,
@@ -346,7 +346,7 @@ class TestEma:
         if not all(np.isfinite(expected)):
             return  # the numpy-scalar fallback runs; the test above covers it
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("erp_lab.timeseries._FLOATS_PER_BLOCK", block)
+            patch.setattr("erp_lab.timeseries._BLOCK", block)
             got = ema(s, period).values
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
@@ -363,7 +363,7 @@ class TestEma:
     def test_error_after_the_first_block_is_the_recursions(self, errstate):
         # past the first block of floats: an overflow (-1.7e308 held, then
         # +1.7e308) or an underflow (1e-300 halving toward zero)
-        n = _FLOATS_PER_BLOCK + 200
+        n = _BLOCK + 200
         values = np.zeros(n)
         if "over" in errstate:
             values[n - 150:] = -1.7e308
