@@ -99,8 +99,8 @@ def _read(name: str, spec: SeriesFileSpec, kind: str | None = None):
 def _inputs_on(days: np.ndarray, prices: DatedSeries, eps_smooth: DatedSeries,
                yields: DatedSeries) -> list[np.ndarray]:
     """Each input's values on ``days``, the inputs' intersection, so every
-    calendar holds each of them.  ``eps_smooth`` is on the prices calendar:
-    one membership mask serves both, and one more serves the yields."""
+    calendar holds each of them.  ``eps_smooth`` holds the prices calendar
+    array itself: one membership mask serves both, and one more the yields."""
     on_prices, on_yields = (np.isin(s.days.view(np.int64), days.view(np.int64))
                             for s in (prices, yields))
     return [prices.values[on_prices], eps_smooth.values[on_prices], yields.values[on_yields]]

@@ -37,12 +37,12 @@ def _blocks(n: int) -> list[slice]:
 
 
 def _as_days(dates) -> np.ndarray:
-    """``dates`` (a ``datetime64`` array or ``date`` iterable) as a fresh
-    read-only ``datetime64[D]`` array.  Dates go through their ordinals:
-    numpy's own conversion of ``date`` objects is about twenty times slower.
-    """
+    """``dates`` (a ``datetime64`` array or ``date`` iterable) as read-only
+    ``datetime64[D]``: a read-only ``datetime64[D]`` array as given (its owner's
+    promise not to change it), any other calendar as a copy.  Dates go through
+    their ordinals: numpy's own conversion of ``date`` objects is 20x slower."""
     if isinstance(dates, np.ndarray) and dates.dtype.kind == "M":
-        days = dates.astype("datetime64[D]")
+        days = dates.astype("datetime64[D]", copy=dates.flags.writeable)
     else:
         ordinals = np.fromiter((d.toordinal() for d in dates), np.int64)
         days = (ordinals - _EPOCH_ORDINAL).view("datetime64[D]")
@@ -57,9 +57,9 @@ class DatedSeries:
     Invariants enforced at construction: one value per day (``days`` and
     ``values`` one-dimensional, of equal length), non-empty, no NaT,
     dates strictly increasing (hence no duplicates), all values finite.
-    ``days`` may be any sequence of ``date`` or a ``datetime64`` array;
-    it is stored as a read-only ``datetime64[D]`` array, and ``values``
-    as read-only floats.
+    ``days`` may be any sequence of ``date`` or a ``datetime64`` array: a
+    read-only ``datetime64[D]`` array is kept as given, any other is stored
+    as a read-only copy, and ``values`` as a read-only copy of floats.
     """
 
     days: np.ndarray
@@ -136,10 +136,10 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
     Accepts any mix of :class:`DatedSeries` and :class:`ReturnSeries`.
     Each other series' calendar is searched once for the first series'
     days, and a day is common where every search lands on it.  A series
-    on the first series' own calendar (the same array, or an equal one)
-    is not searched: the common mask picks its values.  Returns the
-    common days (``datetime64[D]``, as each series stores them) and one
-    value array per input series, all in the same ascending order.
+    holding the first series' own ``days`` array is not searched: the
+    common mask picks its values.  Returns the common days
+    (``datetime64[D]``, as each series stores them) and one value array
+    per input series, all in the same ascending order.
 
     Raises
     ------
@@ -149,8 +149,8 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
     if not series:
         raise InvalidParametersError("align_many needs at least one series")
     days = series[0].days
-    rows = [None if s.days is days or np.array_equal(s.days, days)
-            else np.searchsorted(s.days, days).clip(max=len(s) - 1) for s in series]
+    rows = [None if s.days is days else np.searchsorted(s.days, days).clip(max=len(s) - 1)
+            for s in series]
     common = np.ones(len(days), dtype=bool)
     for s, r in zip(series, rows):
         if r is not None:

@@ -318,6 +318,8 @@ class TestFitMultifactor:
             FactorModelFit((), 0.0, 0.1, ())
         with pytest.raises(ValueError):
             FactorModelFit((1.0,), 0.0, 0.1, ("a", "b"))
+        with pytest.raises(ValueError, match="residual_sigma"):
+            FactorModelFit((1.0,), 0.0, -1.0, ("a",))
 
 
 class TestSimulateDiversification:

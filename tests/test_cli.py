@@ -530,6 +530,20 @@ class TestCalendarStaysDays:
         assert [type(dates).__name__ for dates in received
                 if not (isinstance(dates, np.ndarray) and dates.dtype == "datetime64[D]")] == []
 
+    def test_smoothed_eps_holds_the_prices_calendar(self, implied_files, tmp_path,
+                                                    monkeypatch):
+        # _inputs_on picks prices and smoothed EPS through one mask
+        calls = []
+
+        def recorded(prices, eps_smooth, yields):
+            calls.append((prices, eps_smooth))
+            return implied_erp_series(prices, eps_smooth, yields)
+
+        monkeypatch.setattr(cli, "implied_erp_series", recorded)
+        assert main(implied_argv(*implied_files, str(tmp_path / "out.csv"))) == EXIT_OK
+        [(prices, eps_smooth)] = calls
+        assert eps_smooth.days is prices.days
+
 
 class TestWriterLookup:
     """erp.csv takes each input's values on the premium's days through one

@@ -222,9 +222,10 @@ class TestTwoStagePrice:
         ((1.0, -1.0, 3, 0.03), "short_growth must exceed -1"),
         ((1.0, -2.0, 3, 0.03), "short_growth must exceed -1"),
         ((1.0, -2.0, 2, 0.03), "short_growth must exceed -1"),
+        ((0.0, 0.10, 5, 0.03), "dividend_now must be positive"),
     ], ids=["fractional-short-years", "long-growth-minus-one", "long-growth-just-below",
             "long-growth-far-below", "short-growth-minus-one", "short-growth-alternating-sign",
-            "short-growth-even-years"])
+            "short-growth-even-years", "zero-dividend"])
     def test_inadmissible_inputs_rejected(self, args, message):
         with pytest.raises(ValueError, match=message):
             TwoStageInputs(*args)
@@ -253,6 +254,14 @@ class TestTwoStageImpliedK:
             d = d * (1.0 + growth)
             divs.append(d)
         np.testing.assert_allclose(truncated_dividend_pv(divs, k), price, rtol=1e-6)
+
+    @pytest.mark.parametrize("bracket_end", ["lo", "hi"])
+    def test_exact_root_at_a_bracket_end_is_returned_as_is(self, bracket_end):
+        # bisection alone would walk away from a root at lo, where
+        # gap_mid * gap_lo >= 0 always holds
+        inputs = TwoStageInputs(1.0, 0.10, 5, 0.03)
+        k = inputs.long_growth + 1e-9 if bracket_end == "lo" else 10.0
+        assert two_stage_implied_k(two_stage_price(inputs, k), inputs) == k
 
     def test_degenerate_matches_gordon_closed_form(self):
         inputs = TwoStageInputs(2.0, 0.04, 5, 0.04)

@@ -22,21 +22,28 @@ def test_version_string():
 
 
 def test_every_private_module_function_and_class_is_used():
-    """A module-level ``_name`` function or class is named somewhere in the
-    package beyond its own definition (decorators included)."""
+    """A module-level ``_name`` function, class or constant (``_NAME = ...``
+    or ``_NAME: T = ...``) is named somewhere in the package beyond its own
+    statement (decorators included)."""
     sources = {path: path.read_text(encoding="utf-8")
                for path in sorted(Path(erp_lab.__file__).parent.glob("*.py"))}
     unused = []
     for path, text in sources.items():
         lines = text.splitlines(keepends=True)
         for node in ast.parse(text).body:
-            if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
                 continue
-            start = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
+            decorators = getattr(node, "decorator_list", [])
+            start = min([node.lineno, *(d.lineno for d in decorators)]) - 1
             elsewhere = [other if other_path != path else
                          "".join(lines[:start] + lines[node.end_lineno:])
                          for other_path, other in sources.items()]
-            if not any(re.search(rf"\b{node.name}\b", other) for other in elsewhere):
-                unused.append(f"{path.name}::{node.name}")
+            unused += [f"{path.name}::{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and not any(re.search(rf"\b{name}\b", other) for other in elsewhere)]
     assert unused == []

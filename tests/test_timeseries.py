@@ -175,6 +175,25 @@ class TestDatedSeries:
         assert type(out) is cls
         assert out == cls(days(3), np.array([0.4, 0.5, 0.6]))
         assert not out.days.flags.writeable and not out.values.flags.writeable
+        assert out.days is s.days
+
+    @pytest.mark.parametrize("field, new", [("days", np.datetime64("1999-01-01")),
+                                            ("values", 9.0)])
+    def test_writing_the_given_arrays_leaves_the_series_unchanged(self, field, new):
+        given = {"days": np.array(days(3), dtype="datetime64[D]"),
+                 "values": np.array([1.0, 2.0, 3.0])}
+        s = DatedSeries(**given)
+        given[field][0] = new
+        assert s == DatedSeries(days(3), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("dtype, kept", [("datetime64[D]", True), ("datetime64[s]", False),
+                                             (">M8[D]", False)])
+    def test_keeps_only_a_read_only_day_calendar_as_given(self, dtype, kept):
+        calendar = np.array(days(3), dtype=dtype)
+        calendar.flags.writeable = False
+        s = DatedSeries(calendar, np.ones(3))
+        assert (s.days is calendar) == kept == np.shares_memory(s.days, calendar)
+        assert s.days.dtype == np.dtype("datetime64[D]") and s.dates == days(3)
 
 
 class TestReturnSeries:
@@ -209,6 +228,10 @@ class TestAlign:
         with pytest.raises(EmptyIntersectionError):
             align(a, b)
 
+    def test_align_many_needs_a_series(self):
+        with pytest.raises(InvalidParametersError, match="at least one series"):
+            align_many([])
+
     def test_align_many_three_way(self):
         d = days(4)
         a = DatedSeries(d, np.arange(4.0))
@@ -242,6 +265,10 @@ class TestSimpleReturns:
         prices = DatedSeries(days(1), np.array([100.0]))
         with pytest.raises(TooShortError):
             simple_returns(prices)
+
+    def test_shares_the_prices_calendar(self):
+        prices = DatedSeries(days(3), np.array([100.0, 110.0, 121.0]))
+        assert np.shares_memory(simple_returns(prices).days, prices.days)
 
     def test_nonpositive_price_names_the_date(self):
         prices = DatedSeries(days(3), np.array([100.0, 0.0, 50.0]))
@@ -400,6 +427,23 @@ class TestStepInterpolate:
         sparse = DatedSeries.from_pairs([(date(2020, 6, 1), 7.0)])
         with pytest.raises(CalendarPrecedesDataError):
             step_interpolate(sparse, days(3))
+
+    @pytest.mark.parametrize("calendar, message", [
+        ((), "non-empty"),
+        ((date(2020, 1, 2), date(2020, 1, 2)), "strictly increasing"),
+        ((date(2020, 1, 3), date(2020, 1, 2)), "strictly increasing"),
+    ], ids=["empty", "repeated-day", "descending"])
+    def test_rejects_a_bad_calendar(self, calendar, message):
+        sparse = DatedSeries.from_pairs([(date(2020, 1, 1), 7.0)])
+        with pytest.raises(InvalidParametersError, match=message):
+            step_interpolate(sparse, calendar)
+
+    def test_output_and_its_ema_share_the_given_calendar(self):
+        sparse = DatedSeries.from_pairs([(date(2020, 1, 1), 7.0), (date(2020, 1, 9), 8.0)])
+        prices = DatedSeries(days(30), np.ones(30))
+        daily = step_interpolate(sparse, prices.days)
+        assert daily.days is prices.days
+        assert ema(daily, 5).days is prices.days
 
     def test_restriction_to_sparse_dates_recovers_values(self):
         sparse = DatedSeries.from_pairs(
