@@ -24,9 +24,6 @@ from .errors import (
     ReturnBelowMinusOneError,
 )
 
-KINDS = ("arithmetic", "geometric", "blume", "exp_weighted")
-
-
 def _as_returns(returns) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(returns, dtype=float))  # a scalar is a one-element sample
     if arr.shape[-1] == 0:
@@ -104,6 +101,17 @@ def exp_weighted_mean(returns, decay: float) -> float | np.ndarray:
     return _result(dots.reshape(arr.shape[:-1]) / weights.sum())
 
 
+# kind: (the parameter it takes, from_string's reader of that parameter,
+# from_string's name for the kind, label format, averaging function)
+_SCHEMES = {
+    "arithmetic": (None, None, "arithmetic", "arithmetic", arithmetic_mean),
+    "geometric": (None, None, "geometric", "geometric", geometric_mean),
+    "blume": ("horizon", int, "blume", "blume({})", blume_blend),
+    "exp_weighted": ("decay", float, "exp", "exp({:g})", exp_weighted_mean),
+}
+KINDS = tuple(_SCHEMES)
+
+
 def _parsed(convert, text: str):
     """``convert(text)``, or ``None`` where it does not parse, so that the
     method's own check names the parameter it needs."""
@@ -124,7 +132,7 @@ class AveragingMethod:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        takes = {"blume": "horizon", "exp_weighted": "decay"}.get(self.kind)
+        takes = _SCHEMES[self.kind][0]
         for name in ("horizon", "decay"):
             if name != takes and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} takes no {name}")
@@ -158,30 +166,17 @@ class AveragingMethod:
     def from_string(cls, text: str) -> "AveragingMethod":
         """Parse ``arithmetic``, ``geometric``, ``blume:N``, or ``exp:DECAY``."""
         name, _, param = text.partition(":")
-        if name == "arithmetic" and not param:
-            return cls.arithmetic()
-        if name == "geometric" and not param:
-            return cls.geometric()
-        if name == "blume" and param:
-            return cls.blume(_parsed(int, param))
-        if name in ("exp", "exp_weighted") and param:
-            return cls.exp_weighted(_parsed(float, param))
+        for kind, (takes, convert, alias, _, _) in _SCHEMES.items():
+            if name in (kind, alias) and bool(param) == bool(takes):
+                return cls(kind, **({takes: _parsed(convert, param)} if takes else {}))
         raise ValueError(f"unrecognized averaging method {text!r}")
 
     @property
     def label(self) -> str:
-        if self.kind == "blume":
-            return f"blume({self.horizon})"
-        if self.kind == "exp_weighted":
-            return f"exp({self.decay:g})"
-        return self.kind
+        takes, _, _, label, _ = _SCHEMES[self.kind]
+        return label.format(getattr(self, takes)) if takes else label
 
     def apply(self, returns) -> float | np.ndarray:
         """Average a 1-D sample to a float, or each row of a stack."""
-        if self.kind == "arithmetic":
-            return arithmetic_mean(returns)
-        if self.kind == "geometric":
-            return geometric_mean(returns)
-        if self.kind == "blume":
-            return blume_blend(returns, self.horizon)
-        return exp_weighted_mean(returns, self.decay)
+        takes, _, _, _, average = _SCHEMES[self.kind]
+        return average(returns, getattr(self, takes)) if takes else average(returns)

@@ -27,7 +27,7 @@ from .capm import fit_market_model, risk_decomposition, simulate_diversification
 from .errors import DataError, ErpLabError, NumericalError
 from .historical import erp_report, report_columns
 from .implied import implied_erp_series
-from .io import ISO_DATE, SeriesFileSpec, format_cell, parse_series, write_bytes, write_rows
+from .io import SeriesFileSpec, format_cell, parse_series, write_bytes, write_rows
 from .timeseries import DatedSeries, ReturnSeries, ema, simple_returns, step_interpolate
 
 EXIT_OK = 0
@@ -150,7 +150,8 @@ def run_historical(args) -> int:
         report = erp_report(equity, variants, args.window, args.method)
     windows, labels = report.window_labels(), report.column_labels()
     for (i, j), gap in sorted(report.gaps.items()):
-        print(f"erp-lab: warning: {windows[i]} {labels[j]}: {gap}", file=sys.stderr)
+        label = labels[j].replace("\r", "\\r").replace("\n", "\\n")  # one line per warning
+        print(f"erp-lab: warning: {windows[i]} {label}: {gap}", file=sys.stderr)
     with _stage("writing output"):
         write_bytes(args.output, [report.csv_bytes()])
     return EXIT_OK
@@ -191,10 +192,10 @@ def _add_series_flags(flag, sub, prefix: str, **main) -> None:
     """Declare ``--{prefix}`` (``main`` overrides its keywords) and its file flags."""
     flag(sub, f"--{prefix}", **{"required": True, "type": _path, "help": f"{prefix} CSV file",
                                 **main})
-    flag(sub, f"--{prefix}-date-column", default="date")
-    flag(sub, f"--{prefix}-value-column", default="value")
-    flag(sub, f"--{prefix}-date-format", default=ISO_DATE)
-    flag(sub, f"--{prefix}-scale", type=float, default=1.0,
+    flag(sub, f"--{prefix}-date-column", default=SeriesFileSpec.date_column)
+    flag(sub, f"--{prefix}-value-column", default=SeriesFileSpec.value_column)
+    flag(sub, f"--{prefix}-date-format", default=SeriesFileSpec.date_format)
+    flag(sub, f"--{prefix}-scale", type=float, default=SeriesFileSpec.value_scale,
          help="multiplier applied to values (0.01 for percent quotes)")
 
 
@@ -334,31 +335,32 @@ def build_parser(command: str | None = None) -> tuple[_Parser, dict]:
     return parser, flags
 
 
-def _load_config(path: str) -> dict[str, tuple[str, str]]:
-    """Map each flag dest to ``(where, value)``; ``where`` names file, line
-    and key.  A key given twice is an error, not a silent override."""
-    config: dict[str, tuple[str, str]] = {}
-    first_line: dict[str, int] = {}
+def _load_config(path: str) -> dict[str, tuple[int, str, str]]:
+    """Map each flag dest to ``(line number, where, value)``; ``where`` names
+    file, line and key.  A key given twice is an error, not a silent override."""
+    config: dict[str, tuple[int, str, str]] = {}
     with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path} line {lineno}: expected key=value, got {line!r}")
-            key = key.strip()
-            dest, where = key.replace("-", "_"), f"{path} line {lineno}: {key}"
-            if dest in first_line:
-                raise ValueError(f"{where}: repeats line {first_line[dest]}")
-            first_line[dest] = lineno
-            config[dest] = (where, value.strip())
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                key, sep, value = line.partition("=")
+                if not sep:
+                    raise ValueError(f"{path} line {lineno}: expected key=value, got {line!r}")
+                key = key.strip()
+                dest, where = key.replace("-", "_"), f"{path} line {lineno}: {key}"
+                if dest in config:
+                    raise ValueError(f"{where}: repeats line {config[dest][0]}")
+                config[dest] = (lineno, where, value.strip())
+        except UnicodeDecodeError as exc:  # the decoder reads ahead: no line is known
+            raise ValueError(f"{path}: {exc}") from exc
     return config
 
 
-def _apply_config(flags: dict, config: dict[str, tuple[str, str]]) -> None:
+def _apply_config(flags: dict, config: dict[str, tuple[int, str, str]]) -> None:
     """Make each config entry the default of every flag in ``flags`` it names."""
-    for dest, (where, raw) in config.items():
+    for dest, (_, where, raw) in config.items():
         if dest not in flags:
             raise ValueError(f"{where}: not a flag of any subcommand")
         for sub, action in flags[dest]:

@@ -109,7 +109,7 @@ class DuplicateDateError(SeriesParseError):
 
 class MalformedCsvError(SeriesParseError):
     """The csv module rejects the file, e.g. a field over its size limit
-    (message carries the line number)."""
+    (message carries the line number), or the file is not UTF-8."""
 
 
 # -- numerical errors ---------------------------------------------------------

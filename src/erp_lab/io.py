@@ -273,6 +273,8 @@ def _parse_rows(spec: SeriesFileSpec) -> DatedSeries:
             # underlying reader has counted the line that failed.
             line = reader.reader.line_num
             raise MalformedCsvError(f"{spec.path} line {line}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # the decoder reads ahead: no line is known
+            raise MalformedCsvError(f"{spec.path}: {exc}") from exc
     if not observations:
         raise EmptyInputError(f"{spec.path}: no data rows")
     return DatedSeries.from_pairs(sorted(observations.items()))

@@ -76,7 +76,7 @@ def erp_lab_on_path(tmp_path_factory, monkeypatch):
     bindir = tmp_path_factory.mktemp("bin")
     script = bindir / "erp-lab"
     script.write_text(CONSOLE_SCRIPT_TEMPLATE.format(
-        python=sys.executable, module=module, function=function))
+        python=sys.executable, module=module, function=function), encoding="utf-8")
     script.chmod(0o755)
     monkeypatch.setenv("PATH", str(bindir), prepend=os.pathsep)
     monkeypatch.setenv("PYTHONPATH", str(Path(erp_lab.__file__).parents[1]),

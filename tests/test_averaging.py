@@ -1,5 +1,6 @@
 """Tests for return averaging: arithmetic, geometric, Blume, exponential."""
 
+import itertools
 import math
 
 import numpy as np
@@ -164,6 +165,66 @@ class TestExpWeighted:
         assert arr.min() - 1e-12 <= got <= arr.max() + 1e-12
 
 
+# from_string's input: names it knows or nearly knows (an alias, case,
+# spaces), and parameters spelled the way int or float refuses or reads in
+# its own way ("1_000", " 3"); None is no colon
+KNOWN_NAMES = ["arithmetic", "geometric", "blume", "exp", "exp_weighted", "Blume", "", " exp",
+               "median", "arithmetic "]
+KNOWN_PARAMETERS = [None, "", "5", "5.0", "1e3", "nan", "5:6", "0.5", "1", "1.0", "0", "-1",
+                    "inf", " 3", "abc", "2.5", "1_000", "0.95 ", "1e-3", "+0.0", "6"]
+
+
+def method_text(name, param):
+    return name if param is None else f"{name}:{param}"
+
+
+def raised_or(call, arg):
+    try:
+        return call(arg)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def from_string_by_hand(text):
+    """``AveragingMethod.from_string`` with each scheme's rule written out."""
+    name, _, param = text.partition(":")
+    if name == "arithmetic" and not param:
+        return AveragingMethod.arithmetic()
+    if name == "geometric" and not param:
+        return AveragingMethod.geometric()
+    if name == "blume" and param:
+        try:
+            horizon = int(param)
+        except ValueError:
+            horizon = None
+        return AveragingMethod.blume(horizon)
+    if name in ("exp", "exp_weighted") and param:
+        try:
+            decay = float(param)
+        except ValueError:
+            decay = None
+        return AveragingMethod.exp_weighted(decay)
+    raise ValueError(f"unrecognized averaging method {text!r}")
+
+
+def label_by_hand(method):
+    if method.kind == "blume":
+        return f"blume({method.horizon})"
+    if method.kind == "exp_weighted":
+        return f"exp({method.decay:g})"
+    return method.kind
+
+
+def apply_by_hand(method, returns):
+    if method.kind == "arithmetic":
+        return arithmetic_mean(returns)
+    if method.kind == "geometric":
+        return geometric_mean(returns)
+    if method.kind == "blume":
+        return blume_blend(returns, method.horizon)
+    return exp_weighted_mean(returns, method.decay)
+
+
 class TestAveragingMethod:
     def test_from_string_variants(self):
         assert AveragingMethod.from_string("arithmetic").kind == "arithmetic"
@@ -172,8 +233,12 @@ class TestAveragingMethod:
         assert (m.kind, m.horizon) == ("blume", 5)
         m = AveragingMethod.from_string("exp:0.95")
         assert (m.kind, m.decay) == ("exp_weighted", 0.95)
+        m = AveragingMethod.from_string("exp_weighted:1")
+        assert (m.kind, m.decay) == ("exp_weighted", 1.0)
 
-    @pytest.mark.parametrize("text", ["median", "blume", "blume:x", "exp:", "exp:abc", ""])
+    @pytest.mark.parametrize("text", ["median", "blume", "blume:x", "exp:", "exp:abc", "",
+                                      "arithmetic:5", "geometric:0.5", "exp_weighted", "Blume:5",
+                                      "blume:5.0", "blume:5:6", "exp:nan"])
     def test_from_string_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             AveragingMethod.from_string(text)
@@ -224,6 +289,35 @@ class TestAveragingMethod:
     def test_parameter_the_kind_does_not_take(self, kind, params, name):
         with pytest.raises(ValueError, match=f"^{kind} takes no {name}$"):
             AveragingMethod(kind, **params)
+
+    def test_known_texts_match_the_rules_written_out(self):
+        for name, param in itertools.product(KNOWN_NAMES, KNOWN_PARAMETERS):
+            self.check_by_hand(method_text(name, param), 0)
+
+    @given(name=st.sampled_from(KNOWN_NAMES) | st.text(max_size=8),
+           param=st.sampled_from(KNOWN_PARAMETERS) | st.text(max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_texts_match_the_rules_written_out(self, name, param, seed):
+        self.check_by_hand(method_text(name, param), seed)
+
+    @staticmethod
+    def check_by_hand(text, seed):
+        """from_string, label and apply on ``text`` give what the rules
+        written out give: the same method, or error type and message."""
+        got = raised_or(AveragingMethod.from_string, text)
+        want = raised_or(from_string_by_hand, text)
+        assert (repr(got), type(getattr(got, "horizon", None))) == \
+            (repr(want), type(getattr(want, "horizon", None)))
+        if isinstance(got, AveragingMethod):
+            assert got.label == label_by_hand(got)
+            stack = np.random.default_rng(seed).normal(0.05, 0.2, (2, 5))
+            for returns in (stack, stack[0]):
+                got_mean = raised_or(got.apply, returns)
+                want_mean = raised_or(lambda r: apply_by_hand(got, r), returns)
+                assert repr(got_mean) == repr(want_mean)
+                if not isinstance(got_mean, tuple):
+                    assert np.asarray(got_mean).tobytes() == np.asarray(want_mean).tobytes()
 
 
 def one_sample_reference(method, sample):

@@ -473,12 +473,12 @@ class TestHistorical:
         assert code == EXIT_OK
         assert out.read_bytes().startswith(b"window,bund\xe2\x82\xac arithmetic\n")
 
-    def test_riskfree_labels_are_quoted_in_the_header(self, annual_paths, tmp_path):
+    def test_riskfree_labels_are_quoted_in_the_header(self, annual_paths, tmp_path, capsys):
         labels = ["a,b", 'say "hi"', "two\nlines", "bare\rreturn"]
         methods = ["arithmetic", "geometric"]
         out = tmp_path / "report.csv"
         argv = historical_argv(annual_paths, str(out), "--window", "2000-2004",
-                               "--window", "2005-2009")
+                               "--window", "2005-2009", "--window", "1850-1859")
         for label in labels:
             argv += ["--riskfree", f"{label}={annual_paths['tbills']}"]
         for method in methods:
@@ -488,7 +488,13 @@ class TestHistorical:
             header, *rows = csv.reader(fh)
         columns = [f"{label} {method}" for label in ["tbills", *labels] for method in methods]
         assert header == ["window", *columns]
-        assert [len(row) for row in rows] == [1 + len(columns)] * 2
+        assert [len(row) for row in rows] == [1 + len(columns)] * 3
+        # the window outside the data: one warning line per column
+        warned = capsys.readouterr().err.splitlines()
+        assert len(warned) == len(columns)
+        assert all(line.startswith("erp-lab: warning: 1850-1859 ") for line in warned)
+        assert any(" two\\nlines arithmetic: " in line for line in warned)
+        assert any(" bare\\rreturn geometric: " in line for line in warned)
 
     def test_one_row_window_of_negative_zero_reads_zero_in_every_column(self, tmp_path):
         # an excess return of -0.0 over one year: every mean sums from +0.0
@@ -837,6 +843,15 @@ class TestConfig:
         assert code == EXIT_INPUT
         assert capsys.readouterr().err == f"erp-lab: {cfg} {line}: repeats line 1\n"
         assert not out.exists()
+
+    def test_config_that_is_not_utf8_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "u16.cfg"
+        cfg.write_bytes("seed = 4\n".encode("utf-16"))  # starts with b"\xff\xfe"
+        assert main(["--config", str(cfg), "simulate", "--n-assets", "2"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"erp-lab: {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("line, other", [
         ("method =", ("--window", "2000-2009")),
@@ -1441,7 +1456,9 @@ def implied_run(draw):
 @st.composite
 def historical_run(draw):
     files = {"equity": draw(series_file()), "riskfree": draw(series_file())}
-    argv = ["historical", "--equity", "{equity}", "--riskfree", "rf={riskfree}",
+    # a label may hold a line break: report.csv quotes it, a warning escapes it
+    label = draw(st.sampled_from(["rf", "two\nlines", "bare\rreturn"]))
+    argv = ["historical", "--equity", "{equity}", "--riskfree", f"{label}={{riskfree}}",
             *(w for window in draw(WINDOWS) for w in ("--window", window)),
             *(w for method in draw(METHODS) for w in ("--method", method)),
             "--output", "{out}", *draw(HISTORICAL_FLAGS)]
@@ -1484,14 +1501,16 @@ CONFIG_LINES = st.sampled_from([
 @st.composite
 def maybe_config(draw, runs):
     """A run from ``runs``, in one case of three with a ``--config`` file,
-    whose lines sometimes repeat a key."""
+    whose lines sometimes repeat a key, and which is sometimes UTF-16, not
+    UTF-8."""
     files, argv = draw(runs)
     if draw(st.integers(0, 2)):
         return files, argv
     lines = draw(st.lists(CONFIG_LINES, max_size=5))
     if lines and draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
-    return {**files, "config": "\n".join(lines).encode()}, ["--config", "{config}", *argv]
+    data = "\n".join(lines).encode(draw(st.sampled_from(["utf-8"] * 4 + ["utf-16"])))
+    return {**files, "config": data}, ["--config", "{config}", *argv]
 
 
 class TestMalformedInputFuzz:
@@ -1522,6 +1541,9 @@ class TestMalformedInputFuzz:
         assert [str(w.message) for w in caught] == []
         if code != EXIT_OK:
             assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        else:
+            assert all(line.startswith("erp-lab: warning: ")
+                       for line in err.getvalue().splitlines()), err.getvalue()
 
 
 # -- the parser built for the one subcommand a line runs ---------------------

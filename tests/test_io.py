@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 import warnings
 from datetime import date, timedelta
@@ -18,6 +19,7 @@ from erp_lab.errors import (
     BadValueError,
     DuplicateDateError,
     EmptyInputError,
+    MalformedCsvError,
     MissingColumnError,
 )
 from erp_lab.io import (
@@ -105,6 +107,15 @@ class TestParseSeries:
         path = write(tmp_path, "date,value\n")
         with pytest.raises(EmptyInputError):
             parse_series(SeriesFileSpec(path))
+
+    @pytest.mark.parametrize("date_format, day", [("%Y-%m-%d", "2009-01-02"),
+                                                   ("%m/%d/%Y", "01/02/2009")])
+    def test_file_that_is_not_utf8_is_named(self, tmp_path, date_format, day):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"date,value\n" + day.encode() + b",1\xff0\n")
+        with pytest.raises(MalformedCsvError,
+                           match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+            parse_series(SeriesFileSpec(str(path), date_format=date_format))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
