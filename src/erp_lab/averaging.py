@@ -62,16 +62,22 @@ def blume_blend(returns, horizon_n: int) -> float | np.ndarray:
     length one, whose horizon can only be 1, gives its arithmetic mean.
     """
     arr = _as_returns(returns)
+    return _blend(arr.shape[-1], horizon_n, lambda: arithmetic_mean(arr),
+                  lambda: geometric_mean(arr))
+
+
+def _blend(t: int, horizon_n: int, arithmetic, geometric):
+    """:func:`blume_blend` of ``t`` returns whose means ``arithmetic()`` and
+    ``geometric()`` give, each called only once the horizon is checked."""
     if horizon_n < 1:
         raise InvalidParametersError("blend horizon must be >= 1")
-    t = arr.shape[-1]
     if horizon_n > t:
         raise HorizonExceedsSampleError(f"horizon {horizon_n} exceeds sample length {t}")
     if t == 1:
-        return arithmetic_mean(arr)
+        return arithmetic()
     w_arith = (t - horizon_n) / (t - 1)
     w_geom = (horizon_n - 1) / (t - 1)
-    return w_arith * arithmetic_mean(arr) + w_geom * geometric_mean(arr)
+    return w_arith * arithmetic() + w_geom * geometric()
 
 
 def exp_weighted_mean(returns, decay: float) -> float | np.ndarray:

@@ -9,11 +9,11 @@ arithmetic scheme this coincides with differencing first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .averaging import AveragingMethod
+from .averaging import AveragingMethod, _blend
 from .errors import (
     DataError,
     EmptyInputError,
@@ -25,6 +25,7 @@ from .io import CELL_FORMAT, _fixed, _rows, csv_header
 from .timeseries import DatedSeries, ReturnSeries, align
 
 YearWindow = tuple[int, int]
+_ARITHMETIC, _GEOMETRIC = AveragingMethod.arithmetic(), AveragingMethod.geometric()
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,8 @@ def erp_report(
     is aligned with the equity series once; a window's observations are
     the aligned rows whose year lies inside it.  Variants aligned on the
     same days share one equity leg, and the windows with the same row
-    count are averaged together: one ``apply`` per method over a stack
-    of the equity leg and every variant on its days.
+    count share one stack of the equity leg and every variant on its days:
+    each underlying mean once per stack, ``blume`` blended from them.
 
     Raises ``ValueError`` for a window that starts after it ends, before
     any series is aligned.
@@ -244,6 +245,7 @@ def erp_report(
         lengths = np.searchsorted(years, ends, side="right") - first
         member_columns = [c + m for c, _ in members for m in range(len(methods))]
         sample_size[:, member_columns] = lengths[:, None]
+        averages = np.full((len(windows), 1 + len(members), len(methods)), np.nan)  # gaps NaN
         for n in sorted(set(lengths.tolist())):
             group = np.flatnonzero(lengths == n)
             if n == 0:
@@ -254,12 +256,14 @@ def erp_report(
             rows = first[group, None] + np.arange(n)
             # np.stack of C-ordered parts keeps each row's reduction order
             stack = np.stack([eq[rows], *(leg[rows] for _, leg in members)]).reshape(-1, n)
+            average = cache(lambda method: method.apply(stack))  # each mean once a stack
             for m, method in enumerate(methods):
                 try:
-                    means = method.apply(stack).reshape(1 + len(members), len(group))
+                    mean = (_blend(n, method.horizon, lambda: average(_ARITHMETIC),
+                                   lambda: average(_GEOMETRIC))
+                            if method.kind == "blume" else average(method))
+                    averages[group, :, m] = mean.reshape(-1, len(group)).T
                 except HorizonExceedsSampleError as exc:
                     gap(group.tolist(), [c + m for c, _ in members], exc)
-                    continue
-                for j, (c, _) in enumerate(members, 1):
-                    premium[group, c + m] = means[0] - means[j]
+        premium[:, member_columns] = (averages[:, :1] - averages[:, 1:]).reshape(len(windows), -1)
     return ErpReport(windows, columns, premium, sample_size, gaps)

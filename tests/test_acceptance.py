@@ -238,7 +238,7 @@ def _implied_argv(daily_paths, output):
 
 def _read_output(path):
     rows = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         for line in fh:
             cells = line.strip().split(",")
@@ -257,7 +257,7 @@ def test_09_pipeline_sign_behavior(daily_paths, tmp_path):
     # independent plain-Python pipeline: carry forward, EMA, subtract
     def read(path, col, scale=1.0):
         out = {}
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             names = fh.readline().strip().split(",")
             for line in fh:
                 cells = line.strip().split(",")

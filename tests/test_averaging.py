@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from erp_lab.averaging import (
     AveragingMethod,
+    _blend,
     arithmetic_mean,
     blume_blend,
     exp_weighted_mean,
@@ -111,6 +112,42 @@ class TestBlume:
                     got = [exp_weighted_mean(stack, 0.5).tolist(),
                            [exp_weighted_mean(row, 0.5) for row in stack]]
                 assert [[float.hex(v) for v in values] for values in got] == [expected] * 2
+
+    # the blend rule fed a C-ordered stack's precomputed means, as the
+    # report feeds it, against blume_blend on that stack: horizon 1, t and
+    # beyond t, a one-return sample, and rows of +0.0 and -0.0 at scale 0
+    @given(st.integers(1, 12), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-3, 0.5, 2.0]), st.integers(1, 15))
+    @example(t=1, k=4, seed=0, scale=0.0, horizon=1)
+    @example(t=1, k=3, seed=1, scale=0.5, horizon=1)
+    @example(t=1, k=3, seed=1, scale=0.5, horizon=2)
+    @example(t=6, k=5, seed=2, scale=0.5, horizon=6)
+    @example(t=6, k=5, seed=2, scale=0.5, horizon=7)
+    @example(t=9, k=2, seed=3, scale=2.0, horizon=15)
+    @settings(max_examples=200, deadline=None)
+    def test_blend_of_precomputed_means_matches_blume_blend(self, t, k, seed, scale, horizon):
+        stack = np.expm1(np.random.default_rng(seed).normal(0.0, 1.0, (k, t)) * scale)
+        assert stack.flags.c_contiguous
+        means = arithmetic_mean(stack), geometric_mean(stack)
+        blended = outcome(lambda _: _blend(t, horizon, lambda: means[0], lambda: means[1]), stack)
+        expected = outcome(lambda r: blume_blend(r, horizon), stack)
+        if horizon > t:
+            # the same error type and message
+            assert blended == expected == (HorizonExceedsSampleError,
+                                           f"horizon {horizon} exceeds sample length {t}")
+        else:
+            assert [float.hex(v) for v in blended.tolist()] == [
+                float.hex(v) for v in expected.tolist()]
+
+    def test_blend_computes_no_mean_it_does_not_weight(self):
+        def unused():
+            raise AssertionError("mean computed")
+
+        # a refused horizon computes neither mean, a one-return sample only
+        # the arithmetic one
+        with pytest.raises(HorizonExceedsSampleError):
+            _blend(2, 3, unused, unused)
+        assert _blend(1, 1, lambda: 0.25, unused) == 0.25
 
     def test_horizon_beyond_sample_raises(self):
         with pytest.raises(HorizonExceedsSampleError):

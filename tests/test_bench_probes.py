@@ -50,7 +50,7 @@ def load_run(monkeypatch):
 
 def write_levels(returns_path: Path, levels_path: Path) -> None:
     """Price levels from 100 a year before the first return, one a row."""
-    with open(returns_path, newline="") as fh:
+    with open(returns_path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     first_year = int(rows[0]["date"][:4]) - 1
     level = 100.0
@@ -58,7 +58,7 @@ def write_levels(returns_path: Path, levels_path: Path) -> None:
     for row in rows:
         level *= 1.0 + float(row["return"])
         lines.append(f"{row['date']},{level!r}\n")
-    levels_path.write_text("".join(lines))
+    levels_path.write_text("".join(lines), encoding="utf-8")
 
 
 def test_every_probe_the_cli_calls_fires(tmp_path, monkeypatch):

@@ -32,8 +32,12 @@ def clean_env(monkeypatch):
 
 def write(tmp_path, name, text):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
+
+
+def read(path):
+    return Path(path).read_text(encoding="utf-8")
 
 
 @pytest.fixture
@@ -75,10 +79,10 @@ class TestImplied:
             ",".join(["2009-01-04", format_cell(1020.0), format_cell(43.0),
                       format_cell(0.05), format_cell(43.0 / 1020.0 - 0.05)]),
         ]) + "\n"
-        assert Path(out).read_text() == expected
+        assert read(out) == expected
         svg = tmp_path / "erp.svg"
         assert svg.exists()
-        assert svg.read_text().startswith("<svg ")
+        assert read(svg).startswith("<svg ")
 
     def test_custom_svg_path(self, implied_files, tmp_path):
         prices, eps, yields = implied_files
@@ -86,7 +90,7 @@ class TestImplied:
         svg = str(tmp_path / "elsewhere.svg")
         code = main(implied_argv(prices, eps, yields, out, extra=("--svg", svg)))
         assert code == EXIT_OK
-        assert Path(svg).read_text().startswith("<svg ")
+        assert read(svg).startswith("<svg ")
 
     def test_missing_price_file(self, implied_files, tmp_path, capsys):
         _, eps, yields = implied_files
@@ -111,7 +115,7 @@ class TestImplied:
         monkeypatch.setenv("PYTHONPATH", str(Path(erp_lab.__file__).parents[1]),
                            prepend=os.pathsep)
         proc = subprocess.run([sys.executable, "-m", "erp_lab.cli", *argv],
-                              capture_output=True, text=True)
+                              capture_output=True, encoding="utf-8")
         assert proc.returncode == EXIT_INPUT
         assert proc.stderr == f"erp-lab: parsing prices: {prices}: no data rows\n"
 
@@ -219,8 +223,8 @@ class TestImplied:
         monkeypatch.setattr("erp_lab.timeseries._BLOCK", rows_per_write)
         chunked = str(tmp_path / "chunked.csv")
         assert main(implied_argv(*implied_files, chunked)) == EXIT_OK
-        assert Path(chunked).read_text() == Path(whole).read_text()
-        assert len(Path(whole).read_text().splitlines()) == 4
+        assert read(chunked) == read(whole)
+        assert len(read(whole).splitlines()) == 4
         # the polyline is cut into the same blocks; at one row a block the
         # last block is a single point
         chunked_svg, whole_svg = (Path(p).with_suffix(".svg").read_bytes()
@@ -273,7 +277,7 @@ class TestHistorical:
             "--output", out,
         ])
         assert code == EXIT_OK
-        lines = Path(out).read_text().splitlines()
+        lines = read(out).splitlines()
         assert lines[0] == "window,tbills arithmetic,tbills geometric"
         cells = lines[1].split(",")
         assert cells[0] == "2000-2009"
@@ -292,7 +296,7 @@ class TestHistorical:
         ])
         assert code == EXIT_OK
         assert "1990-1995" in capsys.readouterr().err
-        assert Path(out).read_text().splitlines()[1] == "1990-1995,NA"
+        assert read(out).splitlines()[1] == "1990-1995,NA"
 
     def test_exp_column_overflow_is_one_line_numerical_error(self, tmp_path, capsys):
         # the weighted sum of returns near the float maximum overflows; numpy
@@ -325,7 +329,7 @@ class TestHistorical:
             "--output", out,
         ])
         assert code == EXIT_OK
-        assert Path(out).read_text().splitlines()[1] == "2001-2001,0.0600000000"
+        assert read(out).splitlines()[1] == "2001-2001,0.0600000000"
 
     def test_unlabeled_riskfree_uses_file_stem(self, annual_paths, tmp_path):
         out = str(tmp_path / "report.csv")
@@ -339,7 +343,7 @@ class TestHistorical:
             "--output", out,
         ])
         assert code == EXIT_OK
-        assert Path(out).read_text().splitlines()[0] == "window,annual_tbonds arithmetic"
+        assert read(out).splitlines()[0] == "window,annual_tbonds arithmetic"
 
     def test_bad_method_is_usage_error(self, annual_paths, tmp_path, capsys):
         code = main([
@@ -395,7 +399,7 @@ class TestHistorical:
         assert code == EXIT_OK
         assert capsys.readouterr().err.splitlines() == [
             "erp-lab: warning: 2000-2002 tbills blume(5): horizon 5 exceeds sample length 3"]
-        rows = Path(out).read_text().splitlines()
+        rows = read(out).splitlines()
         assert rows[1] == "2000-2002,NA"
         assert rows[2].startswith("1990-2009,") and rows[2] != "1990-2009,NA"
 
@@ -438,7 +442,7 @@ class TestHistorical:
             f"2000-2009 later arithmetic: {disjoint}",
             f"2000-2009 later blume(5): {disjoint}",
         ]]
-        rows = out.read_text().splitlines()
+        rows = read(out).splitlines()
         assert rows[1].startswith("2000-2002,") and rows[1].endswith(",NA,NA,NA")
         assert rows[2] == "1990-1995,NA,NA,NA,NA"
         assert rows[3].count("NA") == 2
@@ -454,7 +458,7 @@ class TestHistorical:
                                     "--window", "1990-1995", "--window", "2000-2002",
                                     "--method", "arithmetic", "--method", "blume:5"))
         assert code == EXIT_OK
-        rows = out.read_text().splitlines()
+        rows = read(out).splitlines()
         assert rows[1].startswith("2000-2009,0.0210000000,")
         assert rows[2] == "1990-1995,NA,NA"
         assert rows[3].startswith("2000-2002,") and rows[3].endswith(",NA")
@@ -484,7 +488,7 @@ class TestHistorical:
         for method in methods:
             argv += ["--method", method]
         assert main(argv) == EXIT_OK
-        with open(out, newline="") as fh:
+        with open(out, newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
         columns = [f"{label} {method}" for label in ["tbills", *labels] for method in methods]
         assert header == ["window", *columns]
@@ -506,7 +510,7 @@ class TestHistorical:
         for method in ("arithmetic", "geometric", "blume:1", "exp:0.5"):
             argv += ["--method", method]
         assert main(argv) == EXIT_OK
-        assert out.read_text().splitlines()[1] == "2000-2000" + ",0.0000000000" * 4
+        assert read(out).splitlines()[1] == "2000-2000" + ",0.0000000000" * 4
 
 
 class TestCalendarStaysDays:
@@ -710,7 +714,7 @@ class TestConfig:
                                  extra=("--ema-period", "3"))) == EXIT_OK
         assert main(["--config", cfg] +
                     implied_argv(prices, eps, yields, via_config)) == EXIT_OK
-        assert Path(via_config).read_text() == Path(explicit).read_text()
+        assert read(via_config) == read(explicit)
 
     def test_config_with_byte_order_mark_fills_its_flag(self, implied_files, tmp_path):
         prices, eps, yields = implied_files
@@ -722,7 +726,7 @@ class TestConfig:
                                  extra=("--ema-period", "3"))) == EXIT_OK
         assert main(["--config", str(cfg)] +
                     implied_argv(prices, eps, yields, via_config)) == EXIT_OK
-        assert Path(via_config).read_text() == Path(explicit).read_text()
+        assert read(via_config) == read(explicit)
 
     def test_explicit_flag_beats_config(self, implied_files, tmp_path):
         prices, eps, yields = implied_files
@@ -734,7 +738,7 @@ class TestConfig:
         assert main(["--config", cfg] +
                     implied_argv(prices, eps, yields, overridden,
                                  extra=("--ema-period", "3"))) == EXIT_OK
-        assert Path(overridden).read_text() == Path(explicit).read_text()
+        assert read(overridden) == read(explicit)
 
     def test_env_var_names_config(self, implied_files, tmp_path, monkeypatch):
         prices, eps, yields = implied_files
@@ -746,7 +750,7 @@ class TestConfig:
         monkeypatch.delenv("ERP_LAB_CONFIG")
         assert main(implied_argv(prices, eps, yields, explicit,
                                  extra=("--ema-period", "3"))) == EXIT_OK
-        assert Path(via_env).read_text() == Path(explicit).read_text()
+        assert read(via_env) == read(explicit)
 
     def test_config_can_supply_repeatable_flags(self, annual_paths, tmp_path):
         cfg = write(tmp_path, "cfg",
@@ -762,7 +766,7 @@ class TestConfig:
             "--output", out,
         ])
         assert code == EXIT_OK
-        lines = Path(out).read_text().splitlines()
+        lines = read(out).splitlines()
         assert lines[0] == "window,tbills arithmetic,tbills geometric"
         assert [line.split(",")[0] for line in lines[1:]] == ["2000-2004", "2000-2009"]
 
@@ -778,7 +782,7 @@ class TestConfig:
                             "--riskfree-value-column", "return",
                             "--riskfree-scale", "0.5"]) == EXIT_OK
         assert main(["--config", cfg] + argv + [outs[1]]) == EXIT_OK
-        assert Path(outs[1]).read_text() == Path(outs[0]).read_text()
+        assert read(outs[1]) == read(outs[0])
 
     def test_explicit_repeatable_flag_replaces_config_list(self, annual_paths, tmp_path):
         cfg = write(tmp_path, "cfg", "window = 2000-2004\nmethod = arithmetic\n")
@@ -786,7 +790,7 @@ class TestConfig:
         code = main(["--config", cfg] +
                     historical_argv(annual_paths, out, "--window", "2000-2009"))
         assert code == EXIT_OK
-        lines = Path(out).read_text().splitlines()
+        lines = read(out).splitlines()
         assert lines[0] == "window,tbills arithmetic"
         assert [line.split(",")[0] for line in lines[1:]] == ["2000-2009"]
 
@@ -887,7 +891,7 @@ class TestConfig:
                                  extra=("--ema-period", "3"))) == EXIT_OK
         assert main([word.format(cfg=cfg) for word in flag] +
                     implied_argv(*implied_files, via_config)) == EXIT_OK
-        assert Path(via_config).read_text() == Path(explicit).read_text()
+        assert read(via_config) == read(explicit)
 
     def test_bare_equals_names_config(self, implied_files, tmp_path, capsys):
         # the pre-parse reads --=PATH as --config PATH and loads it before
@@ -1282,7 +1286,7 @@ class TestRepeatedFlags:
         with tempfile.TemporaryDirectory() as tmp:
             cfg = os.path.join(tmp, "cfg")
             if config is not None:
-                Path(cfg).write_text(config)
+                Path(cfg).write_text(config, encoding="utf-8")
             argv = [token.format(cfg=cfg) for token in argv]
             assert self.outcome(argv, True) == self.outcome(argv, False)
 
@@ -1666,6 +1670,6 @@ class TestLazyParser:
 def test_console_script_entry_point(erp_lab_on_path):
     proc = subprocess.run(
         ["erp-lab", "simulate", "--n-assets", "4", "--n-periods", "100", "--seed", "1"],
-        capture_output=True, text=True)
+        capture_output=True, encoding="utf-8")
     assert proc.returncode == 0
     assert "unsystematic" in proc.stdout

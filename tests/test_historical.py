@@ -418,14 +418,7 @@ class TestReportAgainstPerCellReference:
                    for row in report.cells for cell in row[6:])
 
     def test_one_apply_per_calendar_row_count_and_method(self, monkeypatch):
-        calls = []
-        apply = AveragingMethod.apply
-
-        def counted(method, returns):
-            calls.append((method, np.shape(returns)))
-            return apply(method, returns)
-
-        monkeypatch.setattr(AveragingMethod, "apply", counted)
+        calls = counted_applies(monkeypatch)
         eq = annual(np.linspace(-0.2, 0.3, 20))
         # tbills and tips share the equity series' 20 days, tbonds has 15
         variants = [("tbills", annual([0.03] * 20)), ("tbonds", annual([0.05] * 15)),
@@ -435,16 +428,105 @@ class TestReportAgainstPerCellReference:
         # windows, one single year and one window outside the data
         windows = ([(2000 + i, 2004 + i) for i in range(10)] + [(2003, 2007), (2003, 2007)]
                    + [(2000, 2009), (2005, 2014), (2002, 2011), (2012, 2012), (1990, 1995)])
-        methods = [ARITH, GEOM, AveragingMethod.blume(1), AveragingMethod.exp_weighted(0.9)]
+        blume = AveragingMethod.blume(1)
+        methods = [ARITH, GEOM, blume, AveragingMethod.exp_weighted(0.9)]
         report = erp_report(eq, variants, windows, methods)
-        # per calendar and method: one ((1 + members) * k, n) stack for
-        # each row count n shared by k windows, the equity leg stacked once
+        # per calendar and underlying mean: one ((1 + members) * k, n) stack
+        # for each row count n shared by k windows, the equity leg stacked
+        # once; blume blends the stack's arithmetic and geometric means and
+        # makes no apply of its own
         stacks = sorted(((1 + members) * k, n) for members in (2, 1)
                         for k, n in [(12, 5), (3, 10), (1, 1)])
-        assert len(calls) == len(stacks) * len(methods)
+        assert len(calls) == len(stacks) * (len(methods) - 1)
         for method in methods:
-            assert sorted(shape for m, shape in calls if m == method) == stacks
+            shapes = sorted(stack.shape for m, stack in calls if m == method)
+            assert shapes == ([] if method == blume else stacks)
         assert report.cells == reference_report(eq, variants, windows, methods)[1]
+
+
+def counted_applies(monkeypatch):
+    """Record each ``AveragingMethod.apply`` call as ``(method, returns)``."""
+    calls = []
+    apply = AveragingMethod.apply
+
+    def counted(method, returns):
+        calls.append((method, returns))
+        return apply(method, returns)
+
+    monkeypatch.setattr(AveragingMethod, "apply", counted)
+    return calls
+
+
+def assert_reference_bits(report, equity, variants, windows, methods):
+    """Every cell of ``report`` bit for bit the per-cell reference's: its
+    note, its premium's ``float.hex`` (a gap's is NaN) and, filled, its
+    sample size."""
+    columns, cells = reference_report(equity, variants, windows, methods)
+    assert report.columns == columns
+    expected = [[(cell.note, float.hex(math.nan if cell.missing else cell.estimate.premium),
+                  None if cell.missing else cell.estimate.sample_size) for cell in row]
+                for row in cells]
+    got = [[(cell.note, float.hex(premium), None if cell.missing else size)
+            for cell, premium, size in zip(*row)]
+           for row in zip(report.cells, report.premium.tolist(), report.sample_size.tolist())]
+    assert got == expected
+
+
+BLUME = AveragingMethod.blume
+# 12 equity returns from 2000 on: tbills on its days, tbonds on 2003-2011
+BLUME_EQUITY = annual(np.expm1(np.linspace(-0.3, 0.4, 12) * np.cos(np.arange(12))))
+BLUME_VARIANTS = [("tbills", annual(np.linspace(0.01, 0.05, 12))),
+                  ("tbonds", annual(np.linspace(0.06, 0.02, 9), first_year=2003))]
+# 1, 2, 3, 5 and 8 rows on the equity calendar, and an empty window
+BLUME_WINDOWS = [(2004, 2004), (2000, 2001), (2003, 2005), (2006, 2010), (2001, 2008),
+                 (2002, 2004), (1990, 1991)]
+
+
+class TestEachMeanOncePerStack:
+    """erp_report averages each stack at most once per underlying mean,
+    whatever the order of the methods: blume blends the stack's own
+    arithmetic and geometric means and makes no apply of its own; every
+    cell keeps the per-cell reference's bits."""
+
+    @pytest.mark.parametrize("methods", [
+        [BLUME(3)],
+        [BLUME(4), GEOM],
+        [BLUME(4), GEOM, ARITH],
+        [BLUME(2), BLUME(6)],
+        [ARITH, BLUME(5), AveragingMethod.exp_weighted(0.8)],
+    ], ids=["blume alone", "blume before geometric", "blume before both",
+            "two horizons", "horizon beyond some windows"])
+    def test_matches_reference_bit_for_bit(self, monkeypatch, methods):
+        calls = counted_applies(monkeypatch)
+        report = erp_report(BLUME_EQUITY, BLUME_VARIANTS, BLUME_WINDOWS, methods)
+        assert all(method.kind != "blume" for method, _ in calls)
+        # calls holds each stack, so no two stacks share an id
+        once = Counter((method, id(stack)) for method, stack in calls)
+        assert calls and max(once.values()) == 1
+        monkeypatch.undo()
+        assert_reference_bits(report, BLUME_EQUITY, BLUME_VARIANTS, BLUME_WINDOWS, methods)
+
+    def test_horizon_beyond_a_window_leaves_its_cells_gaps(self):
+        methods = [ARITH, BLUME(5)]
+        report = erp_report(BLUME_EQUITY, BLUME_VARIANTS, BLUME_WINDOWS, methods)
+        blume_gaps = sorted((i, j) for (i, j), exc in report.gaps.items()
+                            if isinstance(exc, HorizonExceedsSampleError))
+        # the windows of 1 to 3 rows on either calendar; tbonds has no row
+        # in 2000-2001, an empty window there
+        assert blume_gaps == [(i, j) for i in (0, 1, 2, 5) for j in (1, 3) if (i, j) != (1, 3)]
+        assert str(report.gaps[2, 1]) == "horizon 5 exceeds sample length 3"
+        assert np.isnan(report.premium[[0, 1, 2, 5], 1]).all()
+        assert not np.isnan(report.premium[[3, 4], 1]).any()
+        assert_reference_bits(report, BLUME_EQUITY, BLUME_VARIANTS, BLUME_WINDOWS, methods)
+
+    def test_one_row_window_of_signed_zeros(self):
+        equity = annual([0.1, -0.0, 0.2, -0.0])
+        variants = [("zero", annual([0.03, 0.0, 0.01, -0.0])),
+                    ("negzero", annual([-0.0, -0.0, -0.0, 0.0]))]
+        windows = [(2001, 2001), (2003, 2003), (2000, 2000), (2001, 2002)]
+        methods = [BLUME(1), GEOM, AveragingMethod.exp_weighted(0.5), ARITH, BLUME(2)]
+        report = erp_report(equity, variants, windows, methods)
+        assert_reference_bits(report, equity, variants, windows, methods)
 
 
 @st.composite

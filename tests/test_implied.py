@@ -331,7 +331,7 @@ class TestTwoStageImpliedK:
         src = str(Path(erp_lab.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                text=True, env={**os.environ, "PYTHONPATH": path})
+                                encoding="utf-8", env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0, result.stderr
         expected = two_stage_implied_k(30.0, TwoStageInputs(1.0, 0.10, 5, 0.03))
         assert float(result.stdout) == expected

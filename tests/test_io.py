@@ -40,7 +40,7 @@ from erp_lab.timeseries import _BLOCK, DatedSeries
 
 def write(tmp_path, text, name="in.csv"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -328,7 +328,7 @@ class TestWriteSeries:
         path = str(tmp_path / "out.csv")
         write_series(DatedSeries((date(2009, 1, 2),), np.array([1.5])),
                      path, date_column="day", value_column="close")
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
         assert text == "day,close\n2009-01-02,1.5\n"
 
     @pytest.mark.parametrize("name", ["a,b", 'say "x"', "x\ry", "x\ny", "bund\u20ac"],
@@ -484,7 +484,7 @@ class TestWriteRows:
     def test_known_dates(self, day, tmp_path):
         path = tmp_path / "out.csv"
         write_rows(path, ["date", "v"], np.array([day], dtype="datetime64[D]"), [np.ones(1)])
-        assert path.read_text() == f"date,v\n{day},1.0000000000\n"
+        assert path.read_text(encoding="utf-8") == f"date,v\n{day},1.0000000000\n"
 
     def test_block_with_a_day_in_year_10000(self):
         days = np.array(["2000-01-01", "10000-01-01", "9999-12-31", "0001-01-01"],
