@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
+import os
+import re
+import stat
 from dataclasses import dataclass
 from datetime import datetime
 from io import StringIO
@@ -38,6 +42,16 @@ _ISO_ROW = [("day", "S11"), ("value", float)]
 _ISO_LOW = np.frombuffer(b"0000-00-00\0", dtype=np.uint8)
 _ISO_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], dtype=np.uint8)
 CELL_FORMAT = "%.10f"
+# a series file of this many bytes or more is handed to np.loadtxt by name
+_NAMED_READ = 1 << 16
+# suffixes whose files np.loadtxt would decompress
+_PACKED = (".gz", ".bz2", ".xz", ".lzma")
+_FILE_STATE = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
+# a byte that is not a line break
+_TEXT = re.compile(rb"[^\r\n]")
+# the bytes after which the csv module opens a quoted field or doubles a quote
+_OPENS = np.zeros(256, dtype=bool)
+_OPENS[list(b',\n\r"')] = True
 
 
 def format_cell(x: float) -> str:
@@ -170,11 +184,11 @@ def parse_series(spec: SeriesFileSpec) -> DatedSeries:
     are errors; date/value problems carry the offending line number.
 
     ISO-dated files are read by numpy's C tokenizer (:func:`_parse_iso`)
-    where every date cell is exactly the ten ASCII bytes ``YYYY-MM-DD``
-    and the text after the header holds no NUL; any other file, or one
-    that path cannot show to give the same series, goes through the row
-    loop (:func:`_parse_rows`), which defines what is accepted and every
-    error.
+    where every date cell is exactly the ten ASCII bytes ``YYYY-MM-DD``,
+    the file holds no NUL, the header ends on the first line and no field
+    exceeds ``csv.field_size_limit()``; any other file, or one that path
+    cannot show to give the same series, goes through the row loop
+    (:func:`_parse_rows`), which defines what is accepted and every error.
 
     Raises
     ------
@@ -192,30 +206,45 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
     """The series :func:`_parse_rows` would return for an ISO-dated file,
     read in one ``np.loadtxt`` call on the text after the header, or
     ``None`` where any check fails: a missing column, no data row, a NUL
-    anywhere after the header, a short row, an unparseable value, a date
-    cell other than exactly ten ASCII bytes ``YYYY-MM-DD`` naming a day
-    from 0001-01-01 to 9999-12-31, malformed CSV or UTF-8, or a series
-    :class:`DatedSeries` refuses (a duplicate date, a value non-finite in
-    the file or after scaling).
+    anywhere, a field the row loop's reader would find too long, a short
+    row, an unparseable value, a date cell other than exactly ten ASCII
+    bytes ``YYYY-MM-DD`` naming a day from 0001-01-01 to 9999-12-31,
+    malformed CSV or UTF-8, or a series :class:`DatedSeries` refuses (a
+    duplicate date, a value non-finite in the file or after scaling).
+
+    The file is read once.  ``loadtxt`` reads in C chunks only given a
+    file name, so a regular file of ``_NAMED_READ`` bytes or more is
+    passed by name (unless numpy would decompress it for its suffix), and
+    read again by numpy; the result is dropped if the file's identity,
+    size or modification time differ from those this read saw.  That
+    narrows the race with a writer but does not close it: a file rewritten
+    in place at the same size within one timestamp tick passes, and numpy
+    may then return rows these checks never saw.  Any other input, a pipe
+    included, is passed as the lines of the text read.
     """
-    try:
-        with open(spec.path, newline="", encoding="utf-8-sig") as fh:
-            header = next(csv.reader(fh), [])
-            body = fh.read()
-    except (csv.Error, ValueError):
-        return None
+    with open(spec.path, "rb") as fh:
+        state = os.fstat(fh.fileno())
+        data = fh.read()
+    start = data.find(b"\n") + 1
     # loadtxt warns on a body of blank lines, and the S dtype drops
     # trailing NULs, so "2020-01-05\0" would read as a date
-    if (spec.date_column not in header or spec.value_column not in header
-            or not body.strip("\r\n") or "\0" in body):
+    if (not start or b"\0" in data or _TEXT.search(data, start) is None
+            or not _fields_fit(data, start)):
         return None
-    # DictReader keeps the last of repeated header names
-    last = {name: i for i, name in enumerate(header)}
     try:
-        # lines end at "\n" only: loadtxt refuses a lone "\r" outside quotes
-        table = np.loadtxt(StringIO(body), dtype=_ISO_ROW, delimiter=",", quotechar='"',
-                           comments=None, ndmin=1,
+        first = data[:start].decode("utf-8-sig")
+        # strict: a quoted name still open at the end of the line is an error
+        header = next(csv.reader([first], strict=True))
+        if spec.date_column not in header or spec.value_column not in header:
+            return None
+        source = _source(spec.path, state, data, first)
+        # DictReader keeps the last of repeated header names
+        last = {name: i for i, name in enumerate(header)}
+        table = np.loadtxt(source, dtype=_ISO_ROW, delimiter=",", quotechar='"',
+                           comments=None, ndmin=1, skiprows=1, encoding="utf-8-sig",
                            usecols=(last[spec.date_column], last[spec.value_column]))
+        if isinstance(source, str) and _FILE_STATE(os.stat(source)) != _FILE_STATE(state):
+            return None
         cells = np.ascontiguousarray(table["day"]).view(np.uint8).reshape(-1, _ISO_LOW.size)
         # exactly "YYYY-MM-DD" (unsigned bytes wrap below the low end):
         # strptime reads such a date as numpy does, which refuses month 13
@@ -233,8 +262,53 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
         # DatedSeries refuses a repeated date, and a value non-finite in
         # the file or after scaling; the row loop names which
         return DatedSeries(days[order], values)
-    except ValueError:
+    except (csv.Error, ValueError, OSError):
         return None
+
+
+def _source(path: str, state: os.stat_result, data: bytes, first: str) -> str | list:
+    """What ``np.loadtxt`` reads for the file at ``path`` whose ``fstat``
+    is ``state``, whose bytes are ``data`` and whose first line is
+    ``first``: its absolute path, or else the lines of its text."""
+    # numpy's text mode ends a line at a lone "\r" too, even in quotes
+    if (stat.S_ISREG(state.st_mode) and state.st_size >= _NAMED_READ
+            and "\r" not in first.rstrip("\r\n")):
+        path = os.path.abspath(path)
+        if not path.endswith(_PACKED):
+            return path
+    # lines end at "\n" only (loadtxt refuses a lone "\r" outside quotes)
+    # and keep it (loadtxt joins a quoted cell's lines with no break otherwise)
+    return StringIO(data.decode("utf-8-sig")).readlines()
+
+
+def _fields_fit(data: bytes, start: int) -> bool:
+    """Whether no CSV field of ``data[start:]``, the text after the header
+    line, can hold more than ``csv.field_size_limit()`` characters, the
+    most the row loop's reader takes.  ``False`` where that is not shown.
+
+    Without a quote, a field lies in a run of bytes free of ``"\n"``, and
+    once every block of half the limit holds a ``"\n"``, no such run is
+    as long as two blocks.  With quotes, a line break after an even
+    number of them ends a record, provided that each quote this count
+    has open a field stands where the reader opens one: after a
+    delimiter, a line end, or the quote it doubles (anywhere else a quote
+    is text to the reader).
+    """
+    limit = csv.field_size_limit()
+    if len(data) - start <= limit:
+        return True
+    if data.find(b'"', start) < 0:
+        block = max(limit // 2, 1)
+        return all(data.find(b"\n", i, i + block) >= 0
+                   for i in range(start, len(data) - block + 1, block))
+    # from the header's own line break, so that every quote has a byte before it
+    body = np.frombuffer(data, np.uint8, offset=start - 1)
+    quotes = np.flatnonzero(body == ord('"'))
+    if not _OPENS[body[quotes[::2] - 1]].all():
+        return False
+    ends = np.flatnonzero(body == ord("\n"))
+    ends = ends[np.searchsorted(quotes, ends) % 2 == 0]
+    return int(np.diff(ends, append=body.size).max()) <= limit + 1
 
 
 def _parse_rows(spec: SeriesFileSpec) -> DatedSeries:

@@ -1,19 +1,24 @@
 """Tests for CSV parsing, writing, and cell formatting."""
 
+import contextlib
+import csv
 import math
 import os
 import re
 import tempfile
+import threading
 import warnings
 from datetime import date, timedelta
+from io import StringIO
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from erp_lab import io as erp_io
 from erp_lab.errors import (
     BadDateError,
     BadValueError,
@@ -25,6 +30,7 @@ from erp_lab.errors import (
 from erp_lab.io import (
     CELL_FORMAT,
     SeriesFileSpec,
+    _fields_fit,
     _fixed,
     _iso_days,
     _parse_iso,
@@ -173,17 +179,20 @@ VALUE_WRAPS = ["{}", '"{}"', " {} ", "\t{}\t", "\xa0{}\xa0", '"{}" ', ' "{}"', "
 UNUSED_CELLS = st.sampled_from(["z", "#", '"a,b"', '"x""y"', '"a\nb"', '"a\r\nb"', '"a\rb"'])
 # Lines between rows: blank ones are skipped, whitespace-only ones are rows
 STRAY_LINES = ["", " ", "\t", "\xa0"]
-HEADERS = st.sampled_from([["date", "value"], ["value", "date"], ["date", "value", "date"],
-                           ["value", "date", "value"], ["x", "date", "value", "y"],
-                           ["date"], ["day", "value"]])
-HEADERS_OF_BOTH = st.sampled_from([["date", "value"], ["value", "date"], ["date", "value", "date"],
-                                   ["value", "date", "value"], ["x", "date", "value", "y"]])
+# R's write.csv names its row-name column "", and a quoted name may hold a
+# line break
+SHAPES_OF_BOTH = [["date", "value"], ["value", "date"], ["date", "value", "date"],
+                  ["value", "date", "value"], ["x", "date", "value", "y"], ["", "date", "value"],
+                  ["x\ny", "date", "value"], ["date", "x\ry", "value"], ["x\r\ny", "value", "date"]]
+HEADERS = st.sampled_from(SHAPES_OF_BOTH + [["date"], ["day", "value"]])
+HEADERS_OF_BOTH = st.sampled_from(SHAPES_OF_BOTH)
 
 
 @st.composite
 def series_text(draw):
     """Text of a small series file: header shapes DictReader resolves in its
-    own way (repeated names keep the last), short, blank and whitespace-only
+    own way (repeated names keep the last), names quoted as R's write.csv
+    quotes them or holding a line break, short, blank and whitespace-only
     rows, repeated and unsorted dates, quoted and padded cells, quoted line
     breaks, the date and value traps, and a leading byte-order mark."""
     # half the files hold no trap, so that the fast path's series is
@@ -196,7 +205,9 @@ def series_text(draw):
     else:
         cells = {"date": (ISO_DAYS, DATE_WRAPS[:2]), "value": (FINITE, VALUE_WRAPS[:6])}
         strays = STRAY_LINES[:1]
-    lines = [",".join(header)]
+    quote_all = draw(st.booleans())
+    lines = [",".join(f'"{name}"' if quote_all or "\n" in name or "\r" in name else name
+                      for name in header)]
     for _ in range(draw(st.integers(0, 8))):
         row = [draw(st.sampled_from(cells[name][1])).format(draw(cells[name][0]))
                if name in cells else draw(UNUSED_CELLS) for name in header]
@@ -209,6 +220,26 @@ def series_text(draw):
     # a byte-order mark, as Excel's "CSV UTF-8" export writes
     bom = draw(st.sampled_from(["", "\ufeff"]))
     return bom + newline.join(lines) + newline
+
+
+SCALES = st.sampled_from([1.0, 10.0, 0.01, 1e-300, 1e300])
+
+
+def check_matches_row_loop(text, scale):
+    """``parse_series`` on ``text`` gives the row loop's outcome, and the
+    fast path gives the row loop's series or ``None``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        spec = SeriesFileSpec(path, value_scale=scale)
+        expected = outcome(_parse_rows, spec)
+        assert outcome(parse_series, spec) == expected
+        fast = _parse_iso(spec)
+    if isinstance(expected, DatedSeries):
+        assert fast is None or (fast == expected and hexes(fast) == hexes(expected))
+    else:
+        assert fast is None
 
 
 class TestIsoFastPath:
@@ -250,21 +281,16 @@ class TestIsoFastPath:
         got = outcome(parse_series, SeriesFileSpec(path, value_scale=10))
         assert got == (ValueError, "values must be finite (no NaN or infinity)")
 
-    @given(text=series_text(), scale=st.sampled_from([1.0, 10.0, 0.01, 1e-300, 1e300]))
+    @given(text=series_text(), scale=SCALES)
     @settings(max_examples=300, deadline=None)
     def test_matches_row_loop(self, text, scale):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "in.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            spec = SeriesFileSpec(path, value_scale=scale)
-            expected = outcome(_parse_rows, spec)
-            assert outcome(parse_series, spec) == expected
-            fast = _parse_iso(spec)
-        if isinstance(expected, DatedSeries):
-            assert fast is None or (fast == expected and hexes(fast) == hexes(expected))
-        else:
-            assert fast is None
+        check_matches_row_loop(text, scale)
+
+    @given(text=series_text(), scale=SCALES)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_loop_by_name(self, text, scale):
+        with mock.patch.object(erp_io, "_NAMED_READ", 0):
+            check_matches_row_loop(text, scale)
 
     @pytest.mark.parametrize("body", ["", " \n"], ids=["header-only", "whitespace-line"])
     def test_no_data_rows_raise_no_warning(self, tmp_path, body):
@@ -275,6 +301,195 @@ class TestIsoFastPath:
         assert [str(w.message) for w in caught] == []
         assert got == outcome(_parse_rows, spec)
         assert got[0] is (EmptyInputError if not body else BadDateError)
+
+
+# _NAMED_READ for each way the fast path hands a file to np.loadtxt
+ROUTES = {"by name": 0, "as lines": 1 << 62}
+LONG = 200_000  # characters, above the csv module's default field limit
+# text after a "date,value,note" header whose note the row loop's reader
+# refuses: unquoted; quoted, with line breaks; and quoted in the row after a
+# quote the reader keeps as text, so that counting quotes alone misplaces
+# the records
+LONG_NOTES = {
+    "unquoted": f"2020-01-01,1,{'n' * LONG}\n",
+    "quoted": '2020-01-01,1,"' + ("n" * 999 + "\n") * (LONG // 1000) + '"\n',
+    "after a text quote": ('2020-01-01,1,a"b\n2020-01-02,2,"' + "n" * (LONG // 2) + "\n"
+                           + "n" * (LONG // 2) + '"\n'),
+}
+
+
+def loadtxt_sources(monkeypatch):
+    """The first argument of each ``np.loadtxt`` call made from here on."""
+    sources, real = [], np.loadtxt
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return sources
+
+
+def many_rows(n, quoted=False):
+    """A series file of ``n`` rows: plain, or quoted as R's write.csv
+    quotes it, with a row-name column."""
+    days = [date(1900, 1, 1) + timedelta(days=i) for i in range(n)]
+    if quoted:
+        return '"","date","value"\n' + "".join(f'"{i + 1}","{d}",{i / 7:.4f}\n'
+                                               for i, d in enumerate(days))
+    return "date,value\n" + "".join(f"{d},{i / 7:.4f}\n" for i, d in enumerate(days))
+
+
+class TestNamedRead:
+    """Large regular files are handed to np.loadtxt by name; every other
+    input as lines of the text read once.  Either way the outcome is the
+    row loop's."""
+
+    def test_large_regular_file_is_read_by_name(self, tmp_path, monkeypatch):
+        sources = loadtxt_sources(monkeypatch)
+        spec = SeriesFileSpec(write(tmp_path, many_rows(5000)))
+        assert os.path.getsize(spec.path) >= erp_io._NAMED_READ
+        fast = _parse_iso(spec)
+        assert sources == [os.path.abspath(spec.path)]
+        assert fast == _parse_rows(spec) and hexes(fast) == hexes(_parse_rows(spec))
+
+    def test_small_file_is_read_as_lines(self, tmp_path, monkeypatch):
+        sources = loadtxt_sources(monkeypatch)
+        spec = SeriesFileSpec(write(tmp_path, many_rows(110)))
+        assert _parse_iso(spec) == _parse_rows(spec)
+        assert len(sources) == 1 and isinstance(sources[0], list)
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("named_read", ROUTES.values(), ids=ROUTES.keys())
+    def test_long_file_of_short_fields_takes_the_fast_path(self, tmp_path, quoted, named_read):
+        spec = SeriesFileSpec(write(tmp_path, many_rows(10_000, quoted)))
+        assert os.path.getsize(spec.path) > csv.field_size_limit()
+        with mock.patch.object(erp_io, "_NAMED_READ", named_read):
+            fast = _parse_iso(spec)
+        assert fast is not None
+        assert fast == _parse_rows(spec) and hexes(fast) == hexes(_parse_rows(spec))
+
+    @pytest.mark.parametrize("notes", LONG_NOTES.values(), ids=LONG_NOTES.keys())
+    @pytest.mark.parametrize("named_read", ROUTES.values(), ids=ROUTES.keys())
+    def test_field_over_the_limit_is_the_row_loops_error(self, tmp_path, notes, named_read):
+        spec = SeriesFileSpec(write(tmp_path, "date,value,note\n" + notes))
+        with mock.patch.object(erp_io, "_NAMED_READ", named_read):
+            assert _parse_iso(spec) is None
+            got = outcome(parse_series, spec)
+        assert got == outcome(_parse_rows, spec)
+        assert got[0] is MalformedCsvError and "field larger than field limit" in got[1]
+
+    @given(body=st.text(alphabet='a,"\n\r', max_size=120), limit=st.integers(1, 12))
+    # a run of six bytes with no line break across two blocks of four that
+    # each hold one
+    @example(body="\naaa\naaaaaa\n", limit=4)
+    @settings(max_examples=500, deadline=None)
+    def test_fields_fit_only_where_the_reader_takes_every_field(self, body, limit):
+        old = csv.field_size_limit(limit)
+        try:
+            fits = _fields_fit(("h\n" + body).encode(), 2)
+            try:
+                for _ in csv.reader(StringIO(body, newline="")):
+                    pass
+                taken = True
+            except csv.Error as exc:
+                assert "field larger than field limit" in str(exc)
+                taken = False
+        finally:
+            csv.field_size_limit(old)
+        assert taken or not fits
+
+    @pytest.mark.parametrize("header", ['date,value,x"y,"z', '"date,value', '"a"b,date,value'])
+    def test_header_record_must_end_on_its_first_line(self, tmp_path, header):
+        spec = SeriesFileSpec(write(tmp_path, header + "\n2020-01-05,1.0,a,b\n"))
+        assert _parse_iso(spec) is None
+        assert outcome(parse_series, spec) == outcome(_parse_rows, spec)
+
+    @pytest.mark.parametrize("cell", ['"1\n2"', '"1\r\n2"', '"1\r2"', '"\n1"', '"1\r\n"'])
+    @pytest.mark.parametrize("named_read", ROUTES.values(), ids=ROUTES.keys())
+    def test_quoted_line_break_in_a_value_stays_in_it(self, tmp_path, cell, named_read):
+        spec = SeriesFileSpec(write(tmp_path, f"date,value\n2020-01-05,{cell}\n2020-01-06,3\n"))
+        with mock.patch.object(erp_io, "_NAMED_READ", named_read):
+            check = outcome(parse_series, spec), _parse_iso(spec)
+        expected = outcome(_parse_rows, spec)
+        assert check[0] == expected
+        assert check[1] is None or check[1] == expected
+
+    def test_lone_carriage_return_ends_a_row_only_by_name(self, tmp_path):
+        # numpy's text mode reads a lone "\r" as a line break, as the row
+        # loop's reader does; as lines, loadtxt refuses it
+        spec = SeriesFileSpec(write(tmp_path, "date,value\n2020-01-05,1.0\r2020-01-06,2.0\n"))
+        with mock.patch.object(erp_io, "_NAMED_READ", 0):
+            assert _parse_iso(spec) == _parse_rows(spec)
+        assert _parse_iso(spec) is None
+        assert parse_series(spec) == _parse_rows(spec)
+
+    def test_quoted_line_break_in_a_header_name_is_read_as_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(erp_io, "_NAMED_READ", 0)
+        sources = loadtxt_sources(monkeypatch)
+        spec = SeriesFileSpec(write(tmp_path, '"a\rb",date,value\nx,2020-01-05,1.0\n'))
+        assert _parse_iso(spec) == _parse_rows(spec)
+        assert len(sources) == 1 and isinstance(sources[0], list)
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_read_as_lines(self, tmp_path, monkeypatch, suffix):
+        # numpy would decompress a file of that name: "Not a gzipped file"
+        sources = loadtxt_sources(monkeypatch)
+        spec = SeriesFileSpec(write(tmp_path, many_rows(5000), "prices.csv" + suffix))
+        assert os.path.getsize(spec.path) >= erp_io._NAMED_READ
+        assert outcome(parse_series, spec) == outcome(_parse_rows, spec)
+        assert len(sources) == 1 and isinstance(sources[0], list)
+
+    @pytest.mark.parametrize("change", ["rewritten", "replaced"])
+    def test_file_changed_by_the_named_read_falls_back(self, tmp_path, monkeypatch, change):
+        monkeypatch.setattr(erp_io, "_NAMED_READ", 0)
+        path = write(tmp_path, "date,value\n2020-01-05,1.0\n")
+        real = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            table = real(*args, **kwargs)
+            if change == "rewritten":
+                write(tmp_path, "date,value\n2020-01-06,2.0\n2020-01-07,3.0\n")
+            else:
+                os.replace(write(tmp_path, "date,value\n2020-01-06,2.0\n", "new.csv"), path)
+            return table
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        spec = SeriesFileSpec(path)
+        assert _parse_iso(spec) is None
+        monkeypatch.setattr(np, "loadtxt", real)
+        assert parse_series(spec) == _parse_rows(spec)
+        assert parse_series(spec).dates[0] == date(2020, 1, 6)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_pipe_is_read_once(self, tmp_path, monkeypatch):
+        # as from --prices <(...): a second open would wait for a writer
+        # that never comes, so the parse runs in a thread with a time limit
+        monkeypatch.setattr(erp_io, "_NAMED_READ", 0)
+        text = many_rows(5000)
+        fifo = tmp_path / "prices.csv"
+        os.mkfifo(fifo)
+        got = []
+
+        def feed():
+            with open(fifo, "w", encoding="utf-8") as fh:
+                fh.write(text)
+
+        threads = [threading.Thread(target=feed, daemon=True),
+                   threading.Thread(target=lambda: got.append(outcome(parse_series,
+                                                                      SeriesFileSpec(str(fifo)))),
+                                    daemon=True)]
+        for thread in threads:
+            thread.start()
+        try:
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            # end a read still waiting on the pipe
+            with contextlib.suppress(OSError):
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        assert got == [_parse_rows(SeriesFileSpec(write(tmp_path, text, "plain.csv")))]
 
 
 def series_row_loop(path, series, fields):
