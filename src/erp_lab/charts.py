@@ -60,9 +60,13 @@ def line_chart_svg(series: DatedSeries) -> bytes:
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
-    offsets = (series.days - series.days[0]).astype(np.int64)
-    span_days = int(offsets[-1]) or 1
-    xs = _MARGIN_LEFT + plot_w * offsets / span_days
+    # points are placed a block at a time, so no whole-series x or y is held
+    days = series.days.view(np.int64)
+    span_days = int(days[-1] - days[0]) or 1
+
+    def x_at(rows) -> np.ndarray:
+        return _MARGIN_LEFT + plot_w * (days[rows] - days[0]) / span_days
+
     vmin = float(series.values.min())
     vmax = float(series.values.max())
     if vmin == vmax:
@@ -105,7 +109,7 @@ def line_chart_svg(series: DatedSeries) -> bytes:
     n = len(series)
     tick_indexes = sorted({round(i * (n - 1) / 4) for i in range(5)})
     for idx in tick_indexes:
-        x = xs[idx]
+        x = x_at(idx)
         out += [_line(x, axis_bottom, x, axis_bottom + 4),
                 _text(_coord(x), _coord(axis_bottom + 18), "middle", 11, str(series.days[idx]))]
 
@@ -114,9 +118,9 @@ def line_chart_svg(series: DatedSeries) -> bytes:
         out.append(_line(_MARGIN_LEFT, zero_y, axis_right, zero_y, stroke="grey",
                          extra=' stroke-dasharray="4 3"'))
 
-    ys = y_at(series.values)
     # each point is "x,y " and the last one's space goes
-    points = [_rows(_fixed(xs[rows], _COORD), b",", _fixed(ys[rows], _COORD), b" ")
+    points = [_rows(_fixed(x_at(rows), _COORD), b",",
+                    _fixed(y_at(series.values[rows]), _COORD), b" ")
               for rows in _blocks(n)]
     points[-1] = points[-1][:-1]
     out.append('<polyline points="')

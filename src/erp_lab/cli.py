@@ -121,14 +121,17 @@ def run_implied(args) -> int:
         eps_daily = step_interpolate(eps_sparse, prices.days)
     with _stage("smoothing eps"):
         eps_smooth = ema(eps_daily, args.ema_period)
+    del eps_sparse, eps_daily  # each stage holds only what a later one reads
     with _stage("computing the premium"):
         erp = implied_erp_series(prices, eps_smooth, yields)
     with _stage("writing output"):
+        columns = [*_inputs_on(erp.days, prices, eps_smooth, yields), erp.values]
+        del prices, eps_smooth, yields
         # the chart is the step that can still fail: render it before
         # writing either file, so that a failure leaves neither
         chart = charts.line_chart_svg(erp)
         write_rows(args.output, ("date", "price", "eps_smoothed", "yield", "erp"),
-                   erp.days, [*_inputs_on(erp.days, prices, eps_smooth, yields), erp.values])
+                   erp.days, columns)
         write_bytes(svg, [chart])
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from .errors import (
     HorizonExceedsSampleError,
 )
 from .io import CELL_FORMAT, _fixed, _rows, csv_header
-from .timeseries import DatedSeries, ReturnSeries, align
+from .timeseries import DatedSeries, ReturnSeries, _read_only, align
 
 YearWindow = tuple[int, int]
 _ARITHMETIC, _GEOMETRIC = AveragingMethod.arithmetic(), AveragingMethod.geometric()
@@ -65,7 +65,7 @@ def premium_series(equity: ReturnSeries, riskfree: ReturnSeries) -> DatedSeries:
     depend on working in nominal or real terms.
     """
     days, eq, rf = align(equity, riskfree)
-    return DatedSeries(days, eq - rf)
+    return DatedSeries(days, _read_only(eq - rf))
 
 
 def historical_erp(

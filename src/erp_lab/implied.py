@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     RateBelowMinusOneError,
 )
-from .timeseries import DatedSeries, align_many
+from .timeseries import DatedSeries, _read_only, align_many
 
 BISECTION_XTOL = 1e-10
 BISECTION_RTOL = 4 * np.finfo(float).eps
@@ -269,4 +269,6 @@ def implied_erp_series(prices: DatedSeries, eps_daily: DatedSeries,
         if p[i] <= 0:
             raise NonPositivePriceError(f"non-positive price at {days[i]}")
         raise NonPositiveEpsError(f"non-positive eps at {days[i]}")
-    return DatedSeries(days, e / p - y)
+    premium = e / p
+    premium -= y  # in place: one array, not two
+    return DatedSeries(days, _read_only(premium))

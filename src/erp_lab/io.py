@@ -18,7 +18,7 @@ import re
 import stat
 from dataclasses import dataclass
 from datetime import datetime
-from io import StringIO
+from io import BytesIO, StringIO, TextIOWrapper
 from itertools import chain
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import (
     MalformedCsvError,
     MissingColumnError,
 )
-from .timeseries import DatedSeries, _blocks
+from .timeseries import DatedSeries, _blocks, _read_only
 
 ISO_DATE = "%Y-%m-%d"
 _FIRST_DAY = np.datetime64("0001-01-01")
@@ -42,8 +42,9 @@ _ISO_ROW = [("day", "S11"), ("value", float)]
 _ISO_LOW = np.frombuffer(b"0000-00-00\0", dtype=np.uint8)
 _ISO_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], dtype=np.uint8)
 CELL_FORMAT = "%.10f"
-# a series file of this many bytes or more is handed to np.loadtxt by name
-_NAMED_READ = 1 << 16
+# a series file of this many bytes or more is handed to np.loadtxt by name:
+# about where that starts to beat the lines route (some 900 daily rows)
+_NAMED_READ = 15 << 10
 # suffixes whose files np.loadtxt would decompress
 _PACKED = (".gz", ".bz2", ".xz", ".lzma")
 _FILE_STATE = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
@@ -195,14 +196,15 @@ def parse_series(spec: SeriesFileSpec) -> DatedSeries:
     FileNotFoundError, MissingColumnError, BadDateError, BadValueError,
     DuplicateDateError, EmptyInputError, MalformedCsvError
     """
+    read: list[bytes] = []
     if spec.date_format == ISO_DATE:
-        series = _parse_iso(spec)
+        series = _parse_iso(spec, read)
         if series is not None:
             return series
-    return _parse_rows(spec)
+    return _parse_rows(spec, *read)
 
 
-def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
+def _parse_iso(spec: SeriesFileSpec, read: list | None = None) -> DatedSeries | None:
     """The series :func:`_parse_rows` would return for an ISO-dated file,
     read in one ``np.loadtxt`` call on the text after the header, or
     ``None`` where any check fails: a missing column, no data row, a NUL
@@ -221,10 +223,16 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
     in place at the same size within one timestamp tick passes, and numpy
     may then return rows these checks never saw.  Any other input, a pipe
     included, is passed as the lines of the text read.
+
+    The bytes read are appended to ``read``, if given, for the row loop,
+    and dropped from it and from here before a by-name read: that file is
+    regular, and the row loop reads it again.
     """
     with open(spec.path, "rb") as fh:
         state = os.fstat(fh.fileno())
         data = fh.read()
+    read = [] if read is None else read
+    read.append(data)
     start = data.find(b"\n") + 1
     # loadtxt warns on a body of blank lines, and the S dtype drops
     # trailing NULs, so "2020-01-05\0" would read as a date
@@ -238,6 +246,8 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
         if spec.date_column not in header or spec.value_column not in header:
             return None
         source = _source(spec.path, state, data, first)
+        if isinstance(source, str):
+            del data, read[:]
         # DictReader keeps the last of repeated header names
         last = {name: i for i, name in enumerate(header)}
         table = np.loadtxt(source, dtype=_ISO_ROW, delimiter=",", quotechar='"',
@@ -245,7 +255,8 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
                            usecols=(last[spec.date_column], last[spec.value_column]))
         if isinstance(source, str) and _FILE_STATE(os.stat(source)) != _FILE_STATE(state):
             return None
-        cells = np.ascontiguousarray(table["day"]).view(np.uint8).reshape(-1, _ISO_LOW.size)
+        # the date bytes where they lie, the first field of each row
+        cells = table.view(np.uint8).reshape(-1, table.itemsize)[:, :_ISO_LOW.size]
         # exactly "YYYY-MM-DD" (unsigned bytes wrap below the low end):
         # strptime reads such a date as numpy does, which refuses month 13
         # or Feb 30
@@ -255,13 +266,15 @@ def _parse_iso(spec: SeriesFileSpec) -> DatedSeries | None:
         # date's range: a four-digit year can fall below it only as year 0000
         if not np.all(days >= _FIRST_DAY):
             return None
-        order = np.argsort(days, kind="stable")
         # Python's float product neither warns nor traps; nor may this one
         with np.errstate(all="ignore"):
-            values = table["value"][order] * float(spec.value_scale)
+            values = table["value"] * float(spec.value_scale)
+        if np.any(days[1:] < days[:-1]):  # a file in date order needs no sort
+            order = np.argsort(days, kind="stable")
+            days, values = days[order], values[order]
         # DatedSeries refuses a repeated date, and a value non-finite in
         # the file or after scaling; the row loop names which
-        return DatedSeries(days[order], values)
+        return DatedSeries(_read_only(days), _read_only(values))
     except (csv.Error, ValueError, OSError):
         return None
 
@@ -311,10 +324,16 @@ def _fields_fit(data: bytes, start: int) -> bool:
     return int(np.diff(ends, append=body.size).max()) <= limit + 1
 
 
-def _parse_rows(spec: SeriesFileSpec) -> DatedSeries:
-    """:func:`parse_series` one row at a time, for any ``date_format``."""
+def _parse_rows(spec: SeriesFileSpec, data: bytes | None = None) -> DatedSeries:
+    """:func:`parse_series` one row at a time, for any ``date_format``, on
+    ``data``, the file's bytes, or else on the file, read once here.  The
+    text is decoded in the chunks ``open`` would decode, so an undecodable
+    byte is met after the same rows."""
+    if data is None:
+        with open(spec.path, "rb") as fh:
+            data = fh.read()
     observations: dict = {}
-    with open(spec.path, newline="", encoding="utf-8-sig") as fh:
+    with TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             header = reader.fieldnames or []

@@ -36,6 +36,13 @@ def _blocks(n: int) -> list[slice]:
     return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, marked read-only: how a function hands a series an array
+    it has just made, which the series then keeps instead of copying."""
+    array.flags.writeable = False
+    return array
+
+
 def _as_days(dates) -> np.ndarray:
     """``dates`` (a ``datetime64`` array or ``date`` iterable) as read-only
     ``datetime64[D]``: a read-only ``datetime64[D]`` array as given (its owner's
@@ -46,8 +53,7 @@ def _as_days(dates) -> np.ndarray:
     else:
         ordinals = np.fromiter((d.toordinal() for d in dates), np.int64)
         days = (ordinals - _EPOCH_ORDINAL).view("datetime64[D]")
-    days.flags.writeable = False
-    return days
+    return _read_only(days)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,9 +63,11 @@ class DatedSeries:
     Invariants enforced at construction: one value per day (``days`` and
     ``values`` one-dimensional, of equal length), non-empty, no NaT,
     dates strictly increasing (hence no duplicates), all values finite.
-    ``days`` may be any sequence of ``date`` or a ``datetime64`` array: a
-    read-only ``datetime64[D]`` array is kept as given, any other is stored
-    as a read-only copy, and ``values`` as a read-only copy of floats.
+    ``days`` may be any sequence of ``date`` or a ``datetime64`` array, and
+    ``values`` any sequence of numbers.  A read-only ``datetime64[D]``
+    calendar and a read-only native ``float64`` values array are kept as
+    given, taken as their owner's promise not to change them; any other
+    input (a masked array included) is stored as a read-only copy.
     """
 
     days: np.ndarray
@@ -68,9 +76,11 @@ class DatedSeries:
     def __post_init__(self):
         days = _as_days(self.days)
         object.__setattr__(self, "days", days)
-        values = np.array(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        values = self.values
+        if not (type(values) is np.ndarray and values.dtype == np.float64
+                and not values.flags.writeable):
+            values = _read_only(np.array(values, dtype=float))
+            object.__setattr__(self, "values", values)
         for name, array in (("days", days), ("values", values)):
             if array.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
@@ -96,7 +106,8 @@ class DatedSeries:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[date, float]]) -> "DatedSeries":
         pairs = list(pairs)
-        return cls(tuple(d for d, _ in pairs), np.array([v for _, v in pairs], dtype=float))
+        return cls(tuple(d for d, _ in pairs),
+                   _read_only(np.array([v for _, v in pairs], dtype=float)))
 
     def as_pairs(self) -> list[tuple[date, float]]:
         return [(d, float(v)) for d, v in zip(self.dates, self.values)]
@@ -139,7 +150,8 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
     holding the first series' own ``days`` array is not searched: the
     common mask picks its values.  Returns the common days
     (``datetime64[D]``, as each series stores them) and one value array
-    per input series, all in the same ascending order.
+    per input series, all in the same ascending order; the days are
+    read-only, so a series built on them keeps them.
 
     Raises
     ------
@@ -157,8 +169,8 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
             common &= s.days[r] == days
     if not common.any():
         raise EmptyIntersectionError("series share no common dates")
-    return days[common], [s.values[common] if r is None else s.values[r[common]]
-                          for s, r in zip(series, rows)]
+    return _read_only(days[common]), [s.values[common] if r is None else s.values[r[common]]
+                                      for s, r in zip(series, rows)]
 
 
 def simple_returns(prices: DatedSeries) -> ReturnSeries:
@@ -173,7 +185,7 @@ def simple_returns(prices: DatedSeries) -> ReturnSeries:
         bad = prices.days[int(np.argmax(prices.values <= 0.0))]
         raise NonPositivePriceError(f"non-positive price at {bad}")
     rets = prices.values[1:] / prices.values[:-1] - 1.0
-    return ReturnSeries(prices.days[1:], rets)
+    return ReturnSeries(prices.days[1:], _read_only(rets))
 
 
 def ema(series: DatedSeries, period_days: int) -> DatedSeries:
@@ -202,7 +214,7 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
     if not np.isfinite(out).all() or np.geterr()["under"] != "ignore":
         out = np.fromiter(accumulate(values, lambda acc, x: acc + alpha * (x - acc)),
                           float, len(values))
-    return DatedSeries(series.days, out)
+    return DatedSeries(series.days, _read_only(out))
 
 
 def _ema_floats(values: np.ndarray, alpha: float):
@@ -240,4 +252,4 @@ def step_interpolate(sparse: DatedSeries,
             f"calendar starts {days[0]}, before first observation {sparse.days[0]}"
         )
     latest = np.searchsorted(sparse.days, days, side="right") - 1
-    return DatedSeries(days, sparse.values[latest])
+    return DatedSeries(days, _read_only(sparse.values[latest]))

@@ -1,5 +1,5 @@
-"""Shared fixtures: paths to the bundled synthetic datasets, and an
-``erp-lab`` console script on PATH."""
+"""Shared fixtures: paths to the bundled synthetic datasets, a record of
+the series built, and an ``erp-lab`` console script on PATH."""
 
 import os
 import shutil
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import erp_lab
+from erp_lab import timeseries
 
 DATA = Path(__file__).parent / "data"
 
@@ -34,6 +35,22 @@ def daily_paths(data_dir):
         "eps": data_dir / "quarterly_eps.csv",
         "yields": data_dir / "daily_yields.csv",
     }
+
+
+@pytest.fixture
+def built_series(monkeypatch):
+    """``(class name, kept)`` for each series built from here on: ``kept``
+    where it stores the values array it was handed rather than a copy."""
+    built = []
+    post_init = timeseries.DatedSeries.__post_init__
+
+    def recorded(series):
+        given = series.values
+        post_init(series)
+        built.append((type(series).__name__, series.values is given))
+
+    monkeypatch.setattr(timeseries.DatedSeries, "__post_init__", recorded)
+    return built
 
 
 def declared_console_script(name):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erp_lab import charts
+from erp_lab import charts, timeseries
 from erp_lab.charts import FORMAT_COMMENT, line_chart_svg
 from erp_lab.errors import NumericalError
 from erp_lab.io import _fixed
@@ -153,3 +153,29 @@ def test_polyline_matches_percent_join(s):
         assert_polyline_is_percent_join(s)
     except NumericalError:
         pass
+
+
+def whole_array_coordinates(s):
+    """Every point's x and y, each computed over the whole array: days
+    across the 808-pixel plot from x = 72, values down the 338-pixel plot
+    from y = 34 over their range padded by 5% at each end."""
+    offsets = (s.days - s.days[0]).astype(np.int64)
+    xs = 72.0 + 808.0 * offsets / int(offsets[-1])
+    vmin, vmax = float(s.values.min()), float(s.values.max())
+    lo, hi = vmin - (vmax - vmin) * 0.05, vmax + (vmax - vmin) * 0.05
+    return xs, 34.0 + 338.0 * (hi - s.values) / (hi - lo)
+
+
+def test_coordinates_across_blocks_match_the_whole_array():
+    # 9,500 points over irregular gaps: three blocks, the x ticks in each
+    rng = np.random.default_rng(11)
+    days = np.datetime64("1990-01-01") + np.cumsum(rng.integers(1, 4, 9500))
+    s = DatedSeries(days, rng.normal(0.04, 0.03, days.size))
+    svg = line_chart_svg(s)
+    with mock.patch.object(timeseries, "_BLOCK", len(s)):
+        assert line_chart_svg(s) == svg
+    xs, ys = whole_array_coordinates(s)
+    points = " ".join("%.2f,%.2f" % point for point in zip(xs.tolist(), ys.tolist()))
+    assert f'<polyline points="{points}" '.encode() in svg
+    for i in sorted({round(k * (len(s) - 1) / 4) for k in range(5)}):
+        assert f'<line x1="{xs[i]:.2f}" y1="372.00" x2="{xs[i]:.2f}" y2="376.00"'.encode() in svg

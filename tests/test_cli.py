@@ -516,7 +516,20 @@ class TestHistorical:
 class TestCalendarStaysDays:
     """On ISO-dated inputs every series is built from a ``datetime64[D]``
     array: no pipeline turns its calendar into ``datetime.date`` objects
-    and back."""
+    and back, and no series copies the values array it is handed."""
+
+    @pytest.mark.parametrize("command", ["implied", "historical"])
+    def test_every_series_keeps_the_values_it_is_handed(self, command, daily_paths,
+                                                        annual_paths, tmp_path, built_series):
+        out = str(tmp_path / "out.csv")
+        if command == "implied":
+            argv = implied_argv(*map(str, daily_paths.values()), out)
+        else:
+            argv = historical_argv(annual_paths, out, "--window", "2000-2009",
+                                   "--method", "arithmetic")
+        assert main(argv) == EXIT_OK
+        assert built_series
+        assert [name for name, kept in built_series if not kept] == []
 
     @pytest.mark.parametrize("command", ["implied", "historical"])
     def test_no_series_is_built_from_date_objects(self, command, implied_files, annual_paths,

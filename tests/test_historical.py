@@ -55,6 +55,12 @@ class TestPremiumSeries:
         assert out.dates == (date(2001, 12, 31), date(2002, 12, 31))
         np.testing.assert_allclose(out.values, [0.19, 0.28], atol=1e-15)
 
+    def test_keeps_the_values_it_computes(self, built_series):
+        eq, rf = annual([0.10, 0.20, 0.30]), annual([0.01, 0.02], first_year=2001)
+        built_series.clear()
+        premium_series(eq, rf)
+        assert built_series == [("DatedSeries", True)]
+
     def test_disjoint_raises(self):
         with pytest.raises(EmptyIntersectionError):
             premium_series(annual([0.1]), annual([0.01], first_year=2010))

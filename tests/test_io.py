@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from datetime import date, timedelta
 from io import StringIO
@@ -457,39 +458,95 @@ class TestNamedRead:
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         spec = SeriesFileSpec(path)
         assert _parse_iso(spec) is None
+        # the row loop reads the file as it now is, not the bytes read first
+        write(tmp_path, "date,value\n2020-01-05,1.0\n")
+        got = parse_series(spec)
         monkeypatch.setattr(np, "loadtxt", real)
-        assert parse_series(spec) == _parse_rows(spec)
-        assert parse_series(spec).dates[0] == date(2020, 1, 6)
+        assert got == _parse_rows(spec) and got.dates[0] == date(2020, 1, 6)
+
+    def test_bytes_read_are_dropped_before_the_named_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(erp_io, "_NAMED_READ", 0)
+        path = write(tmp_path, many_rows(20000))
+        held, real = [], np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parse_series(SeriesFileSpec(path))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] - before < os.path.getsize(path) / 4
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
     def test_pipe_is_read_once(self, tmp_path, monkeypatch):
         # as from --prices <(...): a second open would wait for a writer
-        # that never comes, so the parse runs in a thread with a time limit
+        # that never comes
         monkeypatch.setattr(erp_io, "_NAMED_READ", 0)
         text = many_rows(5000)
-        fifo = tmp_path / "prices.csv"
-        os.mkfifo(fifo)
-        got = []
+        got = parse_from_fifo(tmp_path, text)
+        assert got == [_parse_rows(SeriesFileSpec(write(tmp_path, text, "plain.csv")))]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+    def test_fifo_the_fast_path_refuses_is_read_once(self, tmp_path):
+        # the row loop reads the bytes the fast path read
+        got = parse_from_fifo(tmp_path, "date,value\n2020-01-05,1.0\nbad,2\n")
+        assert got == [(BadDateError, f"{tmp_path / 'prices.csv'} line 3: bad date 'bad'")]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd here")
+    def test_pipe_the_fast_path_refuses_gives_the_row_loops_error(self):
+        # as from bash's <(printf ...): a second open of the pipe would
+        # read it empty, so the row loop must take the bytes already read
+        read_end, write_end = os.pipe()
 
         def feed():
-            with open(fifo, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(write_end, "wb") as fh:
+                fh.write(b"date,value\n2020-01-05,1.0\nbad,2\n")
 
-        threads = [threading.Thread(target=feed, daemon=True),
-                   threading.Thread(target=lambda: got.append(outcome(parse_series,
-                                                                      SeriesFileSpec(str(fifo)))),
-                                    daemon=True)]
-        for thread in threads:
-            thread.start()
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        path = f"/dev/fd/{read_end}"
         try:
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not any(thread.is_alive() for thread in threads)
+            got = outcome(parse_series, SeriesFileSpec(path))
         finally:
-            # end a read still waiting on the pipe
-            with contextlib.suppress(OSError):
-                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-        assert got == [_parse_rows(SeriesFileSpec(write(tmp_path, text, "plain.csv")))]
+            feeder.join(timeout=30)
+            os.close(read_end)
+        assert not feeder.is_alive()
+        assert got == (BadDateError, f"{path} line 3: bad date 'bad'")
+
+
+def parse_from_fifo(tmp_path, text):
+    """``[outcome(parse_series, ...)]`` on a named pipe ``prices.csv`` that
+    a thread writes ``text`` into once; empty if the parse still waits.  It
+    runs in a thread with a time limit, since an open of the pipe after the
+    writer's would wait for another writer."""
+    fifo = tmp_path / "prices.csv"
+    os.mkfifo(fifo)
+    got = []
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    threads = [threading.Thread(target=feed, daemon=True),
+               threading.Thread(target=lambda: got.append(outcome(parse_series,
+                                                                  SeriesFileSpec(str(fifo)))),
+                                daemon=True)]
+    for thread in threads:
+        thread.start()
+    try:
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        # end a read still waiting on the pipe
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    return got
 
 
 def series_row_loop(path, series, fields):

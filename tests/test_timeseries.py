@@ -195,6 +195,31 @@ class TestDatedSeries:
         assert (s.days is calendar) == kept == np.shares_memory(s.days, calendar)
         assert s.days.dtype == np.dtype("datetime64[D]") and s.dates == days(3)
 
+    def test_keeps_a_read_only_float64_values_array_as_given(self):
+        given = np.array([1.0, 2.0, 3.0])
+        given.flags.writeable = False
+        assert DatedSeries(days(3), given).values is given
+
+    @pytest.mark.parametrize("dtype, writeable", [("float64", True), ("float32", False),
+                                                  (">f8", False), (None, True)],
+                             ids=["writeable", "float32", "big-endian", "list"])
+    def test_copies_any_other_values(self, dtype, writeable):
+        given = [1.0, 2.0, 3.0]
+        if dtype is not None:
+            given = np.array(given, dtype=dtype)
+            given.flags.writeable = writeable
+        s = DatedSeries(days(3), given)
+        assert s.values is not given and not np.shares_memory(s.values, given)
+        assert s.values.dtype == np.float64 and s.values.dtype.isnative
+        assert not s.values.flags.writeable and s.values.tolist() == [1.0, 2.0, 3.0]
+
+    def test_copies_a_masked_array_so_its_hidden_nan_is_refused(self):
+        # np.isfinite on a masked array passes the masked cells
+        given = np.ma.masked_invalid([1.0, np.nan, 3.0])
+        given.flags.writeable = False
+        with pytest.raises(ValueError, match="must be finite"):
+            DatedSeries(days(3), given)
+
 
 class TestReturnSeries:
     def test_accepts_boundary_adjacent_returns(self):
