@@ -25,7 +25,7 @@ from . import charts
 from .averaging import AveragingMethod
 from .capm import fit_market_model, risk_decomposition, simulate_diversification
 from .errors import DataError, ErpLabError, NumericalError
-from .historical import erp_report, report_columns
+from .historical import _window_label, erp_report, report_columns
 from .implied import implied_erp_series
 from .io import SeriesFileSpec, format_cell, parse_series, write_bytes, write_rows
 from .timeseries import DatedSeries, ReturnSeries, ema, simple_returns, step_interpolate
@@ -128,11 +128,11 @@ def run_implied(args) -> int:
         columns = [*_inputs_on(erp.days, prices, eps_smooth, yields), erp.values]
         del prices, eps_smooth, yields
         # the chart is the step that can still fail: render it before
-        # writing either file, so that a failure leaves neither
-        chart = charts.line_chart_svg(erp)
+        # writing either file, so that a failure leaves neither; and write
+        # it first, so that its bytes are not held while erp.csv is formatted
+        write_bytes(svg, [charts.line_chart_svg(erp)])
         write_rows(args.output, ("date", "price", "eps_smoothed", "yield", "erp"),
                    erp.days, columns)
-        write_bytes(svg, [chart])
     return EXIT_OK
 
 
@@ -151,10 +151,11 @@ def run_historical(args) -> int:
                 for label, spec in riskfree_specs]
     with _stage("building report"):
         report = erp_report(equity, variants, args.window, args.method)
-    windows, labels = report.window_labels(), report.column_labels()
+    labels = report.column_labels()
     for (i, j), gap in sorted(report.gaps.items()):
         label = labels[j].replace("\r", "\\r").replace("\n", "\\n")  # one line per warning
-        print(f"erp-lab: warning: {windows[i]} {label}: {gap}", file=sys.stderr)
+        print(f"erp-lab: warning: {_window_label(report.windows[i])} {label}: {gap}",
+              file=sys.stderr)
     with _stage("writing output"):
         write_bytes(args.output, [report.csv_bytes()])
     return EXIT_OK

@@ -269,6 +269,7 @@ def implied_erp_series(prices: DatedSeries, eps_daily: DatedSeries,
         if p[i] <= 0:
             raise NonPositivePriceError(f"non-positive price at {days[i]}")
         raise NonPositiveEpsError(f"non-positive eps at {days[i]}")
-    premium = e / p
-    premium -= y  # in place: one array, not two
-    return DatedSeries(days, _read_only(premium))
+    # built in e: align_many hands back fresh arrays, so no input changes
+    e /= p
+    e -= y
+    return DatedSeries(days, _read_only(e))

@@ -259,8 +259,9 @@ def _parse_iso(spec: SeriesFileSpec, read: list | None = None) -> DatedSeries | 
         cells = table.view(np.uint8).reshape(-1, table.itemsize)[:, :_ISO_LOW.size]
         # exactly "YYYY-MM-DD" (unsigned bytes wrap below the low end):
         # strptime reads such a date as numpy does, which refuses month 13
-        # or Feb 30
-        if not np.all(cells - _ISO_LOW <= _ISO_SPAN):
+        # or Feb 30; position-major, so numpy's inner loop runs down the rows
+        if not np.all(np.subtract(cells.T, _ISO_LOW[:, None], order="C")
+                      <= _ISO_SPAN[:, None]):
             return None
         days = table["day"].astype("datetime64[D]")
         # date's range: a four-digit year can fall below it only as year 0000

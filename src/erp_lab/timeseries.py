@@ -45,11 +45,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def _as_days(dates) -> np.ndarray:
     """``dates`` (a ``datetime64`` array or ``date`` iterable) as read-only
-    ``datetime64[D]``: a read-only ``datetime64[D]`` array as given (its owner's
-    promise not to change it), any other calendar as a copy.  Dates go through
-    their ordinals: numpy's own conversion of ``date`` objects is 20x slower."""
+    ``datetime64[D]``: a plain read-only ``datetime64[D]`` array as given (its
+    owner's promise not to change it), any other calendar (a masked array
+    included) as a plain copy.  Dates go through their ordinals: numpy's own
+    conversion of ``date`` objects is 20x slower."""
     if isinstance(dates, np.ndarray) and dates.dtype.kind == "M":
-        days = dates.astype("datetime64[D]", copy=dates.flags.writeable)
+        keep = type(dates) is np.ndarray and not dates.flags.writeable
+        days = np.asarray(dates).astype("datetime64[D]", copy=not keep)
     else:
         ordinals = np.fromiter((d.toordinal() for d in dates), np.int64)
         days = (ordinals - _EPOCH_ORDINAL).view("datetime64[D]")
@@ -64,10 +66,10 @@ class DatedSeries:
     ``values`` one-dimensional, of equal length), non-empty, no NaT,
     dates strictly increasing (hence no duplicates), all values finite.
     ``days`` may be any sequence of ``date`` or a ``datetime64`` array, and
-    ``values`` any sequence of numbers.  A read-only ``datetime64[D]``
-    calendar and a read-only native ``float64`` values array are kept as
-    given, taken as their owner's promise not to change them; any other
-    input (a masked array included) is stored as a read-only copy.
+    ``values`` any sequence of numbers.  A plain read-only ``datetime64[D]``
+    calendar and a plain read-only native ``float64`` values array are kept
+    as given, taken as their owner's promise not to change them; any other
+    input (a masked array included) is stored as a plain read-only copy.
     """
 
     days: np.ndarray
@@ -169,8 +171,12 @@ def align_many(series: Sequence[DatedSeries]) -> tuple[np.ndarray, list[np.ndarr
             common &= s.days[r] == days
     if not common.any():
         raise EmptyIntersectionError("series share no common dates")
-    return _read_only(days[common]), [s.values[common] if r is None else s.values[r[common]]
-                                      for s, r in zip(series, rows)]
+    # the searched series' values first, so that their lookups are dropped
+    # before the others are gathered
+    values = [None if r is None else s.values[r[common]] for s, r in zip(series, rows)]
+    del rows
+    return _read_only(days[common]), [s.values[common] if v is None else v
+                                      for s, v in zip(series, values)]
 
 
 def simple_returns(prices: DatedSeries) -> ReturnSeries:
@@ -251,5 +257,6 @@ def step_interpolate(sparse: DatedSeries,
         raise CalendarPrecedesDataError(
             f"calendar starts {days[0]}, before first observation {sparse.days[0]}"
         )
-    latest = np.searchsorted(sparse.days, days, side="right") - 1
+    latest = np.searchsorted(sparse.days, days, side="right")
+    latest -= 1  # in place: one index array, not two
     return DatedSeries(days, _read_only(sparse.values[latest]))

@@ -440,6 +440,36 @@ class TestImpliedErpSeries:
         with pytest.raises(NonPositivePriceError, match="at 2020-01-04$"):
             implied_erp_series(prices, eps, yields)
 
+    @given(offsets=st.lists(st.sets(st.integers(0, 12), min_size=1, max_size=10),
+                            min_size=3, max_size=3),
+           same=st.booleans(),
+           values=st.lists(st.floats(1e-100, 1e100), min_size=30, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_premium_is_earnings_yield_less_yield_on_common_dates(self, offsets, same, values):
+        start = date(2020, 1, 1)
+        dates = [[start + timedelta(days=k) for k in sorted(o)] for o in offsets]
+        prices, eps, yields = (DatedSeries(d, np.array(values[10 * i:10 * i + len(d)]))
+                               for i, d in enumerate(dates))
+        if same:  # eps on the prices calendar array itself, as the CLI builds it
+            eps = DatedSeries(prices.days, np.array(values[10:10 + len(prices)]))
+        inputs = [(s.values, s.values.copy()) for s in (prices, eps, yields)]
+        common = sorted(set(prices.dates) & set(eps.dates) & set(yields.dates))
+        if not common:
+            with pytest.raises(EmptyIntersectionError):
+                implied_erp_series(prices, eps, yields)
+            return
+        out = implied_erp_series(prices, eps, yields)
+        p, e, y = ([dict(zip(s.dates, s.values))[d] for d in common]
+                   for s in (prices, eps, yields))
+        expected = np.array(e) / np.array(p) - np.array(y)
+        assert out.dates == tuple(common)
+        assert list(map(float.hex, out.values.tolist())) == list(map(float.hex,
+                                                                     expected.tolist()))
+        assert not out.values.flags.writeable
+        for kept, before in inputs:
+            assert not kept.flags.writeable
+            assert kept.tobytes() == before.tobytes()
+
     @given(rows=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1000.0, 1000.0]),
                                    st.sampled_from([-1.0, 0.0, 50.0, 50.0])),
                          min_size=1, max_size=12))

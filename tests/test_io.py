@@ -157,7 +157,10 @@ def outcome(parse, spec):
 # neither; each must end in the row loop's outcome.
 DATE_TRAPS = ["2020-01", "2020", "NaT", "+2020-01-05", "2020-01-05T00", "20200105",
               "0000-01-01", "10000-01-01", "2020-1-5", "\u0662\u0660\u0662\u0660-"
-              "\u0660\u0661-\u0660\u0665", "2020-01-05\x00", "2020-02-30", "today", ""]
+              "\u0660\u0661-\u0660\u0665", "2020-01-05\x00", "2020-02-30", "today", "",
+              # a byte just below "0" and just above "9" at a digit position,
+              # a wrong separator at each dash, and a non-NUL eleventh byte
+              "2020-0/-05", "2020-0:-05", "2020/01-05", "2020-01/05", "2020-01-051"]
 # Values Python's float and numpy's tokenizer might read differently: each
 # must give the row loop's value, or its error.
 VALUE_TRAPS = ["1_0", "nan", "1e400", "1e308", "-0.0", "", "abc", "\u0663", "inf", "Infinity",

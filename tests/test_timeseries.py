@@ -220,6 +220,27 @@ class TestDatedSeries:
         with pytest.raises(ValueError, match="must be finite"):
             DatedSeries(days(3), given)
 
+    @pytest.mark.parametrize("calendar, message", [
+        (["2020-01-01", "NaT", "2020-01-03"], "dates must not be NaT, got NaT at position 1"),
+        (["2020-01-03", "2020-01-01", "2020-01-05"],
+         "dates must be strictly increasing: 2020-01-03 !< 2020-01-01"),
+    ], ids=["NaT", "out-of-order"])
+    def test_copies_a_masked_calendar_so_its_hidden_cells_are_refused(self, calendar, message):
+        plain = np.array(calendar, dtype="datetime64[D]")
+        given = np.ma.masked_array(plain, mask=[False, True, False])
+        given.flags.writeable = False
+        for dates in (plain, given):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                DatedSeries(dates, np.ones(3))
+
+    def test_stores_a_masked_calendar_as_a_plain_copy(self):
+        given = np.ma.masked_array(np.array(days(3), dtype="datetime64[D]"),
+                                   mask=[False, True, False])
+        given.flags.writeable = False
+        s = DatedSeries(given, np.ones(3))
+        assert type(s.days) is np.ndarray and not np.shares_memory(s.days, given)
+        assert not s.days.flags.writeable and s.dates == days(3)
+
 
 class TestReturnSeries:
     def test_accepts_boundary_adjacent_returns(self):
@@ -529,6 +550,12 @@ class TestCalendarAgainstReference:
         assert len(columns) == len(series)
         for got, want in zip(columns, expected[1]):
             np.testing.assert_array_equal(got, want)
+        # each values array is the caller's own: writeable, and sharing no
+        # memory with any input or other output, so it may be built on in place
+        arrays = [a for s in series for a in (s.days, s.values)]
+        for i, got in enumerate(columns):
+            assert got.flags.writeable
+            assert not any(np.shares_memory(got, a) for a in arrays + columns[:i])
 
     @given(base=st.sampled_from(BASES), sparse=OFFSETS, calendar=OFFSETS)
     @settings(max_examples=150, deadline=None)
