@@ -119,8 +119,8 @@ def line_chart_svg(series: DatedSeries) -> bytes:
                          extra=' stroke-dasharray="4 3"'))
 
     # each point is "x,y " and the last one's space goes
-    points = [_rows(_fixed(x_at(rows), _COORD), b",",
-                    _fixed(y_at(series.values[rows]), _COORD), b" ")
+    points = [_rows([_fixed(x_at(rows), _COORD), _fixed(y_at(series.values[rows]), _COORD)],
+                    b",", b" ")
               for rows in _blocks(n)]
     points[-1] = points[-1][:-1]
     out.append('<polyline points="')

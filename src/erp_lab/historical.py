@@ -165,9 +165,7 @@ class ErpReport:
         # a gap reads NA, a filled NaN cell nan
         for cell in self.gaps:
             grid[cell] = b"NA"
-        # window,cell,...,cell: a comma after every cell but the last
-        joined = [part for column in grid.T for part in (column, b",")][:-1]
-        body = _rows(np.array(self.window_labels(), dtype="S"), b",", *joined, b"\n")
+        body = _rows([np.array(self.window_labels(), dtype="S"), *grid.T], b",", b"\n")
         return (csv_header(["window", *self.column_labels()]) + "\n").encode() + body
 
 

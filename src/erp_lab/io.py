@@ -50,9 +50,6 @@ _PACKED = (".gz", ".bz2", ".xz", ".lzma")
 _FILE_STATE = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 # a byte that is not a line break
 _TEXT = re.compile(rb"[^\r\n]")
-# the bytes after which the csv module opens a quoted field or doubles a quote
-_OPENS = np.zeros(256, dtype=bool)
-_OPENS[list(b',\n\r"')] = True
 
 
 def format_cell(x: float) -> str:
@@ -111,21 +108,13 @@ def _fixed(values: np.ndarray, fmt: str) -> np.ndarray:
     return text
 
 
-def _rows(*columns) -> bytes:
-    """Rows made of ``columns`` side by side, NUL bytes dropped.  A column
-    is an ``S`` array, one text per row, or ``bytes`` that every row
-    repeats."""
-    n = next(len(c) for c in columns if isinstance(c, np.ndarray))
-    widths = [len(c) if isinstance(c, bytes) else c.itemsize for c in columns]
-    table = np.empty((n, sum(widths)), dtype=np.uint8)
-    end = 0
-    for column, width in zip(columns, widths):
-        if isinstance(column, bytes):
-            column = np.frombuffer(column, np.uint8)
-        else:
-            column = np.ascontiguousarray(column).view(np.uint8).reshape(n, width)
-        table[:, end:end + width] = column
-        end += width
+def _rows(columns, sep: bytes, end: bytes) -> bytes:
+    """Rows of the ``S`` arrays ``columns``, one text per row, side by
+    side: ``sep`` between cells, ``end`` after the last, NUL bytes dropped."""
+    n = len(columns[0])
+    sep, end = (np.broadcast_to(np.frombuffer(b, np.uint8), (n, len(b))) for b in (sep, end))
+    cells = [np.ascontiguousarray(c)[:, None].view(np.uint8) for c in columns]
+    table = np.concatenate([part for c in cells for part in (c, sep)][:-1] + [end], axis=1)
     return table[table != 0].tobytes()
 
 
@@ -214,14 +203,15 @@ def _parse_iso(spec: SeriesFileSpec, read: list | None = None) -> DatedSeries | 
     malformed CSV or UTF-8, or a series :class:`DatedSeries` refuses (a
     duplicate date, a value non-finite in the file or after scaling).
 
-    The file is read once.  ``loadtxt`` reads in C chunks only given a
-    file name, so a regular file of ``_NAMED_READ`` bytes or more is
-    passed by name (unless numpy would decompress it for its suffix), and
-    read again by numpy; the result is dropped if the file's identity,
-    size or modification time differ from those this read saw.  That
-    narrows the race with a writer but does not close it: a file rewritten
-    in place at the same size within one timestamp tick passes, and numpy
-    may then return rows these checks never saw.  Any other input, a pipe
+    The file's bytes are read here once, for the checks.  ``loadtxt``
+    reads in C chunks only given a file name, so a regular file of
+    ``_NAMED_READ`` bytes or more is passed by name (unless numpy would
+    decompress it for its suffix), and numpy reads it a second time; the
+    result is dropped if the file's identity, size or modification time
+    differ from those the first read saw.  That narrows the race with a
+    writer but does not close it: a file rewritten in place at the same
+    size within one timestamp tick passes, and numpy may then return rows
+    these checks never saw.  Any other input, a pipe
     included, is passed as the lines of the text read.
 
     The bytes read are appended to ``read``, if given, for the row loop,
@@ -296,17 +286,14 @@ def _source(path: str, state: os.stat_result, data: bytes, first: str) -> str | 
 
 
 def _fields_fit(data: bytes, start: int) -> bool:
-    """Whether no CSV field of ``data[start:]``, the text after the header
-    line, can hold more than ``csv.field_size_limit()`` characters, the
-    most the row loop's reader takes.  ``False`` where that is not shown.
+    """Whether the row loop's reader takes every CSV field of
+    ``data[start:]``, the text after the header line: none may hold more
+    than ``csv.field_size_limit()`` characters.  ``False`` where that is
+    not shown.
 
     Without a quote, a field lies in a run of bytes free of ``"\n"``, and
     once every block of half the limit holds a ``"\n"``, no such run is
-    as long as two blocks.  With quotes, a line break after an even
-    number of them ends a record, provided that each quote this count
-    has open a field stands where the reader opens one: after a
-    delimiter, a line end, or the quote it doubles (anywhere else a quote
-    is text to the reader).
+    as long as two blocks.  With quotes, that reader reads the text.
     """
     limit = csv.field_size_limit()
     if len(data) - start <= limit:
@@ -315,14 +302,14 @@ def _fields_fit(data: bytes, start: int) -> bool:
         block = max(limit // 2, 1)
         return all(data.find(b"\n", i, i + block) >= 0
                    for i in range(start, len(data) - block + 1, block))
-    # from the header's own line break, so that every quote has a byte before it
-    body = np.frombuffer(data, np.uint8, offset=start - 1)
-    quotes = np.flatnonzero(body == ord('"'))
-    if not _OPENS[body[quotes[::2] - 1]].all():
-        return False
-    ends = np.flatnonzero(body == ord("\n"))
-    ends = ends[np.searchsorted(quotes, ends) % 2 == 0]
-    return int(np.diff(ends, append=body.size).max()) <= limit + 1
+    with TextIOWrapper(BytesIO(data), encoding="utf-8", newline="") as text:
+        text.seek(start)
+        try:
+            for _ in csv.reader(text):
+                pass
+        except (csv.Error, UnicodeDecodeError):
+            return False
+    return True
 
 
 def _parse_rows(spec: SeriesFileSpec, data: bytes | None = None) -> DatedSeries:
@@ -395,9 +382,8 @@ def write_rows(path, fields, days, columns) -> None:
     each value rendered with ``CELL_FORMAT``.  Rows are formatted a fixed
     number at a time, a block's columns at once (:func:`_fixed`), so that
     no whole-column list or whole-file text is held."""
-    blocks = (_rows(_iso_days(days[rows]),
-                    *(part for c in columns for part in (b",", _fixed(c[rows], CELL_FORMAT))),
-                    b"\n")
+    blocks = (_rows([_iso_days(days[rows]), *(_fixed(c[rows], CELL_FORMAT) for c in columns)],
+                    b",", b"\n")
               for rows in _blocks(len(days)))
     write_bytes(path, chain([csv_header(fields).encode() + b"\n"], blocks))
 

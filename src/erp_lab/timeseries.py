@@ -43,18 +43,29 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _frozen(array) -> bool:
+    """Whether ``array`` is a plain read-only ndarray whose memory no
+    writeable array owns: each ``base`` up to the owner is one too.  Such
+    an array is its owner's promise not to change it, and is kept as given."""
+    while type(array) is np.ndarray and not array.flags.writeable:
+        if array.base is None:
+            return True
+        array = array.base
+    return False
+
+
 def _as_days(dates) -> np.ndarray:
     """``dates`` (a ``datetime64`` array or ``date`` iterable) as read-only
-    ``datetime64[D]``: a plain read-only ``datetime64[D]`` array as given (its
-    owner's promise not to change it), any other calendar (a masked array
-    included) as a plain copy.  Dates go through their ordinals: numpy's own
-    conversion of ``date`` objects is 20x slower."""
+    ``datetime64[D]``: a :func:`_frozen` ``datetime64[D]`` array as given,
+    any other calendar (a masked array or a read-only view of a writeable
+    array included) as a plain copy.  Dates go through their ordinals:
+    numpy's own conversion of ``date`` objects is 20x slower."""
     if isinstance(dates, np.ndarray) and dates.dtype.kind == "M":
-        keep = type(dates) is np.ndarray and not dates.flags.writeable
-        days = np.asarray(dates).astype("datetime64[D]", copy=not keep)
+        days = np.asarray(dates).astype("datetime64[D]", copy=not _frozen(dates))
     else:
         ordinals = np.fromiter((d.toordinal() for d in dates), np.int64)
-        days = (ordinals - _EPOCH_ORDINAL).view("datetime64[D]")
+        # the owner read-only too, so a series keeps this calendar's views
+        days = _read_only(ordinals - _EPOCH_ORDINAL).view("datetime64[D]")
     return _read_only(days)
 
 
@@ -66,10 +77,11 @@ class DatedSeries:
     ``values`` one-dimensional, of equal length), non-empty, no NaT,
     dates strictly increasing (hence no duplicates), all values finite.
     ``days`` may be any sequence of ``date`` or a ``datetime64`` array, and
-    ``values`` any sequence of numbers.  A plain read-only ``datetime64[D]``
-    calendar and a plain read-only native ``float64`` values array are kept
-    as given, taken as their owner's promise not to change them; any other
-    input (a masked array included) is stored as a plain read-only copy.
+    ``values`` any sequence of numbers.  A ``datetime64[D]`` calendar and
+    a native ``float64`` values array are kept as given where
+    :func:`_frozen`, taken as their owner's promise not to change them; any
+    other input (a masked array, or a read-only view of a writeable array,
+    included) is stored as a plain read-only copy.
     """
 
     days: np.ndarray
@@ -79,8 +91,7 @@ class DatedSeries:
         days = _as_days(self.days)
         object.__setattr__(self, "days", days)
         values = self.values
-        if not (type(values) is np.ndarray and values.dtype == np.float64
-                and not values.flags.writeable):
+        if not (_frozen(values) and values.dtype == np.float64):
             values = _read_only(np.array(values, dtype=float))
             object.__setattr__(self, "values", values)
         for name, array in (("days", days), ("values", values)):

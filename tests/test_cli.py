@@ -1680,6 +1680,17 @@ class TestLazyParser:
         assert len(flags) < len(build()[1])
 
 
+def test_module_entry_point_prints_the_golden_simulate_report(monkeypatch):
+    # python -m runs the module's own sys.exit(main()) line
+    monkeypatch.setenv("PYTHONPATH", str(Path(erp_lab.__file__).parents[1]),
+                       prepend=os.pathsep)
+    proc = subprocess.run([sys.executable, "-m", "erp_lab.cli", "simulate", "--n-assets", "7",
+                           "--n-periods", "500", "--seed", "3"], capture_output=True)
+    golden = Path(__file__).parent / "data" / "golden" / "simulate" / "stdout"
+    assert proc.returncode == 0
+    assert proc.stdout == golden.read_bytes()
+
+
 def test_console_script_entry_point(erp_lab_on_path):
     proc = subprocess.run(
         ["erp-lab", "simulate", "--n-assets", "4", "--n-periods", "100", "--seed", "1"],

@@ -186,6 +186,32 @@ class TestDatedSeries:
         given[field][0] = new
         assert s == DatedSeries(days(3), np.array([1.0, 2.0, 3.0]))
 
+    def test_copies_a_read_only_view_of_a_writeable_array(self):
+        owners = {"days": np.array(days(3), dtype="datetime64[D]"),
+                  "values": np.array([1.0, 2.0, 3.0])}
+        views = {name: owner.view() for name, owner in owners.items()}
+        for view in views.values():
+            view.flags.writeable = False
+        s = DatedSeries(**views)
+        assert not any(np.shares_memory(getattr(s, name), owner)
+                       for name, owner in owners.items())
+        owners["days"][1] = np.datetime64("2019-01-01")
+        owners["values"][2] = np.nan
+        assert s == DatedSeries(days(3), np.array([1.0, 2.0, 3.0]))
+
+    def test_keeps_a_read_only_view_of_a_read_only_array(self):
+        owner = np.array([1.0, 2.0, 3.0])
+        owner.flags.writeable = False
+        view = owner[:]
+        assert DatedSeries(days(3), view).values is view
+
+    def test_a_calendar_of_dates_is_shared_by_the_series_built_on_it(self):
+        # the row loop's series hold such a calendar; step_interpolate keeps it
+        prices = DatedSeries.from_pairs(zip(days(3), [1.0, 2.0, 3.0]))
+        eps = DatedSeries(days(3)[:1], np.array([5.0]))
+        assert step_interpolate(eps, prices.days).days is prices.days
+        assert ema(prices, 3).days is prices.days
+
     @pytest.mark.parametrize("dtype, kept", [("datetime64[D]", True), ("datetime64[s]", False),
                                              (">M8[D]", False)])
     def test_keeps_only_a_read_only_day_calendar_as_given(self, dtype, kept):
