@@ -25,7 +25,9 @@ from .errors import (
 )
 
 def _as_returns(returns) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(returns, dtype=float))  # a scalar is a one-element sample
+    arr = np.asarray(returns, dtype=float)
+    if arr.ndim == 0:  # a scalar is a one-element sample
+        arr = arr.reshape(1)
     if arr.shape[-1] == 0:
         raise EmptyInputError("no returns to average")
     return arr
@@ -38,7 +40,8 @@ def _result(values: np.ndarray):
 
 def arithmetic_mean(returns) -> float | np.ndarray:
     """Sum of returns divided by their count."""
-    return _result(np.mean(_as_returns(returns), axis=-1))
+    arr = _as_returns(returns)  # np.mean's add.reduce and division, less its wrapper
+    return _result(arr.sum(axis=-1) / arr.shape[-1])
 
 
 def geometric_mean(returns) -> float | np.ndarray:
@@ -48,9 +51,10 @@ def geometric_mean(returns) -> float | np.ndarray:
     for numerical stability on long samples.
     """
     arr = _as_returns(returns)
-    if np.any(arr <= -1.0):
+    if (arr <= -1.0).any():
         raise ReturnBelowMinusOneError("geometric mean undefined for returns <= -1")
-    return _result(np.expm1(np.mean(np.log1p(arr), axis=-1)))
+    logs = np.log1p(arr)
+    return _result(np.expm1(logs.sum(axis=-1) / logs.shape[-1]))
 
 
 def blume_blend(returns, horizon_n: int) -> float | np.ndarray:

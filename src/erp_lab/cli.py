@@ -14,7 +14,9 @@ the ERP_LAB_CONFIG environment variable); explicit flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
+import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -280,14 +282,16 @@ def build_parser(command: str | None = None) -> tuple[_Parser, dict]:
     pairs.  Given a ``command``, only the subcommand it names gets flags
     (none, if it names none: the top-level parse refuses the line first),
     since argparse builds a help formatter for each flag."""
-    parser = _Parser(description=__doc__.splitlines()[0])
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser = _Parser(description=__doc__.splitlines()[0], formatter_class=formatter)
     parser.add_argument("--config", type=_path, help="key=value file pre-filling flags "
                         "(default: $ERP_LAB_CONFIG); explicit flags win")
     commands = parser.add_subparsers(dest="command", required=True)
     flags: dict[str, list[tuple[_Parser, argparse.Action]]] = {}
 
     def sub(name, text) -> _Parser | None:  # the parser, if it gets flags
-        added = commands.add_parser(name, help=text)
+        added = commands.add_parser(name, help=text, formatter_class=formatter)
         return added if command in (None, name) else None
 
     def flag(sub, *names, **kwargs) -> None:

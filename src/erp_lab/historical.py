@@ -252,8 +252,8 @@ def erp_report(
                         "no aligned observations in " + _window_label(windows[i])))
                 continue
             rows = first[group, None] + np.arange(n)
-            # np.stack of C-ordered parts keeps each row's reduction order
-            stack = np.stack([eq[rows], *(leg[rows] for _, leg in members)]).reshape(-1, n)
+            # one concatenate of C-ordered parts keeps each row's reduction order
+            stack = np.concatenate([eq[rows], *(leg[rows] for _, leg in members)])
             average = cache(lambda method: method.apply(stack))  # each mean once a stack
             for m, method in enumerate(methods):
                 try:

@@ -102,7 +102,7 @@ class DatedSeries:
         nat = np.isnat(days)
         if nat.any():
             raise ValueError(f"dates must not be NaT, got NaT at position {int(np.argmax(nat))}")
-        bad = np.flatnonzero(np.diff(days) <= np.timedelta64(0, "D"))
+        bad = np.flatnonzero(days[1:] <= days[:-1])
         if bad.size:
             a, b = days[bad[0]], days[bad[0] + 1]
             raise ValueError(f"dates must be strictly increasing: {a} !< {b}")
@@ -262,7 +262,7 @@ def step_interpolate(sparse: DatedSeries,
     days = _as_days(calendar)
     if len(days) == 0:
         raise InvalidParametersError("calendar must be non-empty")
-    if np.any(np.diff(days) <= np.timedelta64(0, "D")):
+    if np.any(days[1:] <= days[:-1]):
         raise InvalidParametersError("calendar must be strictly increasing")
     if days[0] < sparse.days[0]:
         raise CalendarPrecedesDataError(

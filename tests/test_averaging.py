@@ -478,3 +478,55 @@ class TestExpWeightedRows:
         # a C-ordered stack takes one vecdot call
         fast = not vecdot_removed and hasattr(np, "vecdot")
         assert stack_calls == int(fast and stack.flags.c_contiguous)
+
+
+@st.composite
+def mean_inputs(draw):
+    """Returns in each layout the means take: a scalar, a 1-D sample, or a
+    (k, T) stack that is C-ordered, Fortran-ordered, reversed along its rows
+    or strided.  T runs to 300, past numpy's 128-value pairwise block; whole
+    rows may be -0.0, and single cells -0.0, subnormal, -1 or near 1e300."""
+    k, t = draw(st.integers(1, 12)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.expm1(rng.normal(0.0, draw(st.sampled_from([1e-3, 0.2, 1.5])), (k, 2 * t)))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        stack[i] = -0.0
+    for i, j, value in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, 2 * t - 1),
+                                               st.sampled_from([-0.0, 5e-324, -1.0, 1e300])),
+                                     max_size=4)):
+        stack[i, j] = value
+    layout = draw(st.sampled_from(["scalar", "1-D", "C", "F", "reversed", "strided"]))
+    return {"scalar": float(stack[0, 0]), "1-D": stack[0, :t], "C": stack[:, :t].copy(),
+            "F": np.asfortranarray(stack[:, :t]), "reversed": stack[:, t - 1::-1],
+            "strided": stack[:, ::2]}[layout]
+
+
+def hexes(values):
+    return [float.hex(v) for v in np.ravel(values).tolist()]
+
+
+class TestMeansAgainstNpMean:
+    """``arithmetic_mean`` and ``geometric_mean`` run ``np.mean``'s reduce and
+    division without its wrapper; the ``np.mean`` forms are the definition,
+    and each mean must equal its form bit for bit in every layout."""
+
+    @given(returns=mean_inputs())
+    @example(returns=-0.0)
+    @example(returns=np.full((3, 200), -0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_equal_the_np_mean_forms(self, returns):
+        arr = np.atleast_1d(returns)
+        results = [arithmetic_mean(returns)]
+        want = [np.mean(arr, axis=-1)]
+        if (arr <= -1.0).any():
+            with pytest.raises(ReturnBelowMinusOneError):
+                geometric_mean(returns)
+        else:
+            results.append(geometric_mean(returns))
+            want.append(np.expm1(np.mean(np.log1p(arr), axis=-1)))
+        for got, expected in zip(results, want):
+            if arr.ndim == 1:
+                assert type(got) is float
+            else:
+                assert isinstance(got, np.ndarray) and got.shape == arr.shape[:-1]
+            assert hexes(got) == hexes(expected)

@@ -1,5 +1,6 @@
 """End-to-end tests for the erp-lab command line."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -1656,6 +1657,21 @@ class TestLazyParser:
         lazy = self.outcome(argv, None, False)
         assert lazy[0] == "exit 0" and lazy[1].startswith("usage: erp-lab")
         assert lazy == self.outcome(argv, None, True)
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
+    def test_width_read_once_gives_the_default_formatters_help(self, columns, monkeypatch):
+        """``build_parser`` hands every parser a formatter whose width is
+        read from the terminal once; each help text must be what argparse's
+        own formatter, reading the width itself, writes."""
+        monkeypatch.setenv("COLUMNS", columns)
+        parser, _ = cli.build_parser()
+        subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert tuple(subparsers.choices) == SUBCOMMANDS
+        for each in (parser, *subparsers.choices.values()):
+            assert each.formatter_class is not argparse.HelpFormatter
+            text = each.format_help()
+            each.formatter_class = argparse.HelpFormatter
+            assert text == each.format_help()
 
     def test_builds_only_the_subcommand_that_runs(self, tmp_path, monkeypatch):
         built = []

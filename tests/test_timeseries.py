@@ -29,6 +29,11 @@ from erp_lab.timeseries import (
 )
 
 
+# a descent wider than int64: np.diff wraps it to NaT, which compares
+# False against every day, so an order check on differences lets it through
+DESCENT_PAST_INT64 = np.array([2**62, -2**62], dtype="datetime64[D]")
+
+
 def days(n, start=date(2020, 1, 1), step=1):
     return tuple(start + timedelta(days=i * step) for i in range(n))
 
@@ -98,6 +103,11 @@ class TestDatedSeries:
         d = (date(2020, 1, 2), date(2020, 1, 1))
         with pytest.raises(ValueError, match="increasing"):
             DatedSeries(d, np.array([1.0, 2.0]))
+
+    def test_rejects_a_descent_whose_difference_overflows(self):
+        with pytest.raises(ValueError, match="^dates must be strictly increasing: "
+                           f"{DESCENT_PAST_INT64[0]} !< {DESCENT_PAST_INT64[1]}$"):
+            DatedSeries(DESCENT_PAST_INT64, np.array([1.0, 2.0]))
 
     def test_rejects_duplicate_dates(self):
         d = (date(2020, 1, 1), date(2020, 1, 1))
@@ -504,7 +514,8 @@ class TestStepInterpolate:
         ((), "non-empty"),
         ((date(2020, 1, 2), date(2020, 1, 2)), "strictly increasing"),
         ((date(2020, 1, 3), date(2020, 1, 2)), "strictly increasing"),
-    ], ids=["empty", "repeated-day", "descending"])
+        (DESCENT_PAST_INT64, "strictly increasing"),
+    ], ids=["empty", "repeated-day", "descending", "descent-past-int64"])
     def test_rejects_a_bad_calendar(self, calendar, message):
         sparse = DatedSeries.from_pairs([(date(2020, 1, 1), 7.0)])
         with pytest.raises(InvalidParametersError, match=message):
