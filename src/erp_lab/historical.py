@@ -21,7 +21,7 @@ from .errors import (
     EmptyWindowError,
     HorizonExceedsSampleError,
 )
-from .io import CELL_FORMAT, _fixed, _rows, csv_header
+from .io import CELL_FORMAT, _fixed, _rows, _table, csv_header
 from .timeseries import DatedSeries, ReturnSeries, _read_only, align
 
 YearWindow = tuple[int, int]
@@ -161,11 +161,11 @@ class ErpReport:
     def csv_bytes(self) -> bytes:
         """The report as UTF-8 CSV: one row per window; missing cells render
         as NA.  A header field holding a comma, quote or line break is quoted."""
-        grid = _fixed(self.premium.ravel(), CELL_FORMAT).reshape(self.premium.shape)
+        grid = _fixed(self.premium.ravel(), CELL_FORMAT).reshape(-1, *self.premium.shape)
         # a gap reads NA, a filled NaN cell nan
-        for cell in self.gaps:
-            grid[cell] = b"NA"
-        body = _rows([np.array(self.window_labels(), dtype="S"), *grid.T], b",", b"\n")
+        for i, j in self.gaps:
+            grid[:, i, j] = np.frombuffer(b"NA".ljust(len(grid), b"\0"), np.uint8)
+        body = _rows([_table(self.window_labels()), *grid.transpose(2, 0, 1)], b",", b"\n")
         return (csv_header(["window", *self.column_labels()]) + "\n").encode() + body
 
 

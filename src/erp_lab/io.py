@@ -19,7 +19,7 @@ import stat
 from dataclasses import dataclass
 from datetime import datetime
 from io import BytesIO, StringIO, TextIOWrapper
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -59,8 +59,8 @@ def format_cell(x: float) -> str:
 
 def _fixed(values: np.ndarray, fmt: str) -> np.ndarray:
     """``fmt % v`` for each value ``v`` of a 1-d array, where ``fmt`` is
-    ``"%.<d>f"`` with ``d`` from 1 to 15: an ``S`` array of ASCII texts,
-    each padded to one width with NUL bytes before or after it.
+    ``"%.<d>f"`` with ``d`` from 1 to 15: a position-major ``(width, n)``
+    ``uint8`` table, column ``i`` the text of ``v[i]`` padded with NULs.
 
     The digits of ``|v| * 10**d`` rounded to an integer are taken from
     two eight-digit halves, one digit of every value per step, and only
@@ -68,7 +68,8 @@ def _fixed(values: np.ndarray, fmt: str) -> np.ndarray:
     value that is not finite, whose scaled form is ``2**53`` or more, or
     whose scaled form is exactly a half (``0.125`` at two places, or
     ``0.015``, whose float product is ``1.5``) is formatted by ``fmt % v``
-    itself: ``%`` is both the fallback and the definition.
+    itself: ``%`` is both the fallback and the definition.  Where such a
+    text is wider than the digits, the table grows by NUL rows below them.
     """
     values = np.asarray(values, dtype=float)
     decimals = int(fmt[2:-1])
@@ -82,10 +83,11 @@ def _fixed(values: np.ndarray, fmt: str) -> np.ndarray:
     # to; from 2**52 on every float is an integer, and the product is the
     # exact one rounded half to even, as % rounds it
     slow |= np.abs(scaled - rounded) == 0.5
+    texts = np.array([fmt % v for v in values[slow].tolist()], dtype="S")
     digits = max(decimals + 1, len("%d" % rounded.max(initial=0.0)))
-    # rows: sign, digits - d integer digits, point, d decimals
+    # rows: sign, digits - d integer digits, point, d decimals, NULs to the widest %
     point = digits + 1 - decimals
-    text = np.empty((digits + 2, values.size), dtype=np.uint8)
+    text = np.empty((max(digits + 2, texts.itemsize), values.size), dtype=np.uint8)
     places = [row for row in range(digits + 1, 0, -1) if row != point]
     # a quotient below 2**27 that is not whole lies 1e-8 or more below the
     # next whole number, and rounding moves it by at most 2**-27: below
@@ -100,22 +102,26 @@ def _fixed(values: np.ndarray, fmt: str) -> np.ndarray:
         text[row][rounded < 10.0 ** (digits - row)] = 0
     text[0] = np.signbit(values) * np.uint8(ord("-"))
     text[point] = ord(".")
-    text = np.ascontiguousarray(text.T).view(f"S{digits + 2}")[:, 0]
-    if slow.any():
-        texts = [(fmt % v).encode() for v in values[slow].tolist()]
-        text = text.astype(f"S{max(text.itemsize, *map(len, texts))}")
-        text[slow] = texts
+    text[digits + 2:] = 0
+    if texts.size:
+        text[:, slow] = _table(texts.astype(f"S{len(text)}"))
     return text
 
 
+def _table(texts) -> np.ndarray:
+    """Bytes or ASCII ``texts`` as a position-major table, one per column."""
+    return np.asarray(texts, dtype="S")[:, None].view(np.uint8).T
+
+
 def _rows(columns, sep: bytes, end: bytes) -> bytes:
-    """Rows of the ``S`` arrays ``columns``, one text per row, side by
-    side: ``sep`` between cells, ``end`` after the last, NUL bytes dropped."""
-    n = len(columns[0])
-    sep, end = (np.broadcast_to(np.frombuffer(b, np.uint8), (n, len(b))) for b in (sep, end))
-    cells = [np.ascontiguousarray(c)[:, None].view(np.uint8) for c in columns]
-    table = np.concatenate([part for c in cells for part in (c, sep)][:-1] + [end], axis=1)
-    return table[table != 0].tobytes()
+    """Rows of the position-major tables ``columns``, each copied once into
+    one row table: ``sep`` between cells, ``end`` after the last, no NULs."""
+    sep, end = (np.frombuffer(b, np.uint8)[:, None] for b in (sep, end))
+    parts = [part for c in columns for part in (c, sep)][:-1] + [end]
+    table = np.empty((columns[0].shape[1], sum(map(len, parts))), dtype=np.uint8)
+    for part, stop in zip(parts, accumulate(map(len, parts))):
+        table[:, stop - len(part):stop] = part.T
+    return table.tobytes().translate(None, b"\0")
 
 
 def _put_digits(text: np.ndarray, numbers: np.ndarray, rows) -> None:
@@ -130,14 +136,13 @@ def _put_digits(text: np.ndarray, numbers: np.ndarray, rows) -> None:
 
 
 def _iso_days(days: np.ndarray) -> np.ndarray:
-    """``days.astype("S")`` for a ``datetime64[D]`` array: ``S10`` texts
-    ``YYYY-MM-DD``, the year, month and day taken from numpy's own
-    ``datetime64[M]`` cast and written digit by digit as :func:`_fixed`
-    writes its digits.  An array holding a day outside 0001-01-01 to
-    9999-12-31, or of another unit, is formatted by ``astype("S")``,
-    which is both the fallback and the definition."""
+    """``days.astype("S")`` of a ``datetime64[D]`` array as a position-major
+    ``(10, n)`` table of ``YYYY-MM-DD``: year, month and day from numpy's own
+    ``datetime64[M]`` cast, written digit by digit as :func:`_fixed` writes
+    its digits.  An array holding a day outside 0001-01-01 to 9999-12-31,
+    or of another unit, is ``astype("S")``, the fallback and the definition."""
     if days.dtype != _FIRST_DAY.dtype or not np.all((days >= _FIRST_DAY) & (days <= _LAST_DAY)):
-        return days.astype("S")
+        return _table(days.astype("S"))
     months = days.astype("datetime64[M]")
     year, month = np.divmod(months.view(np.int64), 12)
     day = (days - months).view(np.int64) + 1
@@ -147,7 +152,7 @@ def _iso_days(days: np.ndarray) -> np.ndarray:
     _put_digits(text, day, [9, 8])
     text += ord("0")
     text[4] = text[7] = ord("-")
-    return np.ascontiguousarray(text.T).view("S10")[:, 0]
+    return text
 
 
 @dataclass(frozen=True)
@@ -396,7 +401,7 @@ def write_series(series: DatedSeries, path: str, date_column: str = "date",
     series exactly.
     """
     days, values = series.days, series.values
-    blocks = (b"".join(map(b"%s,%r\n".__mod__, zip(_iso_days(days[rows]).tolist(),
-                                                   values[rows].tolist())))
+    blocks = (_rows([_iso_days(days[rows]), _table(list(map(repr, values[rows].tolist())))],
+                    b",", b"\n")
               for rows in _blocks(len(days)))
     write_bytes(path, chain([csv_header([date_column, value_column]).encode() + b"\n"], blocks))

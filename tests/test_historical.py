@@ -249,6 +249,20 @@ class TestErpReport:
         assert not cell.missing and math.isnan(cell.estimate.premium)
         assert report.to_csv().splitlines()[1] == "2000-2001,nan"
 
+    def test_gap_among_fallback_cells_wider_than_the_digits(self):
+        # one column: a gap, "nan", "-inf" and the 312 characters of 1e300,
+        # which % writes and which outgrow the cell's 13 digit rows
+        windows = ((2000, 2001), (2002, 2003), (2004, 2005), (2006, 2007), (2008, 2009))
+        premium = np.array([[0.05], [math.nan], [math.nan], [-math.inf], [1e300]])
+        report = historical.ErpReport(
+            windows, (("tbills", ARITH),), premium, np.full((5, 1), 2),
+            {(1, 0): EmptyWindowError("no aligned observations in 2002-2003")})
+        assert [cell.missing for (cell,) in report.cells] == [False, True, False, False, False]
+        expected = reference_csv(report.windows, report.columns, report.cells)
+        assert report.csv_bytes() == expected.encode()
+        assert expected.splitlines()[2:5] == ["2002-2003,NA", "2004-2005,nan", "2006-2007,-inf"]
+        assert len(expected.splitlines()[5]) == len("2008-2009,") + 312
+
     def test_report_cell_missing_property(self):
         assert ReportCell(None, note="gap").missing
         est = historical_erp(annual([0.1]), annual([0.0]), (2000, 2000), ARITH)

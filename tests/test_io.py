@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from erp_lab import io as erp_io
 from erp_lab.errors import (
@@ -36,6 +37,7 @@ from erp_lab.io import (
     _iso_days,
     _parse_iso,
     _parse_rows,
+    _rows,
     csv_header,
     format_cell,
     parse_series,
@@ -640,9 +642,11 @@ class TestFormatCell:
 
 
 def fixed_texts(values, fmt):
-    """``_fixed``'s texts with their NUL padding dropped."""
-    texts = _fixed(np.array(values, dtype=float), fmt).tolist()
-    return [t.replace(b"\0", b"").decode() for t in texts]
+    """``_fixed``'s texts, read down the columns of its position-major
+    ``uint8`` table, with their NUL padding dropped."""
+    table = _fixed(np.array(values, dtype=float), fmt)
+    assert table.dtype == np.uint8 and table.ndim == 2 and table.shape[1] == len(values)
+    return [column.tobytes().replace(b"\0", b"").decode() for column in table.T]
 
 
 def percent_texts(values, fmt):
@@ -717,6 +721,53 @@ class TestFixed:
             assert fixed_texts(values, fmt) == percent_texts(values.tolist(), fmt)
 
 
+@st.composite
+def position_major_tables(draw):
+    """Position-major ``uint8`` tables of one row count, as the formatters
+    return them: NUL bytes anywhere, all-NUL cells, and each table either
+    C-ordered or a strided column of a 3-d grid, as ``csv_bytes`` passes
+    its report columns."""
+    n = draw(st.integers(0, 40))
+    tables = []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.integers(1, 20))
+        table = draw(arrays(np.uint8, (width, n), elements=st.just(0) | st.integers(0, 255)))
+        table[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0
+        depth = draw(st.integers(1, 3))
+        if depth > 1:
+            grid = np.full((width, n, depth), 255, dtype=np.uint8)
+            column = draw(st.integers(0, depth - 1))
+            grid[:, :, column] = table
+            table = grid[:, :, column]
+        tables.append(table)
+    return tables
+
+
+def rows_by_hand(tables, sep, end):
+    """Each row's cells with their NULs dropped, joined by ``sep`` and
+    ended by ``end``."""
+    return b"".join(sep.join(t[:, i].tobytes().replace(b"\0", b"") for t in tables) + end
+                    for i in range(tables[0].shape[1]))
+
+
+class TestRows:
+    """``_rows`` is its definition: row by row, cells without their NULs."""
+
+    @given(tables=position_major_tables(),
+           sep=st.binary(min_size=1, max_size=4).map(lambda b: b.replace(b"\0", b";")),
+           end=st.binary(min_size=1, max_size=4).map(lambda b: b.replace(b"\0", b"|")))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_rows_by_hand(self, tables, sep, end):
+        before = [t.copy() for t in tables]
+        assert _rows(tables, sep, end) == rows_by_hand(tables, sep, end)
+        assert all(np.array_equal(t, b) for t, b in zip(tables, before))
+
+    def test_known_rows(self):
+        dates = np.frombuffer(b"2000-01-01" b"1999-12-31", np.uint8).reshape(2, 10).T
+        values = np.array([[0, ord("-")], [ord("1"), ord("2")], [0, 0]], dtype=np.uint8)
+        assert _rows([dates, values], b", ", b"\r\n") == b"2000-01-01, 1\r\n1999-12-31, -2\r\n"
+
+
 def row_loop(path, fields, days, columns):
     """``write_rows`` as it formatted each row with ``%`` alone."""
     row = ",".join(["%s", *[CELL_FORMAT] * len(columns)]) + "\n"
@@ -783,7 +834,10 @@ class TestWriteRows:
         days = np.arange(np.datetime64("0001-01-01"), np.datetime64("10000-01-01"))
         for start in range(0, days.size, 146_097):
             block = days[start:start + 146_097]
-            assert np.array_equal(_iso_days(block), block.astype("S"))
+            table = _iso_days(block)
+            assert table.dtype == np.uint8 and table.shape == (10, block.size)
+            assert np.array_equal(np.ascontiguousarray(table.T).view("S10")[:, 0],
+                                  block.astype("S"))
 
     def test_blocks_match_row_loop(self):
         rng = np.random.default_rng(7)
