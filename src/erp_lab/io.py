@@ -41,6 +41,8 @@ _ISO_ROW = [("day", "S11"), ("value", float)]
 # a digit, "-", or the NUL padding after the tenth byte
 _ISO_LOW = np.frombuffer(b"0000-00-00\0", dtype=np.uint8)
 _ISO_SPAN = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], dtype=np.uint8)
+# rows per month from which _parse_iso and _iso_days cast months, not rows
+_ROWS_PER_MONTH = 4
 CELL_FORMAT = "%.10f"
 # a series file of this many bytes or more is handed to np.loadtxt by name:
 # about where that starts to beat the lines route (some 900 daily rows)
@@ -138,17 +140,25 @@ def _put_digits(text: np.ndarray, numbers: np.ndarray, rows) -> None:
 def _iso_days(days: np.ndarray) -> np.ndarray:
     """``days.astype("S")`` of a ``datetime64[D]`` array as a position-major
     ``(10, n)`` table of ``YYYY-MM-DD``: year, month and day from numpy's own
-    ``datetime64[M]`` cast, written digit by digit as :func:`_fixed` writes
-    its digits.  An array holding a day outside 0001-01-01 to 9999-12-31,
-    or of another unit, is ``astype("S")``, the fallback and the definition."""
+    ``datetime64[M]`` cast (per month if sorted with enough rows), written
+    digit by digit as :func:`_fixed` writes its digits.  An array holding a day
+    outside 0001-01-01 to 9999-12-31, or of another unit, is ``astype("S")``,
+    the fallback and the definition."""
     if days.dtype != _FIRST_DAY.dtype or not np.all((days >= _FIRST_DAY) & (days <= _LAST_DAY)):
         return _table(days.astype("S"))
-    months = days.astype("datetime64[M]")
+    text, ints = np.empty((10, days.size), dtype=np.uint8), days.view(np.int64)
+    span = days[[0, -1]].astype("datetime64[M]").view(np.int64) if days.size else (0, 0)
+    if (span[1] - span[0] + 1) * _ROWS_PER_MONTH <= days.size and np.all(ints[1:] >= ints[:-1]):
+        months = np.arange(span[0], span[1] + 1).view("datetime64[M]")
+        counts = np.diff(np.searchsorted(days, (months + 1).astype(days.dtype)), prepend=0)
+    else:
+        months, counts = days.astype("datetime64[M]"), 1
     year, month = np.divmod(months.view(np.int64), 12)
-    day = (days - months).view(np.int64) + 1
-    text = np.empty((10, days.size), dtype=np.uint8)
-    _put_digits(text, year + 1970, [3, 2, 1, 0])
-    _put_digits(text, month + 1, [6, 5])
+    head = np.empty((7, months.size), dtype=np.uint8)
+    _put_digits(head, year + 1970, [3, 2, 1, 0])
+    _put_digits(head, month + 1, [6, 5])
+    text[:7] = np.repeat(head, counts, axis=1)
+    day = ints + 1 - np.repeat(months.astype(days.dtype).view(np.int64), counts)
     _put_digits(text, day, [9, 8])
     text += ord("0")
     text[4] = text[7] = ord("-")
@@ -216,8 +226,8 @@ def _parse_iso(spec: SeriesFileSpec, read: list | None = None) -> DatedSeries | 
     differ from those the first read saw.  That narrows the race with a
     writer but does not close it: a file rewritten in place at the same
     size within one timestamp tick passes, and numpy may then return rows
-    these checks never saw.  Any other input, a pipe
-    included, is passed as the lines of the text read.
+    these checks never saw.  Any other input, a pipe included, is passed as
+    its lines.  Dates are cast once per run of one month (``_ROWS_PER_MONTH``).
 
     The bytes read are appended to ``read``, if given, for the row loop,
     and dropped from it and from here before a by-name read: that file is
@@ -258,7 +268,18 @@ def _parse_iso(spec: SeriesFileSpec, read: list | None = None) -> DatedSeries | 
         if not np.all(np.subtract(cells.T, _ISO_LOW[:, None], order="C")
                       <= _ISO_SPAN[:, None]):
             return None
-        days = table["day"].astype("datetime64[D]")
+        keys = np.ndarray(table.size, np.uint64, table, strides=(table.itemsize,))  # YYYY-MM-
+        runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        if runs.size * _ROWS_PER_MONTH <= table.size:
+            months = table["day"][runs].astype("S7").astype("datetime64[M]")
+            first = months.astype("datetime64[D]")
+            days = np.repeat(first, np.diff(runs, append=table.size))
+            day = (cells[:, 8] - 48) * 10 + cells[:, 9] - 49  # day - 1 in uint8: "00" wraps
+            if np.any(first + np.maximum.reduceat(day, runs) >= (months + 1).astype(first.dtype)):
+                return None
+            days += day
+        else:
+            days = table["day"].astype("datetime64[D]")
         # date's range: a four-digit year can fall below it only as year 0000
         if not np.all(days >= _FIRST_DAY):
             return None

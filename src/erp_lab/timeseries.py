@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from datetime import date
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import (
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _BLOCK = 4096
+_RUNS_PER_DAY = 0.5  # ema's run path pays where runs are no more than this share of days
 
 
 def _blocks(n: int) -> list[slice]:
@@ -99,13 +100,13 @@ class DatedSeries:
                 raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
         if len(days) == 0:
             raise ValueError("series must contain at least one observation")
-        nat = np.isnat(days)
-        if nat.any():
-            raise ValueError(f"dates must not be NaT, got NaT at position {int(np.argmax(nat))}")
-        bad = np.flatnonzero(days[1:] <= days[:-1])
-        if bad.size:
-            a, b = days[bad[0]], days[bad[0] + 1]
-            raise ValueError(f"dates must be strictly increasing: {a} !< {b}")
+        ints = days.view(np.int64)  # NaT is its least value: the order check finds it after 0
+        if ints[0] == np.iinfo(np.int64).min or not np.all(ints[1:] > ints[:-1]):
+            if np.isnat(days).any():
+                nat = int(np.argmax(np.isnat(days)))
+                raise ValueError(f"dates must not be NaT, got NaT at position {nat}")
+            i = int(np.argmax(ints[1:] <= ints[:-1]))
+            raise ValueError(f"dates must be strictly increasing: {days[i]} !< {days[i + 1]}")
         if len(days) != len(values):
             raise ValueError("dates and values must have equal length")
         if not np.all(np.isfinite(values)):
@@ -217,11 +218,11 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
     ``period_days == 1`` the output equals the input.
 
     The recursion runs as one generator loop on Python floats, converted
-    ``_BLOCK`` at a time; their IEEE operations are numpy's, but they
-    neither warn nor raise.  So where an output is not finite,
-    or ``np.errstate`` traps underflow, it runs again on numpy scalars
-    (one ``itertools.accumulate``), which warn or raise as
-    ``np.errstate`` says: that run is the fallback and the definition.
+    ``_BLOCK`` at a time, or once per run of bit-identical inputs where
+    runs are few; their IEEE operations are numpy's, but they neither
+    warn nor raise.  So where an output is not finite, or ``np.errstate``
+    traps underflow, it runs again on numpy scalars (one ``accumulate``),
+    which warn or raise as ``np.errstate`` says: the fallback and definition.
     """
     if period_days < 1:
         raise InvalidParametersError("period_days must be >= 1")
@@ -235,9 +236,15 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
 
 
 def _ema_floats(values: np.ndarray, alpha: float):
-    """Yield the recursion of :func:`ema` on Python floats, without a call
-    per day; the first output is ``values[0]`` as is (``-0.0`` included)."""
-    floats = chain.from_iterable(values[rows].tolist() for rows in _blocks(len(values)))
+    """Yield the recursion of :func:`ema` on Python floats, without a call per day
+    and, where runs of bit-identical values are few, converting one per run."""
+    change = values[1:].view(np.int64) != values[:-1].view(np.int64)
+    if np.count_nonzero(change) + 1 <= _RUNS_PER_DAY * len(values):
+        ends = np.append(np.flatnonzero(change) + 1, len(values))
+        floats = chain.from_iterable(map(repeat, values[ends - 1].tolist(),
+                                         np.diff(ends, prepend=0).tolist()))
+    else:
+        floats = chain.from_iterable(values[rows].tolist() for rows in _blocks(len(values)))
     acc = next(floats)
     yield acc
     for x in floats:
@@ -250,9 +257,9 @@ def step_interpolate(sparse: DatedSeries,
     """Carry sparse observations forward onto a finer calendar.
 
     Each calendar date takes the most recent sparse value at or before it
-    (last observation carried forward).  The calendar (a sequence of
-    ``date`` or a ``datetime64`` array) must be non-empty, strictly
-    increasing, and start no earlier than the first sparse date.
+    (last observation carried forward), repeated over the days it holds.
+    The calendar (a sequence of ``date`` or a ``datetime64`` array) must be
+    non-empty, strictly increasing, and start no earlier than the first.
 
     Raises
     ------
@@ -268,6 +275,6 @@ def step_interpolate(sparse: DatedSeries,
         raise CalendarPrecedesDataError(
             f"calendar starts {days[0]}, before first observation {sparse.days[0]}"
         )
-    latest = np.searchsorted(sparse.days, days, side="right")
-    latest -= 1  # in place: one index array, not two
-    return DatedSeries(days, _read_only(sparse.values[latest]))
+    # each sparse value holds from the first calendar day on or after its own
+    runs = np.diff(np.searchsorted(days, sparse.days), append=len(days))
+    return DatedSeries(days, _read_only(np.repeat(sparse.values, runs)))

@@ -287,6 +287,45 @@ class TestIsoFastPath:
         got = outcome(parse_series, SeriesFileSpec(path, value_scale=10))
         assert got == (ValueError, "values must be finite (no NaN or infinity)")
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_month_runs_match_row_loop(self, data):
+        # runs of 4 to 12 rows of one month, so the file takes the month
+        # path; months repeated and out of order, unsorted days within a
+        # run, and now and then a day its month does not have, day 00,
+        # month 00 or 13, or year 0000, inside a run
+        rows = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            year = data.draw(st.sampled_from([1, 1969, 2019, 2020, 2021, 9999]))
+            month = data.draw(st.integers(1, 12))
+            days = data.draw(st.lists(st.integers(1, 28), min_size=4, max_size=12, unique=True))
+            rows += [f"{year:04d}-{month:02d}-{day:02d}" for day in days]
+        if data.draw(st.booleans()):
+            rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(st.sampled_from(
+                ["2019-02-29", "2021-04-31", "2020-02-30", "2020-01-00", "2020-00-05",
+                 "2020-13-05", "0000-01-05", "2020-02-29", "2021-12-31"]))
+        text = "date,value\n" + "".join(f"{row},{i}.5\n" for i, row in enumerate(rows))
+        check_matches_row_loop(text, 1.0)
+
+    @pytest.mark.parametrize("day, valid", [("2019-02-28", True), ("2019-02-29", False),
+                                            ("2020-02-29", True), ("2020-02-30", False),
+                                            ("2021-04-30", True), ("2021-04-31", False),
+                                            ("2021-12-31", True), ("2021-12-00", False),
+                                            ("2021-00-01", False), ("2021-13-01", False),
+                                            ("0000-12-01", False)])
+    def test_month_run_checks_each_day(self, tmp_path, day, valid):
+        # the day among 11 rows of its month: the month path reads it
+        month = day[:8]
+        rows = [f"{month}{d:02d}" for d in range(1, 11)] + [day]
+        path = write(tmp_path, "date,value\n" + "".join(f"{r},{i}\n" for i, r in enumerate(rows)))
+        spec = SeriesFileSpec(path)
+        fast, slow = _parse_iso(spec), outcome(_parse_rows, spec)
+        assert (fast is not None) == valid
+        if valid:
+            assert fast == slow and fast.days[-1] == np.datetime64(day)
+        else:
+            assert outcome(parse_series, spec) == slow
+
     @given(text=series_text(), scale=SCALES)
     @settings(max_examples=300, deadline=None)
     def test_matches_row_loop(self, text, scale):
@@ -838,6 +877,26 @@ class TestWriteRows:
             assert table.dtype == np.uint8 and table.shape == (10, block.size)
             assert np.array_equal(np.ascontiguousarray(table.T).view("S10")[:, 0],
                                   block.astype("S"))
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_month_runs_match_astype(self, data):
+        # sorted days 0 to 60 apart (0: a repeated day), so a block spans 1
+        # to many months and falls on both sides of _ROWS_PER_MONTH; now and
+        # then shuffled, which takes the per-row digits
+        n = data.draw(st.integers(1, 300))
+        first = data.draw(st.sampled_from(["0001-01-01", "1969-12-15", "2020-02-27",
+                                           "9990-01-01"]))
+        steps = data.draw(st.lists(st.integers(0, data.draw(st.sampled_from([1, 3, 8, 60]))),
+                                   min_size=n, max_size=n))
+        days = np.datetime64(first) + np.cumsum(steps)
+        days = days[days <= np.datetime64("9999-12-31")]
+        if data.draw(st.integers(0, 4)) == 0:
+            days = data.draw(st.permutations(days.tolist()))
+            days = np.array(days, dtype="datetime64[D]")
+        table = _iso_days(days)
+        assert table.dtype == np.uint8 and table.shape == (10, days.size)
+        assert np.array_equal(np.ascontiguousarray(table.T).view("S10")[:, 0], days.astype("S"))
 
     def test_blocks_match_row_loop(self):
         rng = np.random.default_rng(7)

@@ -129,6 +129,33 @@ class TestDatedSeries:
         with pytest.raises(ValueError, match=f"^dates must not be NaT, got NaT at position {position}$"):
             DatedSeries(np.array(calendar, dtype="datetime64[D]"), np.arange(len(calendar)))
 
+    @given(offsets=st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+           nat=st.lists(st.integers(0, 11), max_size=3))
+    @example(offsets=[0, 1, 2], nat=[0])
+    @example(offsets=[0, 1, 2], nat=[1])
+    @example(offsets=[0, 1, 2], nat=[2])
+    @example(offsets=[0, 0], nat=[])
+    @example(offsets=[0, 1, -1], nat=[2])
+    @settings(max_examples=300, deadline=None)
+    def test_calendar_errors_are_the_per_check_messages(self, offsets, nat):
+        # steps of -3 to 3 days, so equal days and descents occur, and NaT
+        # at any position: the message is the NaT check's, else the first
+        # pair's out of order, else none
+        calendar = (np.datetime64("2020-01-01") + np.cumsum(offsets)).astype("datetime64[D]")
+        for i in nat:
+            calendar[i % calendar.size] = np.datetime64("NaT")
+        if np.isnat(calendar).any():
+            expected = ("dates must not be NaT, got NaT at position "
+                        f"{int(np.argmax(np.isnat(calendar)))}")
+        else:
+            expected = reference_order_error(calendar.tolist())
+        try:
+            DatedSeries(calendar, np.ones(calendar.size))
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             DatedSeries(days(3), np.array([1.0, 2.0]))
@@ -490,6 +517,64 @@ class TestEma:
                                           "underflow encountered in scalar"))
 
 
+DAYS = np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-02-01"))
+
+
+@st.composite
+def step_values(draw):
+    """EMA input as runs of bit-identical floats, each 1 to 8 days long, so
+    that inputs fall on both sides of the half-the-days rule; the values
+    include both zeros and ones whose recursion overflows or underflows."""
+    values = draw(st.lists(st.one_of(st.floats(-1e3, 1e3),
+                                     st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308, 1e-300,
+                                                      -5e-324])),
+                           min_size=1, max_size=12))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=len(values), max_size=len(values)))
+    return [v for v, n in zip(values, lengths) for _ in range(n)]
+
+
+class TestEmaRuns:
+    """The run-by-run recursion against the docstring's, on step inputs."""
+
+    @staticmethod
+    def outcome(run):
+        try:
+            return [float(v).hex() for v in run()]
+        except (FloatingPointError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    @given(values=step_values(), period=st.integers(1, 400),
+           errstate=st.sampled_from([{}, {"over": "raise", "invalid": "raise"},
+                                     {"under": "raise"}]))
+    @example(values=[-0.0, -0.0, 0.0, 0.0], period=3, errstate={})
+    @example(values=[0.0, 0.0, -0.0, -0.0, 5.0, 5.0], period=1, errstate={})
+    @example(values=[1e-300] * 2 + [0.0] * 8, period=3, errstate={"under": "raise"})
+    @example(values=[-1.7e308] * 3 + [1.7e308] * 3, period=3,
+             errstate={"over": "raise", "invalid": "raise"})
+    @example(values=[-1.7e308] * 3 + [1.7e308] * 3, period=3, errstate={})
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_docstring_recursion(self, values, period, errstate):
+        s = DatedSeries(days(len(values)), values)
+        # what is not raised is ignored: a warning would fail the test
+        with np.errstate(all="ignore", **errstate):
+            # a series refuses a recursion that ends non-finite
+            expected = self.outcome(
+                lambda: DatedSeries(s.days, TestEma.numpy_recursion(s, period)).values)
+            got = self.outcome(lambda: ema(s, period).values)
+        assert got == expected
+
+    @pytest.mark.parametrize("runs, days", [(5, 10), (6, 10), (1, 1), (1, 2), (2, 3)])
+    def test_both_sides_of_the_half_the_days_rule(self, runs, days):
+        # runs of -0.0 and 0.0 alternating: as floats they are all equal
+        lengths = [days // runs + (i < days % runs) for i in range(runs)]
+        values = [(-0.0, 0.0)[i % 2] for i, n in enumerate(lengths) for _ in range(n)]
+        s = DatedSeries(DAYS[:days], values)
+        got = [v.hex() for v in ema(s, 2).values.tolist()]
+        assert got == [float(v).hex() for v in TestEma.numpy_recursion(s, 2)]
+        assert got[0] == "-0x0.0p+0"
+
+
 class TestStepInterpolate:
     def test_holds_last_value(self):
         sparse = DatedSeries.from_pairs(
@@ -593,6 +678,24 @@ class TestCalendarAgainstReference:
         for i, got in enumerate(columns):
             assert got.flags.writeable
             assert not any(np.shares_memory(got, a) for a in arrays + columns[:i])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_step_interpolate_runs_match_reference(self, data):
+        # sparse days on calendar days, between two calendar days (several
+        # in one gap, so all but the last hold no day) and past its end,
+        # with equal values in neighbouring sparse days
+        sparse = sorted(data.draw(st.sets(st.integers(0, 60), min_size=1, max_size=25)))
+        calendar = data.draw(st.sets(st.integers(sparse[0], 70), min_size=1, max_size=40))
+        calendar = sorted(calendar | {sparse[0]} if data.draw(st.booleans()) else calendar)
+        values = data.draw(st.lists(st.sampled_from([1.0, 2.0, -0.0, 0.0]),
+                                    min_size=len(sparse), max_size=len(sparse)))
+        base = date(2020, 1, 1)
+        sparse = DatedSeries([base + timedelta(days=d) for d in sparse], values)
+        calendar = calendar_on(base, calendar)
+        out = step_interpolate(sparse, calendar)
+        expected = reference_step(sparse, calendar)
+        assert [v.hex() for v in out.values.tolist()] == [float(v).hex() for v in expected]
 
     @given(base=st.sampled_from(BASES), sparse=OFFSETS, calendar=OFFSETS)
     @settings(max_examples=150, deadline=None)
