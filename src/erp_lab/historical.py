@@ -161,12 +161,10 @@ class ErpReport:
     def csv_bytes(self) -> bytes:
         """The report as UTF-8 CSV: one row per window; missing cells render
         as NA.  A header field holding a comma, quote or line break is quoted."""
-        # a gap is formatted from 0, not by % from NaN, then reads NA; a filled NaN nan
-        rows, cols = np.array([*self.gaps], dtype=np.intp).reshape(-1, 2).T
-        premium = self.premium.copy()
-        premium[rows, cols] = 0.0
-        grid = _fixed(premium.ravel(), CELL_FORMAT).reshape(-1, *premium.shape)
-        grid[:, rows, cols] = np.frombuffer(b"NA".ljust(len(grid), b"\0"), np.uint8)[:, None]
+        grid = _fixed(self.premium.ravel(), CELL_FORMAT).reshape(-1, *self.premium.shape)
+        # a gap reads NA, a filled NaN cell nan
+        for i, j in self.gaps:
+            grid[:, i, j] = np.frombuffer(b"NA".ljust(len(grid), b"\0"), np.uint8)
         body = _rows([_table(self.window_labels()), *grid.transpose(2, 0, 1)], b",", b"\n")
         return (csv_header(["window", *self.column_labels()]) + "\n").encode() + body
 

@@ -151,14 +151,17 @@ def _iso_days(days: np.ndarray) -> np.ndarray:
     if (span[1] - span[0] + 1) * _ROWS_PER_MONTH <= days.size and np.all(ints[1:] >= ints[:-1]):
         months = np.arange(span[0], span[1] + 1).view("datetime64[M]")
         counts = np.diff(np.searchsorted(days, (months + 1).astype(days.dtype)), prepend=0)
-    else:
-        months, counts = days.astype("datetime64[M]"), 1
+        head = np.empty((7, months.size), dtype=np.uint8)
+    else:  # per row: year and month digits go straight into text
+        months, head = days.astype("datetime64[M]"), text
     year, month = np.divmod(months.view(np.int64), 12)
-    head = np.empty((7, months.size), dtype=np.uint8)
     _put_digits(head, year + 1970, [3, 2, 1, 0])
     _put_digits(head, month + 1, [6, 5])
-    text[:7] = np.repeat(head, counts, axis=1)
-    day = ints + 1 - np.repeat(months.astype(days.dtype).view(np.int64), counts)
+    if head is text:
+        day = (days - months).view(np.int64) + 1
+    else:
+        text[:7] = np.repeat(head, counts, axis=1)
+        day = ints + 1 - np.repeat(months.astype(days.dtype).view(np.int64), counts)
     _put_digits(text, day, [9, 8])
     text += ord("0")
     text[4] = text[7] = ord("-")

@@ -27,7 +27,6 @@ from .errors import (
 
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _BLOCK = 4096
-_RUNS_PER_DAY = 0.5  # ema's run path pays where runs are no more than this share of days
 
 
 def _blocks(n: int) -> list[slice]:
@@ -218,11 +217,11 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
     ``period_days == 1`` the output equals the input.
 
     The recursion runs as one generator loop on Python floats, converted
-    ``_BLOCK`` at a time, or once per run of bit-identical inputs where
-    runs are few; their IEEE operations are numpy's, but they neither
-    warn nor raise.  So where an output is not finite, or ``np.errstate``
-    traps underflow, it runs again on numpy scalars (one ``accumulate``),
-    which warn or raise as ``np.errstate`` says: the fallback and definition.
+    once per run of bit-identical inputs (a step input's runs are few);
+    their IEEE operations are numpy's, but they neither warn nor raise.
+    So where an output is not finite, or ``np.errstate`` traps underflow,
+    it runs again on numpy scalars (one ``itertools.accumulate``), which
+    warn or raise as ``np.errstate`` says: the fallback and the definition.
     """
     if period_days < 1:
         raise InvalidParametersError("period_days must be >= 1")
@@ -236,15 +235,16 @@ def ema(series: DatedSeries, period_days: int) -> DatedSeries:
 
 
 def _ema_floats(values: np.ndarray, alpha: float):
-    """Yield the recursion of :func:`ema` on Python floats, without a call per day
-    and, where runs of bit-identical values are few, converting one per run."""
-    change = values[1:].view(np.int64) != values[:-1].view(np.int64)
-    if np.count_nonzero(change) + 1 <= _RUNS_PER_DAY * len(values):
-        ends = np.append(np.flatnonzero(change) + 1, len(values))
-        floats = chain.from_iterable(map(repeat, values[ends - 1].tolist(),
-                                         np.diff(ends, prepend=0).tolist()))
-    else:
-        floats = chain.from_iterable(values[rows].tolist() for rows in _blocks(len(values)))
+    """Yield the recursion of :func:`ema` on Python floats, without a call per
+    day, converting one per run of bit-identical values (found on the ``int64``
+    view, so ``0.0`` and ``-0.0`` differ), ``_BLOCK`` runs at a time; the first
+    output is ``values[0]`` as is."""
+    bits = values.view(np.int64)
+    ends = np.flatnonzero(np.append(bits[1:] != bits[:-1], True)) + 1
+    counts = np.diff(ends, prepend=0)
+    floats = chain.from_iterable(chain.from_iterable(
+        map(repeat, values[ends[rows] - 1].tolist(), counts[rows].tolist())
+        for rows in _blocks(len(ends))))
     acc = next(floats)
     yield acc
     for x in floats:

@@ -263,30 +263,6 @@ class TestErpReport:
         assert expected.splitlines()[2:5] == ["2002-2003,NA", "2004-2005,nan", "2006-2007,-inf"]
         assert len(expected.splitlines()[5]) == len("2008-2009,") + 312
 
-    def test_gap_cells_reach_the_formatter_finite(self, monkeypatch):
-        # a gap's NaN would take _fixed's % fallback only to be overwritten
-        # by NA: the formatter sees a finite placeholder there instead, and
-        # a filled NaN cell still reaches it as NaN and reads nan
-        windows = ((2000, 2001), (2002, 2003), (2004, 2005))
-        premium = np.array([[math.nan, 0.25], [math.nan, math.nan], [0.5, math.nan]])
-        gaps = {(0, 0): EmptyWindowError("no aligned observations in 2000-2001"),
-                (1, 1): EmptyWindowError("no aligned observations in 2002-2003"),
-                (2, 1): EmptyWindowError("no aligned observations in 2004-2005")}
-        report = historical.ErpReport(windows, (("tbills", ARITH), ("tbonds", ARITH)),
-                                      premium, np.full((3, 2), 2), gaps)
-        seen = []
-        fixed = historical._fixed
-        monkeypatch.setattr(historical, "_fixed",
-                            lambda values, fmt: seen.append(values.copy()) or fixed(values, fmt))
-        body = report.csv_bytes()
-        (values,) = seen
-        grid = values.reshape(premium.shape)
-        assert np.isfinite(grid[tuple(zip(*gaps))]).all()
-        assert math.isnan(grid[1, 0])
-        assert body == reference_csv(report.windows, report.columns, report.cells).encode()
-        assert body.splitlines()[1:] == [b"2000-2001,NA,0.2500000000", b"2002-2003,nan,NA",
-                                         b"2004-2005,0.5000000000,NA"]
-
     def test_report_cell_missing_property(self):
         assert ReportCell(None, note="gap").missing
         est = historical_erp(annual([0.1]), annual([0.0]), (2000, 2000), ARITH)

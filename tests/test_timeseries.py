@@ -465,13 +465,12 @@ class TestEma:
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=1, max_size=40),
            first=st.sampled_from([None, -0.0, 0.0]),
-           period=st.integers(1, 400),
-           block=st.integers(1, 7))
-    @example(values=[-0.0], first=None, period=9, block=1)
-    @example(values=[-0.0, 2.0, -3.5, 0.25, 1e-3, 7.0, -7.0, 8.0], first=None, period=3, block=7)
+           period=st.integers(1, 400))
+    @example(values=[-0.0], first=None, period=9)
+    @example(values=[-0.0, 2.0, -3.5, 0.25, 1e-3, 7.0, -7.0, 8.0], first=None, period=3)
     @settings(max_examples=300, deadline=None)
-    def test_blocks_match_the_docstring_recursion(self, values, first, period, block):
-        # blocks of 1-7 floats, so lengths up to 40 cross several of them
+    def test_blocks_match_the_docstring_recursion(self, values, first, period):
+        # mostly runs of one day: the run path as dense input takes it
         if first is not None:
             values[0] = first
         s = DatedSeries(days(len(values)), values)
@@ -481,9 +480,7 @@ class TestEma:
             expected.append(expected[-1] + alpha * (x - expected[-1]))
         if not all(np.isfinite(expected)):
             return  # the numpy-scalar fallback runs; the test above covers it
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("erp_lab.timeseries._BLOCK", block)
-            got = ema(s, period).values
+        got = ema(s, period).values
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
     @staticmethod
@@ -522,9 +519,8 @@ DAYS = np.arange(np.datetime64("2020-01-01"), np.datetime64("2020-02-01"))
 
 @st.composite
 def step_values(draw):
-    """EMA input as runs of bit-identical floats, each 1 to 8 days long, so
-    that inputs fall on both sides of the half-the-days rule; the values
-    include both zeros and ones whose recursion overflows or underflows."""
+    """EMA input as runs of bit-identical floats, each 1 to 8 days long; the
+    values include both zeros and ones whose recursion overflows or underflows."""
     values = draw(st.lists(st.one_of(st.floats(-1e3, 1e3),
                                      st.floats(allow_nan=False, allow_infinity=False),
                                      st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308, 1e-300,
@@ -565,7 +561,7 @@ class TestEmaRuns:
         assert got == expected
 
     @pytest.mark.parametrize("runs, days", [(5, 10), (6, 10), (1, 1), (1, 2), (2, 3)])
-    def test_both_sides_of_the_half_the_days_rule(self, runs, days):
+    def test_alternating_zero_runs(self, runs, days):
         # runs of -0.0 and 0.0 alternating: as floats they are all equal
         lengths = [days // runs + (i < days % runs) for i in range(runs)]
         values = [(-0.0, 0.0)[i % 2] for i, n in enumerate(lengths) for _ in range(n)]
