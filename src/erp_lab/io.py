@@ -157,12 +157,11 @@ def _iso_days(days: np.ndarray) -> np.ndarray:
     year, month = np.divmod(months.view(np.int64), 12)
     _put_digits(head, year + 1970, [3, 2, 1, 0])
     _put_digits(head, month + 1, [6, 5])
-    if head is text:
-        day = (days - months).view(np.int64) + 1
-    else:
+    starts = months.astype(days.dtype).view(np.int64)
+    if head is not text:
         text[:7] = np.repeat(head, counts, axis=1)
-        day = ints + 1 - np.repeat(months.astype(days.dtype).view(np.int64), counts)
-    _put_digits(text, day, [9, 8])
+        starts = np.repeat(starts, counts)
+    _put_digits(text, ints + 1 - starts, [9, 8])
     text += ord("0")
     text[4] = text[7] = ord("-")
     return text
@@ -271,7 +270,7 @@ def _parse_iso(spec: SeriesFileSpec, read: list | None = None) -> DatedSeries | 
         if not np.all(np.subtract(cells.T, _ISO_LOW[:, None], order="C")
                       <= _ISO_SPAN[:, None]):
             return None
-        keys = np.ndarray(table.size, np.uint64, table, strides=(table.itemsize,))  # YYYY-MM-
+        keys = np.ndarray(table.size, np.int64, table, strides=(table.itemsize,))  # YYYY-MM-
         runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         if runs.size * _ROWS_PER_MONTH <= table.size:
             months = table["day"][runs].astype("S7").astype("datetime64[M]")
