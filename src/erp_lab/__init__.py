@@ -36,6 +36,7 @@ from .historical import (
 from .implied import (
     CashflowSchedule,
     GordonInputs,
+    ImpliedErpSeries,
     TwoStageInputs,
     dcf_price,
     earnings_implied_k,
@@ -66,6 +67,7 @@ __all__ = [
     "ErpReport",
     "FactorModelFit",
     "GordonInputs",
+    "ImpliedErpSeries",
     "MarketModelFit",
     "ReportCell",
     "ReturnSeries",

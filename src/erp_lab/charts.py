@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .io import _fixed, _rows
+from .io import _fixed_columns, _rows
 from .timeseries import DatedSeries, _blocks
 
 FORMAT_COMMENT = "<!-- erp-lab chart format 1 -->"
@@ -119,8 +119,7 @@ def line_chart_svg(series: DatedSeries) -> bytes:
                          extra=' stroke-dasharray="4 3"'))
 
     # each point is "x,y " and the last one's space goes
-    points = [_rows([_fixed(x_at(rows), _COORD), _fixed(y_at(series.values[rows]), _COORD)],
-                    b",", b" ")
+    points = [_rows(_fixed_columns([x_at(rows), y_at(series.values[rows])], _COORD), b",", b" ")
               for rows in _blocks(n)]
     points[-1] = points[-1][:-1]
     out.append('<polyline points="')

@@ -30,7 +30,7 @@ from .errors import DataError, ErpLabError, NumericalError
 from .historical import _window_label, erp_report, report_columns
 from .implied import implied_erp_series
 from .io import SeriesFileSpec, format_cell, parse_series, write_bytes, write_rows
-from .timeseries import DatedSeries, ReturnSeries, ema, simple_returns, step_interpolate
+from .timeseries import ReturnSeries, ema, simple_returns, step_interpolate
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -98,16 +98,6 @@ def _read(name: str, spec: SeriesFileSpec, kind: str | None = None):
 
 # -- commands -----------------------------------------------------------------
 
-def _inputs_on(days: np.ndarray, prices: DatedSeries, eps_smooth: DatedSeries,
-               yields: DatedSeries) -> list[np.ndarray]:
-    """Each input's values on ``days``, the inputs' intersection, so every
-    calendar holds each of them.  ``eps_smooth`` holds the prices calendar
-    array itself: one membership mask serves both, and one more the yields."""
-    on_prices, on_yields = (np.isin(s.days.view(np.int64), days.view(np.int64))
-                            for s in (prices, yields))
-    return [prices.values[on_prices], eps_smooth.values[on_prices], yields.values[on_yields]]
-
-
 def run_implied(args) -> int:
     """Daily pipeline: parse, carry EPS to the price calendar, smooth,
     compute eps/price - yield, write CSV and SVG."""
@@ -126,15 +116,14 @@ def run_implied(args) -> int:
     del eps_sparse, eps_daily  # each stage holds only what a later one reads
     with _stage("computing the premium"):
         erp = implied_erp_series(prices, eps_smooth, yields)
+    del prices, eps_smooth, yields  # erp carries each input on its own days
     with _stage("writing output"):
-        columns = [*_inputs_on(erp.days, prices, eps_smooth, yields), erp.values]
-        del prices, eps_smooth, yields
         # the chart is the step that can still fail: render it before
         # writing either file, so that a failure leaves neither; and write
         # it first, so that its bytes are not held while erp.csv is formatted
         write_bytes(svg, [charts.line_chart_svg(erp)])
         write_rows(args.output, ("date", "price", "eps_smoothed", "yield", "erp"),
-                   erp.days, columns)
+                   erp.days, [erp.price, erp.eps, erp.yields, erp.values])
     return EXIT_OK
 
 

@@ -30,7 +30,7 @@ from .errors import (
     NumericalError,
     RateBelowMinusOneError,
 )
-from .timeseries import DatedSeries, _read_only, align_many
+from .timeseries import DatedSeries, _as_values, _read_only, align_many
 
 BISECTION_XTOL = 1e-10
 BISECTION_RTOL = 4 * np.finfo(float).eps
@@ -245,12 +245,33 @@ def two_stage_implied_k(price: float, inputs: TwoStageInputs) -> float:
     raise NumericalError(f"bisection did not converge in {BISECTION_MAXITER} steps; last k={lo}")
 
 
+@dataclass(frozen=True, eq=False)
+class ImpliedErpSeries(DatedSeries):
+    """A daily implied premium that carries the inputs it was computed
+    from, each on the premium's own days: ``price``, ``eps`` (smoothed)
+    and ``yields``.  Each is kept or copied as ``values`` is, and must
+    hold one number per day."""
+
+    price: np.ndarray
+    eps: np.ndarray
+    yields: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name in ("price", "eps", "yields"):
+            array = _as_values(getattr(self, name))
+            if array.shape != self.values.shape:
+                raise ValueError(f"{name} must hold one number per day, got shape {array.shape}")
+            object.__setattr__(self, name, array)
+
+
 def implied_erp_series(prices: DatedSeries, eps_daily: DatedSeries,
-                       yields: DatedSeries) -> DatedSeries:
+                       yields: DatedSeries) -> ImpliedErpSeries:
     """Daily implied premium: earnings yield minus riskfree yield.
 
-    All three series are intersected on common dates; per date the value
-    is ``eps/price - yield``.  ``eps_daily`` is expected to be already
+    All three series are intersected on common dates, once; per date the
+    value is ``eps/price - yield``, and the result carries the three inputs
+    on those dates.  ``eps_daily`` is expected to be already
     interpolated/smoothed onto a daily grid and ``yields`` to be annual
     decimal fractions.  The result can be negative: the market may price
     in more performance than current earnings justify.
@@ -269,7 +290,6 @@ def implied_erp_series(prices: DatedSeries, eps_daily: DatedSeries,
         if p[i] <= 0:
             raise NonPositivePriceError(f"non-positive price at {days[i]}")
         raise NonPositiveEpsError(f"non-positive eps at {days[i]}")
-    # built in e: align_many hands back fresh arrays, so no input changes
-    e /= p
-    e -= y
-    return DatedSeries(days, _read_only(e))
+    erp = e / p
+    erp -= y
+    return ImpliedErpSeries(days, _read_only(erp), *map(_read_only, (p, e, y)))

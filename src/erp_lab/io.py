@@ -229,7 +229,9 @@ def _parse_iso(spec: SeriesFileSpec, read: list | None = None) -> DatedSeries | 
     writer but does not close it: a file rewritten in place at the same
     size within one timestamp tick passes, and numpy may then return rows
     these checks never saw.  Any other input, a pipe included, is passed as
-    its lines.  Dates are cast once per run of one month (``_ROWS_PER_MONTH``).
+    its lines.  Dates are cast, and their ``YYYY-MM-`` bytes checked, once
+    per run of one month (``_ROWS_PER_MONTH``); each row's day bytes are
+    checked on every row.
 
     The bytes read are appended to ``read``, if given, for the row loop,
     and dropped from it and from here before a by-name read: that file is
@@ -264,15 +266,16 @@ def _parse_iso(spec: SeriesFileSpec, read: list | None = None) -> DatedSeries | 
             return None
         # the date bytes where they lie, the first field of each row
         cells = table.view(np.uint8).reshape(-1, table.itemsize)[:, :_ISO_LOW.size]
-        # exactly "YYYY-MM-DD" (unsigned bytes wrap below the low end):
-        # strptime reads such a date as numpy does, which refuses month 13
-        # or Feb 30; position-major, so numpy's inner loop runs down the rows
-        if not np.all(np.subtract(cells.T, _ISO_LOW[:, None], order="C")
-                      <= _ISO_SPAN[:, None]):
-            return None
         keys = np.ndarray(table.size, np.int64, table, strides=(table.itemsize,))  # YYYY-MM-
         runs = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        if runs.size * _ROWS_PER_MONTH <= table.size:
+        monthly = runs.size * _ROWS_PER_MONTH <= table.size
+        # exactly "YYYY-MM-DD": strptime reads such a date as numpy does,
+        # which refuses month 13 or Feb 30; a run's rows hold its head's
+        # key bytes, so in month runs those are checked once a run
+        if not (_iso_bytes(cells[runs, :8], 0) and _iso_bytes(cells[:, 8:], 8) if monthly
+                else _iso_bytes(cells, 0)):
+            return None
+        if monthly:
             months = table["day"][runs].astype("S7").astype("datetime64[M]")
             first = months.astype("datetime64[D]")
             days = np.repeat(first, np.diff(runs, append=table.size))
@@ -296,6 +299,14 @@ def _parse_iso(spec: SeriesFileSpec, read: list | None = None) -> DatedSeries | 
         return DatedSeries(_read_only(days), _read_only(values))
     except (csv.Error, ValueError, OSError):
         return None
+
+
+def _iso_bytes(cells: np.ndarray, first: int) -> bool:
+    """Whether each row of ``cells``, bytes ``first`` on of date cells, lies
+    byte by byte in the ISO ranges (unsigned bytes wrap below the low end).
+    Position-major, so numpy's inner loop runs down the rows."""
+    low, span = (a[first:first + cells.shape[1], None] for a in (_ISO_LOW, _ISO_SPAN))
+    return bool(np.all(np.subtract(cells.T, low, order="C") <= span))
 
 
 def _source(path: str, state: os.stat_result, data: bytes, first: str) -> str | list:
@@ -405,13 +416,22 @@ def write_bytes(path, chunks) -> None:
         fh.writelines(chunks)
 
 
+def _fixed_columns(columns, fmt: str) -> np.ndarray:
+    """:func:`_fixed` of the equal-length ``columns`` as a ``(len(columns),
+    width, n)`` stack of tables, from one call on their concatenation: the
+    widest sets the digit count, a narrower one's texts gain leading NULs."""
+    table = _fixed(np.concatenate(columns), fmt)
+    return table.reshape(len(table), len(columns), -1).transpose(1, 0, 2)
+
+
 def write_rows(path, fields, days, columns) -> None:
     """Write ISO dates and value columns as CSV under the header ``fields``,
     each value rendered with ``CELL_FORMAT``.  Rows are formatted a fixed
-    number at a time, a block's columns at once (:func:`_fixed`), so that
-    no whole-column list or whole-file text is held."""
-    blocks = (_rows([_iso_days(days[rows]), *(_fixed(c[rows], CELL_FORMAT) for c in columns)],
-                    b",", b"\n")
+    number at a time, all of a block's value columns in one
+    :func:`_fixed` call (:func:`_fixed_columns`), so that no whole-column
+    list or whole-file text is held."""
+    blocks = (_rows([_iso_days(days[rows]),
+                     *_fixed_columns([c[rows] for c in columns], CELL_FORMAT)], b",", b"\n")
               for rows in _blocks(len(days)))
     write_bytes(path, chain([csv_header(fields).encode() + b"\n"], blocks))
 

@@ -69,6 +69,14 @@ def _as_days(dates) -> np.ndarray:
     return _read_only(days)
 
 
+def _as_values(values) -> np.ndarray:
+    """``values`` as read-only ``float64``: a :func:`_frozen` native
+    ``float64`` array as given, anything else as a plain copy."""
+    if _frozen(values) and values.dtype == np.float64:
+        return values
+    return _read_only(np.array(values, dtype=float))
+
+
 @dataclass(frozen=True, eq=False)
 class DatedSeries:
     """Ordered (date, value) observations with strictly increasing dates.
@@ -90,10 +98,8 @@ class DatedSeries:
     def __post_init__(self):
         days = _as_days(self.days)
         object.__setattr__(self, "days", days)
-        values = self.values
-        if not (_frozen(values) and values.dtype == np.float64):
-            values = _read_only(np.array(values, dtype=float))
-            object.__setattr__(self, "values", values)
+        values = _as_values(self.values)
+        object.__setattr__(self, "values", values)
         for name, array in (("days", days), ("values", values)):
             if array.ndim != 1:
                 raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")

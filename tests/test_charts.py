@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erp_lab import charts, timeseries
+from erp_lab import io as erp_io
+from erp_lab import timeseries
 from erp_lab.charts import FORMAT_COMMENT, line_chart_svg
 from erp_lab.errors import NumericalError
 from erp_lab.io import _fixed
@@ -121,16 +122,17 @@ def test_chart_draws_every_point_or_refuses_the_range(s):
 
 def assert_polyline_is_percent_join(s):
     """The polyline holds ``"%.2f,%.2f"`` of each point, joined by spaces,
-    for the coordinates the chart hands its formatter."""
+    for the coordinates the chart hands its formatter: one call a block,
+    on the block's x followed by its y."""
     formatted = []
 
     def recording(values, fmt):
         formatted.append(values.copy())
         return _fixed(values, fmt)
 
-    with mock.patch.object(charts, "_fixed", recording):
+    with mock.patch.object(erp_io, "_fixed", recording):
         svg = line_chart_svg(s).decode()
-    xs, ys = np.concatenate(formatted[::2]), np.concatenate(formatted[1::2])
+    xs, ys = map(np.concatenate, zip(*(np.split(values, 2) for values in formatted)))
     assert len(xs) == len(ys) == len(s)
     points = " ".join("%.2f,%.2f" % point for point in zip(xs.tolist(), ys.tolist()))
     assert f'<polyline points="{points}" ' in svg

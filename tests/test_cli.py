@@ -556,7 +556,8 @@ class TestCalendarStaysDays:
 
     def test_smoothed_eps_holds_the_prices_calendar(self, implied_files, tmp_path,
                                                     monkeypatch):
-        # _inputs_on picks prices and smoothed EPS through one mask
+        # align_many finds the smoothed EPS on the prices calendar array
+        # itself, so it searches only the yields
         calls = []
 
         def recorded(prices, eps_smooth, yields):
@@ -570,8 +571,8 @@ class TestCalendarStaysDays:
 
 
 class TestWriterLookup:
-    """erp.csv takes each input's values on the premium's days through one
-    membership mask per calendar; it must pick what a search would."""
+    """erp.csv writes the inputs the premium carries on its own days; each
+    must be what a search of that input's calendar picks."""
 
     @given(base=st.sampled_from([date(1, 1, 1), date(1969, 12, 20), date(9999, 10, 1)]),
            price_days=st.sets(st.integers(0, 60), min_size=1, max_size=45),
@@ -592,10 +593,12 @@ class TestWriterLookup:
             erp = implied_erp_series(prices, eps_smooth, yields)
         except EmptyIntersectionError:
             return
-        got = cli._inputs_on(erp.days, prices, eps_smooth, yields)
+        got = [erp.price, erp.eps, erp.yields]
         expected = [s.values[np.searchsorted(s.days, erp.days)]
                     for s in (prices, eps_smooth, yields)]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert [a.flags.writeable for a in got] == [False] * 3
+        assert [len(a) for a in got] == [len(erp)] * 3
 
 
 class TestCapm:

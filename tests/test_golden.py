@@ -116,7 +116,7 @@ def test_console_script_matches_golden(name, tmp_path, monkeypatch, erp_lab_on_p
 
 
 def test_implied_intersects_its_inputs_once(tmp_path, monkeypatch):
-    # erp.csv is written on the premium's own days, looked up in each input
+    # erp.csv is written from the inputs the premium carries on its own days
     calls = []
 
     def counted(series):

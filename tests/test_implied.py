@@ -1,5 +1,6 @@
 """Tests for DCF pricing, implied required returns, and the premium series."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -27,6 +28,7 @@ from erp_lab.errors import (
 from erp_lab.implied import (
     CashflowSchedule,
     GordonInputs,
+    ImpliedErpSeries,
     TwoStageInputs,
     dcf_price,
     earnings_implied_k,
@@ -469,6 +471,24 @@ class TestImpliedErpSeries:
         for kept, before in inputs:
             assert not kept.flags.writeable
             assert kept.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name", ["price", "eps", "yields"])
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_carried_array_of_another_length_is_refused(self, name, length):
+        carried = {"price": [1000.0] * 3, "eps": [50.0] * 3, "yields": [0.04] * 3}
+        carried[name] = [1.0] * length
+        with pytest.raises(ValueError, match=f"^{name} must hold one number per day, "
+                                             rf"got shape \({length},\)$"):
+            ImpliedErpSeries(dated([0.01] * 3).days, [0.01] * 3, **carried)
+
+    def test_replace_keeps_the_carried_arrays(self):
+        out = implied_erp_series(dated([1000.0, 900.0]), dated([50.0, 45.0]),
+                                 dated([0.04, 0.03]))
+        shifted = dataclasses.replace(out, values=out.values + 1.0)
+        assert type(shifted) is ImpliedErpSeries
+        kept = ["days", "price", "eps", "yields"]
+        assert [getattr(shifted, name) is getattr(out, name) for name in kept] == [True] * 4
+        assert shifted != out and dataclasses.replace(out) == out
 
     @given(rows=st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1000.0, 1000.0]),
                                    st.sampled_from([-1.0, 0.0, 50.0, 50.0])),

@@ -326,6 +326,26 @@ class TestIsoFastPath:
         else:
             assert outcome(parse_series, spec) == slow
 
+    @pytest.mark.parametrize("row", [31, 45], ids=["run-head", "mid-run"])
+    @pytest.mark.parametrize("position", range(11))
+    def test_month_run_checks_each_date_byte(self, tmp_path, position, row):
+        # 91 days from 2020-01-01 take the month path, which checks a run's
+        # YYYY-MM- bytes at its head only; ":", just above "9", at one byte
+        # of February's first row or of one inside its run (the eleventh
+        # byte, the NUL after the date, becomes a trailing ":")
+        days = [str(date(2020, 1, 1) + timedelta(days=i)) for i in range(91)]
+        clean = SeriesFileSpec(write(tmp_path, "date,value\n" + "".join(
+            f"{day},{i / 7!r}\n" for i, day in enumerate(days)), "clean.csv"))
+        fast, slow = _parse_iso(clean), _parse_rows(clean)
+        assert fast == slow and hexes(fast) == hexes(slow)
+        days[row] = days[row][:position] + ":" + days[row][position + 1:]
+        spec = SeriesFileSpec(write(tmp_path, "date,value\n" + "".join(
+            f"{day},{i / 7!r}\n" for i, day in enumerate(days))))
+        assert _parse_iso(spec) is None
+        expected = outcome(_parse_rows, spec)
+        assert expected == (BadDateError, f"{spec.path} line {row + 2}: bad date {days[row]!r}")
+        assert outcome(parse_series, spec) == expected
+
     @given(text=series_text(), scale=SCALES)
     @settings(max_examples=300, deadline=None)
     def test_matches_row_loop(self, text, scale):
@@ -897,6 +917,25 @@ class TestWriteRows:
         table = _iso_days(days)
         assert table.dtype == np.uint8 and table.shape == (10, days.size)
         assert np.array_equal(np.ascontiguousarray(table.T).view("S10")[:, 0], days.astype("S"))
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_columns_of_other_widths_share_one_call(self, data):
+        # over two or three blocks of 1 to 5 columns, each of its own
+        # magnitude: the widest sets a block's digit count, and no narrower
+        # cell may change; negatives, -0.0, % halves and the fallback past
+        # 2**53 / 1e10 mixed in
+        n = data.draw(st.integers(_BLOCK + 1, 2 * _BLOCK + 50))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        specials = st.one_of(st.floats(1e-12, 1e5), st.floats(-1e5, -1e-12), st.just(-0.0),
+                             ties(10), near_limit(10))
+        columns = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            column = rng.uniform(-1.0, 1.0, n) * 10.0 ** data.draw(st.integers(-12, 5))
+            mixed = data.draw(st.lists(specials, max_size=20))
+            column[rng.integers(0, n, len(mixed))] = mixed
+            columns.append(column)
+        self.check(np.datetime64("1990-01-01") + np.arange(n), columns)
 
     def test_blocks_match_row_loop(self):
         rng = np.random.default_rng(7)
